@@ -297,15 +297,11 @@ def _estimate_row(est):
             est.effective_samples]
 
 
-def _raw_rows(raw):
-    for label, values, weights in raw:
-        for i, (v, w) in enumerate(zip(values, weights)):
-            yield [label, i, float(v), float(w)]
-
-
 # -- command implementations ---------------------------------------------------
-# Each returns (resolved_config, seed_or_None, files) where files maps a
-# file name to either (columns, rows) for CSV or a JSON-able object.
+# Each validates its config and returns (resolved, seed, output, execute);
+# execute() maps file names to (columns, rows) for CSV or a JSON-able object,
+# plus "_meta" (into metadata.json) and, on mc-* commands, "_raw" (the drawn
+# series, written by main as raw_values.csv when output.emit_raw is set).
 
 
 def _cmd_sample(root: _Section, workers: int):
@@ -428,6 +424,12 @@ def _cmd_diagnose(root: _Section, workers: int):
     return resolved, _state_seed(state_resolved), output, execute
 
 
+# mc-lp and mc-chaos name one registry functional and supply no parameters
+_PARAMETERLESS = sorted(name for name, f in FUNCTIONALS.items() if not f.requires)
+_CHAOS_FUNCTIONALS = [name for name in _PARAMETERLESS
+                      if FUNCTIONALS[name].degree is not None]
+
+
 def _mc_common(root: _Section, *, need_window: bool):
     ens_sec = root.child("ensemble")
     ens = _ensemble_block(ens_sec, need_window=need_window)
@@ -448,8 +450,9 @@ def _cmd_mc_lp(root: _Section, workers: int):
     samples = exp.get("samples", "int", check=lambda v: v >= 100,
                       expect="must be >= 100")
     functional = exp.get("functional", "str", default="energy_rate_total",
-                         check=lambda v: v in FUNCTIONALS,
-                         expect=f"one of {sorted(FUNCTIONALS)}")
+                         check=lambda v: v in _PARAMETERLESS,
+                         expect=f"one of {_PARAMETERLESS} "
+                                "(mc-lp supplies no functional parameters)")
     radius = exp.get("r", "radius", default="auto")
     exp.finish()
     output = _output_block(root)
@@ -472,18 +475,16 @@ def _cmd_mc_lp(root: _Section, workers: int):
         result = lp_growth_experiment(
             ens["s"], cutoffs, p_list, radius, samples, functional=functional,
             variant=ens["variant"], beta=ens["beta"], master_seed=ens["seed"],
-            workers=workers, keep_raw=output["emit_raw"])
+            workers=workers)
         est_rows = [[row.cutoff] + _estimate_row(row.estimate) for row in result.rows]
         fit_rows = [["p_slope", cutoff, "", fit.slope, fit.intercept, fit.residual, ""]
                     for cutoff, fit in result.p_fits]
         fit_rows += [["spread", "", p, "", "", "", ratio]
                      for p, ratio in result.spread_by_p]
-        files = {"estimates.csv": (est_columns, est_rows),
-                 "fits.csv": (fit_columns, fit_rows),
-                 "_meta": {"resolved_radii": [[c, r] for c, r in result.radii]}}
-        if output["emit_raw"]:
-            files["raw_values.csv"] = (_RAW_COLUMNS, list(_raw_rows(result.raw)))
-        return files
+        return {"estimates.csv": (est_columns, est_rows),
+                "fits.csv": (fit_columns, fit_rows),
+                "_meta": {"resolved_radii": [[c, r] for c, r in result.radii]},
+                "_raw": result.raw}
 
     return resolved, ens["seed"], output, execute
 
@@ -520,18 +521,16 @@ def _cmd_mc_converge(root: _Section, workers: int):
         result = convergence_rate_study(
             ens["s"], lower, p, samples, reference_cutoff=n_ref,
             variant=ens["variant"], beta=ens["beta"], master_seed=ens["seed"],
-            workers=workers, components=components, keep_raw=output["emit_raw"])
+            workers=workers, components=components)
         est_rows = [[row.cutoff] + _estimate_row(row.estimate) for row in result.rows]
         fit_rows = [["total", result.fit.slope, result.fit.intercept,
                      result.fit.residual]]
         fit_rows += [[name, fit.slope, fit.intercept, fit.residual]
                      for name, fit in result.component_fits]
-        files = {"estimates.csv": (est_columns, est_rows),
-                 "fits.csv": (fit_columns, fit_rows),
-                 "_meta": {"reference_cutoff": result.reference_cutoff}}
-        if output["emit_raw"]:
-            files["raw_values.csv"] = (_RAW_COLUMNS, list(_raw_rows(result.raw)))
-        return files
+        return {"estimates.csv": (est_columns, est_rows),
+                "fits.csv": (fit_columns, fit_rows),
+                "_meta": {"reference_cutoff": result.reference_cutoff},
+                "_raw": result.raw}
 
     return resolved, ens["seed"], output, execute
 
@@ -540,8 +539,9 @@ def _cmd_mc_chaos(root: _Section, workers: int):
     ens = _mc_common(root, need_window=True)
     exp = root.child("experiment")
     functional = exp.get("functional", "str", default="wick_mass",
-                         check=lambda v: FUNCTIONALS.get(v) is not None,
-                         expect="must name a functional with a declared chaos degree")
+                         check=lambda v: v in _CHAOS_FUNCTIONALS,
+                         expect=f"one of {_CHAOS_FUNCTIONALS} (a declared chaos "
+                                "degree and no required parameters)")
     p_list = exp.get("p_list", "number_list",
                      check=lambda v: all(1 <= p <= MAX_P for p in v),
                      expect=f"each p must lie in [1, {MAX_P}]")
@@ -573,15 +573,13 @@ def _cmd_mc_chaos(root: _Section, workers: int):
         if not math.isinf(spec_r):
             spec = _build_ensemble(ens, radius=spec_r)
         result = chaos_growth_check(functional, spec, p_list, samples,
-                                    workers=workers, keep_raw=output["emit_raw"])
+                                    workers=workers)
         rows = [[r.p, r.norm, r.ratio, r.bound, r.rel_ci_width, r.within_bound]
                 for r in result.rows]
-        files = {"estimates.csv": (columns, rows),
-                 "_meta": {"degree": result.degree, "base_norm": result.base_norm,
-                           "resolved_radius": spec_r}}
-        if output["emit_raw"]:
-            files["raw_values.csv"] = (_RAW_COLUMNS, list(_raw_rows(result.raw)))
-        return files
+        return {"estimates.csv": (columns, rows),
+                "_meta": {"degree": result.degree, "base_norm": result.base_norm,
+                          "resolved_radius": spec_r},
+                "_raw": result.raw}
 
     return resolved, ens["seed"], output, execute
 
@@ -625,14 +623,12 @@ def _cmd_mc_kin(root: _Section, workers: int):
         result = sup_norm_moment_study(
             ens["s"], order, blocks, cutoff, p, samples, field=field,
             variant=ens["variant"], beta=ens["beta"], master_seed=ens["seed"],
-            workers=workers, keep_raw=output["emit_raw"])
+            workers=workers)
         est_rows = [[row.cutoff] + _estimate_row(row.estimate) for row in result.rows]
         fit_rows = [[result.fit.slope, result.fit.intercept, result.fit.residual]]
-        files = {"estimates.csv": (est_columns, est_rows),
-                 "fits.csv": (fit_columns, fit_rows)}
-        if output["emit_raw"]:
-            files["raw_values.csv"] = (_RAW_COLUMNS, list(_raw_rows(result.raw)))
-        return files
+        return {"estimates.csv": (est_columns, est_rows),
+                "fits.csv": (fit_columns, fit_rows),
+                "_raw": result.raw}
 
     return resolved, ens["seed"], output, execute
 
@@ -672,17 +668,14 @@ def _cmd_mc_tail(root: _Section, workers: int):
     def execute():
         result = tail_estimate_study(
             ens["s"], n_ref, lower, thresholds, samples, variant=ens["variant"],
-            beta=ens["beta"], master_seed=ens["seed"], workers=workers,
-            keep_raw=output["emit_raw"])
+            beta=ens["beta"], master_seed=ens["seed"], workers=workers)
         rows = [[r.lower_cutoff, r.threshold, r.exceedances, r.probability,
                  r.is_upper_bound] for r in result.rows]
         check_rows = [["decay_in_threshold", result.threshold_monotone],
                       ["decay_in_cutoff", result.cutoff_monotone]]
-        files = {"estimates.csv": (columns, rows),
-                 "checks.csv": (check_columns, check_rows)}
-        if output["emit_raw"]:
-            files["raw_values.csv"] = (_RAW_COLUMNS, list(_raw_rows(result.raw)))
-        return files
+        return {"estimates.csv": (columns, rows),
+                "checks.csv": (check_columns, check_rows),
+                "_raw": result.raw}
 
     return resolved, ens["seed"], output, execute
 
@@ -785,6 +778,11 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - t0
+    raw = files.pop("_raw", None)
+    if raw is not None and output["emit_raw"]:
+        files["raw_values.csv"] = (_RAW_COLUMNS, (
+            [label, i, float(v), float(w)] for label, values, weights in raw
+            for i, (v, w) in enumerate(zip(values, weights))))
     _write_outputs(Path(output["directory"]), args.command, resolved, seed,
                    args.workers, wall, files)
     return 0

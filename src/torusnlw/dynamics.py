@@ -182,14 +182,12 @@ def evolve(p: PhaseState, t_final: float, model: ModelSpec,
 
 def trajectory(p: PhaseState, t_final: float, model: ModelSpec,
                integ: IntegratorSpec, stride: int = 1) -> Iterator[tuple]:
-    """Yield (t, state) at t = 0 and after every `stride` steps."""
+    """Yield (t, state) at t = 0, after every `stride` steps and at t_final."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     for k, (t, state) in enumerate(_trajectory(p, t_final, model, integ)):
         if k % stride == 0 or t == t_final:
             yield t, state
-    if k % stride != 0 and t != t_final:  # pragma: no cover - defensive
-        yield t, state
 
 
 def _trajectory(p: PhaseState, t_final: float, model: ModelSpec,
@@ -202,6 +200,8 @@ def _trajectory(p: PhaseState, t_final: float, model: ModelSpec,
         state = _checked_advance(state, sign * integ.dt, model, integ,
                                  f"after step {k + 1} (t = {t + sign * integ.dt:g})")
         t = sign * (k + 1) * integ.dt
+        if k + 1 == n_full and remainder == 0.0:
+            t = t_final  # not (k + 1) * dt, which can be a rounding error off it
         yield t, state
     if remainder > 0.0:
         state = _checked_advance(state, sign * remainder, model, integ,

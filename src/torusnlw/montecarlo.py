@@ -114,28 +114,10 @@ def fit_rate(abscissae, ordinates) -> RateFit:
 
 # -- functional registry -------------------------------------------------------
 
-# name -> polynomial chaos degree in the Gaussian coordinates, where one
-# is defined (needed by chaos_growth_check); None means not homogeneous.
-FUNCTIONALS: dict = {
-    "energy_rate_total": 4,
-    "energy_rate_highlow": 4,
-    "energy_rate_mass": 4,
-    "energy_rate_leibniz": 4,
-    "quartic_correction": 4,
-    "quartic_correction_gap": 4,
-    "chaos_double_pair_renorm_gap": 4,
-    "chaos_single_pair_gap": 4,
-    "chaos_no_pair_gap": 4,
-    "wick_mass": 2,
-    "block_sup_norm": None,
-    "density_weight": None,
-    "scalar_gaussian": 1,
-}
-
 
 class _StateEvaluator:
-    """Evaluates registry functionals on one state, sharing repeated work
-    (rate terms, per-cutoff quartic corrections) between them."""
+    """Per-state memo for the registry evaluators: the rate terms once per
+    state, the quartic correction and its chaos split once per cutoff."""
 
     def __init__(self, state: PhaseState, ens: EnsembleSpec):
         self.state = state
@@ -146,6 +128,9 @@ class _StateEvaluator:
         if key not in self._cache:
             self._cache[key] = thunk()
         return self._cache[key]
+
+    def cutoff(self, params: dict) -> int:
+        return int(params.get("cutoff", self.ens.truncation_N))
 
     def rate(self):
         e = self.ens
@@ -166,62 +151,82 @@ class _StateEvaluator:
         e = self.ens
         if math.isinf(e.energy_cutoff_r):
             return 1.0
-        energy = self._memo("trunc_energy", lambda: truncated_energy(
-            self.state, e.truncation_N, e.equation, e.beta))
+        energy = truncated_energy(self.state, e.truncation_N, e.equation, e.beta)
         return 1.0 if energy <= e.energy_cutoff_r else 0.0
 
-    def value(self, name: str, params: dict) -> float:
-        e = self.ens
-        n_default = e.truncation_N
-        if name == "energy_rate_total":
-            return self.rate().total
-        if name == "energy_rate_highlow":
-            return self.rate().highlow
-        if name == "energy_rate_mass":
-            return self.rate().mass
-        if name == "energy_rate_leibniz":
-            return self.rate().leibniz
-        if name == "quartic_correction":
-            return self.quartic(int(params.get("cutoff", n_default)))
-        if name == "quartic_correction_gap":
-            hi = self.quartic(int(params.get("cutoff", n_default)))
-            return hi - self.quartic(int(params["lower_cutoff"]))
-        if name in ("chaos_double_pair_renorm_gap", "chaos_single_pair_gap",
-                    "chaos_no_pair_gap"):
-            hi = self.chaos(int(params.get("cutoff", n_default)))
-            lo = self.chaos(int(params["lower_cutoff"]))
-            attr = {"chaos_double_pair_renorm_gap": "double_pair_renorm",
-                    "chaos_single_pair_gap": "single_pair",
-                    "chaos_no_pair_gap": "no_pair"}[name]
-            return getattr(hi, attr) - getattr(lo, attr)
-        if name == "wick_mass":
-            return wick_renormalized_mass(
-                self.state.u, e.s, int(params.get("cutoff", n_default)), e.equation)
-        if name == "block_sup_norm":
-            field = self.state.u if params.get("field", "u") == "u" else self.state.v
-            g = project_ball(field, int(params.get("cutoff", n_default)))
-            g = apply_multiplier(g, dyadic_block(int(params["block"])))
-            o1, o2 = params.get("order", (0, 0))
-            if (o1, o2) != (0, 0):
-                g = apply_multiplier(g, derivative(int(o1), int(o2)))
-            return grid_sup_norm(g)
-        if name == "density_weight":
-            return weighted_density(
-                self.state, e.s, int(params.get("cutoff", n_default)),
-                float(params["radius"]), e.equation, e.beta).weight
-        if name == "scalar_gaussian":
-            return integrate(self.state.u)
-        raise UnsupportedParameterError(f"unknown functional {name!r}")
+
+@dataclass(frozen=True)
+class Functional:
+    """One registry entry.  `degree` is the polynomial chaos degree in the
+    Gaussian coordinates (needed by chaos_growth_check; None when the
+    functional is not homogeneous), `requires` the parameters with no
+    default, and `evaluate(memo, params)` the value on one state."""
+
+    degree: int | None
+    requires: tuple
+    evaluate: Callable
 
 
-def _eval_block(ens: EnsembleSpec, funcs: tuple, start: int, stop: int) -> np.ndarray:
+def _rate_term(term: str) -> Functional:
+    return Functional(4, (), lambda ev, params: getattr(ev.rate(), term))
+
+
+def _chaos_gap(component: str) -> Functional:
+    def gap(ev, params):
+        hi = ev.chaos(ev.cutoff(params))
+        lo = ev.chaos(int(params["lower_cutoff"]))
+        return getattr(hi, component) - getattr(lo, component)
+    return Functional(4, ("lower_cutoff",), gap)
+
+
+def _block_sup_norm(ev, params) -> float:
+    field = ev.state.u if params.get("field", "u") == "u" else ev.state.v
+    g = project_ball(field, ev.cutoff(params))
+    g = apply_multiplier(g, dyadic_block(int(params["block"])))
+    o1, o2 = params.get("order", (0, 0))
+    if (o1, o2) != (0, 0):
+        g = apply_multiplier(g, derivative(int(o1), int(o2)))
+    return grid_sup_norm(g)
+
+
+def _density_weight(ev, params) -> float:
+    e = ev.ens
+    return weighted_density(ev.state, e.s, ev.cutoff(params), float(params["radius"]),
+                            e.equation, e.beta).weight
+
+
+# name -> Functional; `cutoff` defaults to the ensemble's truncation_N
+FUNCTIONALS: dict = {
+    "energy_rate_total": _rate_term("total"),
+    "energy_rate_highlow": _rate_term("highlow"),
+    "energy_rate_mass": _rate_term("mass"),
+    "energy_rate_leibniz": _rate_term("leibniz"),
+    "quartic_correction": Functional(
+        4, (), lambda ev, params: ev.quartic(ev.cutoff(params))),
+    "quartic_correction_gap": Functional(
+        4, ("lower_cutoff",), lambda ev, params: (
+            ev.quartic(ev.cutoff(params)) - ev.quartic(int(params["lower_cutoff"])))),
+    "chaos_double_pair_renorm_gap": _chaos_gap("double_pair_renorm"),
+    "chaos_single_pair_gap": _chaos_gap("single_pair"),
+    "chaos_no_pair_gap": _chaos_gap("no_pair"),
+    "wick_mass": Functional(2, (), lambda ev, params: wick_renormalized_mass(
+        ev.state.u, ev.ens.s, ev.cutoff(params), ev.ens.equation)),
+    "block_sup_norm": Functional(None, ("block",), _block_sup_norm),
+    "density_weight": Functional(None, ("radius",), _density_weight),
+    "scalar_gaussian": Functional(1, (), lambda ev, params: integrate(ev.state.u)),
+}
+
+
+def _eval_block(ens: EnsembleSpec, funcs: tuple, start: int, stop: int,
+                sampler: Callable | None = None) -> np.ndarray:
     """Evaluate every functional plus the cutoff weight on indices
     [start, stop); module-level so worker processes can import it."""
+    entries = [(FUNCTIONALS[name].evaluate, params) for name, params in funcs]
     out = np.empty((stop - start, len(funcs) + 1))
     for row, index in enumerate(range(start, stop)):
-        ev = _StateEvaluator(sample(ens, index), ens)
-        for col, (name, params) in enumerate(funcs):
-            out[row, col] = ev.value(name, params)
+        ev = _StateEvaluator(sample(ens, index) if sampler is None else sampler(index), ens)
+        for col, (evaluate, params) in enumerate(entries):
+            out[row, col] = evaluate(ev, params)
         out[row, len(funcs)] = ev.cutoff_indicator()
     return out
 
@@ -232,20 +237,19 @@ def collect_values(ens: EnsembleSpec, funcs, samples: int, *,
 
     Identical output for every worker count; `sampler` overrides state
     generation for tests (index -> PhaseState, forces inline evaluation).
+    Unknown functionals and missing required parameters are rejected
+    before any state is drawn.
     """
     funcs = tuple((name, dict(params or {})) for name, params in funcs)
-    for name, _ in funcs:
+    for name, params in funcs:
         if name not in FUNCTIONALS:
             raise UnsupportedParameterError(f"unknown functional {name!r}")
-    if sampler is not None:
-        out = np.empty((samples, len(funcs) + 1))
-        for index in range(samples):
-            ev = _StateEvaluator(sampler(index), ens)
-            for col, (name, params) in enumerate(funcs):
-                out[index, col] = ev.value(name, params)
-            out[index, len(funcs)] = ev.cutoff_indicator()
-    elif workers <= 1 or samples < 2 * workers:
-        out = _eval_block(ens, funcs, 0, samples)
+        for key in FUNCTIONALS[name].requires:
+            if key not in params:
+                raise UnsupportedParameterError(
+                    f"functional {name!r} needs the parameter {key!r}")
+    if sampler is not None or workers <= 1 or samples < 2 * workers:
+        out = _eval_block(ens, funcs, 0, samples, sampler)
     else:
         bounds = np.linspace(0, samples, workers + 1).astype(int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -253,6 +257,17 @@ def collect_values(ens: EnsembleSpec, funcs, samples: int, *,
                        for a, b in zip(bounds[:-1], bounds[1:])]
             out = np.concatenate([f.result() for f in futures], axis=0)
     return out[:, :-1], out[:, -1]
+
+
+def _draw(ens: EnsembleSpec, columns, samples: int, workers: int,
+          sampler: Callable | None = None) -> tuple:
+    """The study primitive: one (label, values, weights) series per
+    (label, name, params) column, all on the same draws of `ens`.  The
+    series are what each study estimates from and what it reports raw."""
+    values, weights = collect_values(ens, [(name, params) for _, name, params in columns],
+                                     samples, workers=workers, sampler=sampler)
+    return tuple((label, values[:, col], weights)
+                 for col, (label, _, _) in enumerate(columns))
 
 
 # -- the L^p estimator ---------------------------------------------------------
@@ -308,10 +323,10 @@ def estimate_lp(functional: str, ens: EnsembleSpec, p: float, samples: int, *,
     """Weighted empirical L^p norm of one functional under the cutoff
     ensemble.  Deterministic given (ens, p, samples)."""
     _check_p_samples(p, samples, max_p)
-    values, weights = collect_values(ens, [(functional, params)], samples,
-                                     workers=workers, sampler=sampler)
-    return _estimate_from_values(values[:, 0], weights, p, ens,
-                                 f"{functional}:{sorted((params or {}).items())}")
+    tag = f"{functional}:{sorted((params or {}).items())}"
+    ((_, values, weights),) = _draw(ens, [(tag, functional, params)], samples,
+                                    workers, sampler)
+    return _estimate_from_values(values, weights, p, ens, tag)
 
 
 # -- cutoff radius resolution --------------------------------------------------
@@ -340,6 +355,8 @@ def resolve_radius(radius, ens: EnsembleSpec, *, pilot_samples: int = 1000,
 
 
 # -- experiments ---------------------------------------------------------------
+# Every study draws its columns through _draw and reports the drawn series
+# as `raw`: ((label, values, weights), ...).
 
 
 @dataclass(frozen=True)
@@ -358,14 +375,13 @@ class GrowthStudyResult:
     p_fits: tuple          # (cutoff, RateFit of value against p)
     spread_by_p: tuple     # (p, max value / min value over cutoffs)
     radii: tuple           # (cutoff, resolved radius)
-    raw: tuple = ()        # optional ((label, values, weights), ...)
+    raw: tuple             # one series per cutoff
 
 
 def lp_growth_experiment(s: float, cutoff_list, p_list, radius, samples: int, *,
-                              functional: str = "energy_rate_total",
-                              variant: str = "mu_s", beta: float = 0.0,
-                              master_seed: int = 0, workers: int = 1,
-                              keep_raw: bool = False) -> GrowthStudyResult:
+                         functional: str = "energy_rate_total",
+                         variant: str = "mu_s", beta: float = 0.0,
+                         master_seed: int = 0, workers: int = 1) -> GrowthStudyResult:
     """Growth of the L^p norms in p and their uniformity in the cutoff.
 
     One ensemble per cutoff (sampling window = cutoff); values are drawn
@@ -385,14 +401,11 @@ def lp_growth_experiment(s: float, cutoff_list, p_list, radius, samples: int, *,
         r = resolve_radius(radius, ens)
         ens = replace(ens, energy_cutoff_r=r)
         radii.append((cutoff, r))
-        values, weights = collect_values(ens, [(functional, None)], samples,
-                                         workers=workers)
-        if keep_raw:
-            raw.append((f"{functional}:N={cutoff}", values[:, 0].copy(), weights.copy()))
-        ests = [
-            _estimate_from_values(values[:, 0], weights, p, ens, f"{functional}:N={cutoff}")
-            for p in p_list
-        ]
+        series = _draw(ens, [(f"{functional}:N={cutoff}", functional, None)],
+                       samples, workers)
+        raw.extend(series)
+        ((label, values, weights),) = series
+        ests = [_estimate_from_values(values, weights, p, ens, label) for p in p_list]
         rows.extend(EstimateRow(cutoff, p, e) for p, e in zip(p_list, ests))
         fits.append((cutoff, fit_rate(p_list, [e.value for e in ests])))
     spread = []
@@ -404,6 +417,11 @@ def lp_growth_experiment(s: float, cutoff_list, p_list, radius, samples: int, *,
                              raw=tuple(raw))
 
 
+def _gap_columns(names, lower) -> list:
+    """(label, name, params) columns of cutoff gaps against each lower M."""
+    return [(f"{name}:M={m}", name, {"lower_cutoff": m}) for name in names for m in lower]
+
+
 @dataclass(frozen=True)
 class ConvergenceStudyResult:
     """Decay of ||F_ref - F_M||_{L^p} as the lower cutoff M grows."""
@@ -412,15 +430,14 @@ class ConvergenceStudyResult:
     rows: tuple            # EstimateRow per M (cutoff field holds M)
     fit: RateFit
     component_fits: tuple  # (component name, RateFit), empty unless requested
-    raw: tuple = ()
+    raw: tuple             # one quartic_correction_gap series per M
 
 
 def convergence_rate_study(s: float, lower_cutoffs, p: float, samples: int, *,
                            reference_cutoff: int | None = None,
                            variant: str = "mu_s", beta: float = 0.0,
                            master_seed: int = 0, workers: int = 1,
-                           components: bool = False,
-                           keep_raw: bool = False) -> ConvergenceStudyResult:
+                           components: bool = False) -> ConvergenceStudyResult:
     """Rate at which the quartic correction at a frozen reference cutoff
     is approximated by lower cutoffs, in L^p of the plain ensemble."""
     lower = sorted(int(m) for m in lower_cutoffs)
@@ -432,35 +449,20 @@ def convergence_rate_study(s: float, lower_cutoffs, p: float, samples: int, *,
     _check_p_samples(p, samples, MAX_P)
     ens = EnsembleSpec(variant=variant, s=s, sample_max_mode=n_ref,
                        truncation_N=n_ref, master_seed=master_seed, beta=beta)
-    funcs = [("quartic_correction_gap", {"lower_cutoff": m}) for m in lower]
-    comp_names = ("chaos_double_pair_renorm_gap", "chaos_single_pair_gap",
+    names = ("quartic_correction_gap",)
+    if components:
+        names += ("chaos_double_pair_renorm_gap", "chaos_single_pair_gap",
                   "chaos_no_pair_gap")
-    if components:
-        funcs += [(name, {"lower_cutoff": m}) for name in comp_names for m in lower]
-    values, weights = collect_values(ens, funcs, samples, workers=workers)
-    rows = []
-    raw = []
-    for col, m in enumerate(lower):
-        est = _estimate_from_values(values[:, col], weights, p, ens,
-                                    f"quartic_correction_gap:M={m}")
-        rows.append(EstimateRow(m, p, est))
-        if keep_raw:
-            raw.append((f"quartic_correction_gap:M={m}", values[:, col].copy(),
-                        weights.copy()))
-    fit = fit_rate(lower, [row.estimate.value for row in rows])
-    comp_fits = []
-    if components:
-        col = len(lower)
-        for name in comp_names:
-            vals = []
-            for m in lower:
-                est = _estimate_from_values(values[:, col], weights, p, ens,
-                                            f"{name}:M={m}")
-                vals.append(est.value)
-                col += 1
-            comp_fits.append((name, fit_rate(lower, vals)))
-    return ConvergenceStudyResult(reference_cutoff=n_ref, rows=tuple(rows), fit=fit,
-                                  component_fits=tuple(comp_fits), raw=tuple(raw))
+    series = _draw(ens, _gap_columns(names, lower), samples, workers)
+    ests = [_estimate_from_values(values, weights, p, ens, label)
+            for label, values, weights in series]
+    n = len(lower)
+    fits = [(name, fit_rate(lower, [e.value for e in ests[k * n:(k + 1) * n]]))
+            for k, name in enumerate(names)]
+    rows = tuple(EstimateRow(m, p, est) for m, est in zip(lower, ests))
+    return ConvergenceStudyResult(reference_cutoff=n_ref, rows=rows, fit=fits[0][1],
+                                  component_fits=tuple(fits[1:]),
+                                  raw=series[:len(lower)])
 
 
 @dataclass(frozen=True)
@@ -478,27 +480,27 @@ class ChaosGrowthResult:
     degree: int
     base_norm: float       # ||X||_2
     rows: tuple
-    raw: tuple = ()
+    raw: tuple             # the one drawn series
 
 
 def chaos_growth_check(functional: str, ens: EnsembleSpec, p_list, samples: int, *,
-                       params: dict | None = None, workers: int = 1,
-                       keep_raw: bool = False) -> ChaosGrowthResult:
+                       params: dict | None = None, workers: int = 1) -> ChaosGrowthResult:
     """Hypercontractive growth check: for a functional of declared chaos
     degree k, ||X||_p / ||X||_2 must stay below (p-1)^(k/2)."""
-    degree = FUNCTIONALS.get(functional)
-    if degree is None:
+    entry = FUNCTIONALS.get(functional)
+    if entry is None or entry.degree is None:
         raise UnsupportedParameterError(
             f"functional {functional!r} has no declared chaos degree")
+    degree = entry.degree
     for p in p_list:
         _check_p_samples(p, samples, MAX_P)
-    values, weights = collect_values(ens, [(functional, params)], samples,
-                                     workers=workers)
     tag = f"{functional}:{sorted((params or {}).items())}"
-    base = _estimate_from_values(values[:, 0], weights, 2.0, ens, tag)
+    series = _draw(ens, [(tag, functional, params)], samples, workers)
+    ((_, values, weights),) = series
+    base = _estimate_from_values(values, weights, 2.0, ens, tag)
     rows = []
     for p in p_list:
-        est = _estimate_from_values(values[:, 0], weights, p, ens, tag)
+        est = _estimate_from_values(values, weights, p, ens, tag)
         ratio = est.value / base.value
         bound = (p - 1.0) ** (degree / 2.0)
         rel_w = est.rel_ci_width + base.rel_ci_width
@@ -506,9 +508,8 @@ def chaos_growth_check(functional: str, ens: EnsembleSpec, p_list, samples: int,
             p=p, norm=est.value, ratio=ratio, bound=bound, rel_ci_width=rel_w,
             within_bound=bool(ratio <= bound * (1.0 + 3.0 * rel_w)),
         ))
-    raw = ((tag, values[:, 0].copy(), weights.copy()),) if keep_raw else ()
     return ChaosGrowthResult(degree=degree, base_norm=base.value, rows=tuple(rows),
-                             raw=raw)
+                             raw=series)
 
 
 @dataclass(frozen=True)
@@ -519,13 +520,13 @@ class SupNormStudyResult:
     field: str
     rows: tuple            # EstimateRow per block (cutoff field holds M)
     fit: RateFit
-    raw: tuple = ()
+    raw: tuple             # one series per block
 
 
 def sup_norm_moment_study(s: float, order, block_list, cutoff: int, p: float,
                           samples: int, *, field: str = "u", variant: str = "mu_s",
                           beta: float = 0.0, master_seed: int = 0,
-                          workers: int = 1, keep_raw: bool = False) -> SupNormStudyResult:
+                          workers: int = 1) -> SupNormStudyResult:
     """Sup norms of derivative dyadic blocks of the low-pass field: the
     L^p moments should grow at most sub-polynomially in the block
     frequency when the derivative order is admissible."""
@@ -543,24 +544,19 @@ def sup_norm_moment_study(s: float, order, block_list, cutoff: int, p: float,
     blocks = sorted(int(m) for m in block_list)
     ens = EnsembleSpec(variant=variant, s=s, sample_max_mode=cutoff,
                        truncation_N=cutoff, master_seed=master_seed, beta=beta)
-    funcs = [("block_sup_norm", {"order": (o1, o2), "block": m, "field": field})
-             for m in blocks]
-    values, weights = collect_values(ens, funcs, samples, workers=workers)
-    rows = []
-    raw = []
-    for col, m in enumerate(blocks):
-        est = _estimate_from_values(values[:, col], weights, p, ens,
-                                    f"block_sup_norm:M={m}:{field}:{(o1, o2)}")
-        rows.append(EstimateRow(m, p, est))
-        if keep_raw:
-            raw.append((f"block_sup_norm:M={m}", values[:, col].copy(), weights.copy()))
+    columns = [(f"block_sup_norm:M={m}", "block_sup_norm",
+                {"order": (o1, o2), "block": m, "field": field}) for m in blocks]
+    series = _draw(ens, columns, samples, workers)
+    rows = [EstimateRow(m, p, _estimate_from_values(values, weights, p, ens,
+                                                    f"{label}:{field}:{(o1, o2)}"))
+            for m, (label, values, weights) in zip(blocks, series)]
     positive = [(m, row.estimate.value) for m, row in zip(blocks, rows)
                 if row.estimate.value > 0]
     if len(positive) < 2:
         raise ValueError("too few nonzero block moments to fit a rate")
     fit = fit_rate([m for m, _ in positive], [v for _, v in positive])
     return SupNormStudyResult(order=(o1, o2), field=field, rows=tuple(rows), fit=fit,
-                              raw=tuple(raw))
+                              raw=series)
 
 
 @dataclass(frozen=True)
@@ -578,13 +574,12 @@ class TailStudyResult:
     rows: tuple
     threshold_monotone: bool  # within each M, probability non-increasing in threshold
     cutoff_monotone: bool     # at each threshold, probability non-increasing in M
-    raw: tuple = ()
+    raw: tuple                # one quartic_correction_gap series per M
 
 
 def tail_estimate_study(s: float, reference_cutoff: int, lower_cutoffs, thresholds,
                         samples: int, *, variant: str = "mu_s", beta: float = 0.0,
-                        master_seed: int = 0, workers: int = 1,
-                        keep_raw: bool = False) -> TailStudyResult:
+                        master_seed: int = 0, workers: int = 1) -> TailStudyResult:
     """Empirical exceedance probabilities P(|F_ref - F_M| > threshold).
 
     Tail decay in the threshold and improvement with growing M are the
@@ -601,16 +596,11 @@ def tail_estimate_study(s: float, reference_cutoff: int, lower_cutoffs, threshol
     ens = EnsembleSpec(variant=variant, s=s, sample_max_mode=reference_cutoff,
                        truncation_N=reference_cutoff, master_seed=master_seed,
                        beta=beta)
-    funcs = [("quartic_correction_gap", {"lower_cutoff": m}) for m in lower]
-    values, weights = collect_values(ens, funcs, samples, workers=workers)
+    series = _draw(ens, _gap_columns(("quartic_correction_gap",), lower), samples, workers)
     rows = []
     prob_table = {}
-    raw = []
-    for col, m in enumerate(lower):
-        gaps = np.abs(values[:, col])
-        if keep_raw:
-            raw.append((f"quartic_correction_gap:M={m}", values[:, col].copy(),
-                        weights.copy()))
+    for m, (_, values, _) in zip(lower, series):
+        gaps = np.abs(values)
         for a in thresholds:
             count = int((gaps > a).sum())
             flagged = count == 0
@@ -627,4 +617,4 @@ def tail_estimate_study(s: float, reference_cutoff: int, lower_cutoffs, threshol
         for a in thresholds for m_small, m_big in zip(lower, lower[1:]))
     return TailStudyResult(reference_cutoff=reference_cutoff, rows=tuple(rows),
                            threshold_monotone=threshold_monotone,
-                           cutoff_monotone=cutoff_monotone, raw=tuple(raw))
+                           cutoff_monotone=cutoff_monotone, raw=series)

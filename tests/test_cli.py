@@ -10,6 +10,7 @@ import pytest
 
 from torusnlw.cli import OUTPUT_DIR_ENV, main
 from torusnlw.energy import energy_report
+from torusnlw.montecarlo import FUNCTIONALS
 from torusnlw.sampling import EnsembleSpec, sample
 from torusnlw.spectral import PhaseState, field_from_modes, state_to_dict
 
@@ -376,3 +377,63 @@ class TestMonteCarloCommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(MC_LP_CONFIG))
         assert main(["mc-lp", str(cfg), "--workers", "0"]) == 1
+
+
+@pytest.mark.parametrize("functional", sorted(FUNCTIONALS))
+@pytest.mark.parametrize("command", ["mc-lp", "mc-chaos"])
+def test_every_functional_runs_or_is_rejected_at_validation(tmp_path, capsys,
+                                                            command, functional):
+    if command == "mc-lp":
+        ensemble = {"variant": "mu_s", "s": 2.0, "seed": 3}
+        experiment = {"N_list": [2, 3], "p_list": [2.0, 4.0], "samples": 100,
+                      "r": "inf"}
+    else:
+        ensemble = {"variant": "mu_s", "s": 2.0, "sample_max_mode": 3, "seed": 3}
+        experiment = {"p_list": [4.0], "samples": 100}
+    experiment["functional"] = functional
+    # neither command supplies functional parameters, and mc-chaos needs a
+    # chaos degree: a functional they cannot evaluate is a config error
+    code, _ = run(tmp_path, command, {"ensemble": ensemble, "experiment": experiment})
+    assert code in (0, 1)
+    if code == 1:
+        assert "experiment.functional" in capsys.readouterr().err
+
+
+_MC_ENSEMBLE = {"variant": "mu_s", "s": 2.0, "seed": 3}
+MC_CONFIGS = {  # (config, number of raw series it draws)
+    "mc-lp": (MC_LP_CONFIG, 2),
+    "mc-converge": ({"ensemble": _MC_ENSEMBLE,
+                     "experiment": {"M_list": [2, 4], "N_ref": 8, "samples": 120,
+                                    "components": True}}, 2),
+    "mc-chaos": ({"ensemble": dict(_MC_ENSEMBLE, sample_max_mode=3),
+                  "experiment": {"p_list": [4.0], "samples": 120}}, 1),
+    "mc-kin": ({"ensemble": _MC_ENSEMBLE,
+                "experiment": {"order": [1, 0], "M_list": [1, 2], "N": 4,
+                               "samples": 120}}, 2),
+    "mc-tail": ({"ensemble": _MC_ENSEMBLE,
+                 "experiment": {"N": 8, "M_list": [2, 4], "alpha_list": [0.0, 0.1],
+                                "samples": 120}}, 2),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MC_CONFIGS))
+@pytest.mark.parametrize("emit_raw", [True, False])
+def test_raw_values_written_only_when_requested(tmp_path, command, emit_raw):
+    config, n_series = MC_CONFIGS[command]
+    code, out = run(tmp_path, command, dict(config, output={"emit_raw": emit_raw}))
+    assert code == 0
+    schema = json.loads((out / "schema.json").read_text())["files"]
+    if not emit_raw:
+        assert not (out / "raw_values.csv").exists()
+        assert "raw_values.csv" not in schema
+        return
+    header = ["series", "index", "value", "weight"]
+    rows = read_csv(out / "raw_values.csv")
+    assert rows[0] == header
+    assert sorted(schema["raw_values.csv"]) == sorted(header)
+    indices: dict = {}
+    for label, index, _, _ in rows[1:]:
+        indices.setdefault(label, []).append(int(index))
+    assert len(indices) == n_series
+    samples = config["experiment"]["samples"]
+    assert all(seen == list(range(samples)) for seen in indices.values())

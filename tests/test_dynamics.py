@@ -244,6 +244,16 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="stride"):
             list(trajectory(gaussian_state(), 1.0, NLKG4, IntegratorSpec(), stride=0))
 
+    def test_last_full_step_yields_final_time_exactly(self):
+        # 3 * 0.1 is 0.30000000000000004 in floating point; the endpoint
+        # must still be reported as t_final, in both directions
+        p = gaussian_state()
+        integ = IntegratorSpec("strang_splitting", 0.1)
+        ts = [t for t, _ in trajectory(p, 0.3, NLKG4, integ, stride=2)]
+        assert ts == [0.0, 0.2, 0.3]
+        ts = [t for t, _ in trajectory(p, -0.3, NLKG4, integ, stride=2)]
+        assert ts == [0.0, -0.2, -0.3]
+
     def test_negative_time_runs_backwards(self):
         p = gaussian_state()
         ts = [t for t, _ in trajectory(p, -0.2, NLKG4, IntegratorSpec(dt=0.1))]

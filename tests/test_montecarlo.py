@@ -296,8 +296,24 @@ class TestTailStudy:
 
 class TestFunctionalTable:
     def test_known_degrees(self):
-        assert FUNCTIONALS["wick_mass"] == 2
-        assert FUNCTIONALS["energy_rate_total"] == 4
-        assert FUNCTIONALS["scalar_gaussian"] == 1
-        assert FUNCTIONALS["block_sup_norm"] is None
-        assert FUNCTIONALS["density_weight"] is None
+        assert FUNCTIONALS["wick_mass"].degree == 2
+        assert FUNCTIONALS["energy_rate_total"].degree == 4
+        assert FUNCTIONALS["scalar_gaussian"].degree == 1
+        assert FUNCTIONALS["block_sup_norm"].degree is None
+        assert FUNCTIONALS["density_weight"].degree is None
+        assert FUNCTIONALS["density_weight"].requires == ("radius",)
+        assert FUNCTIONALS["quartic_correction_gap"].requires == ("lower_cutoff",)
+        assert FUNCTIONALS["block_sup_norm"].requires == ("block",)
+
+    def test_missing_parameter_rejected_before_drawing(self):
+        drawn = []
+
+        def sampler(index):
+            drawn.append(index)
+            return cosine_point_mass(index)
+
+        with pytest.raises(UnsupportedParameterError,
+                           match="quartic_correction_gap.*lower_cutoff"):
+            collect_values(make_ens(K=2), [("quartic_correction_gap", {})], 100,
+                           sampler=sampler)
+        assert drawn == []
