@@ -592,11 +592,11 @@ def _cmd_mc_kin(root: _Section, workers: int):
                     expect="orders must be nonnegative")
     field = exp.get("field", "str", default="u",
                     check=lambda v: v in ("u", "v"), expect="must be 'u' or 'v'")
-    blocks = exp.get("M_list", "int_list",
-                     check=lambda v: len(v) >= 2 and all(m >= 1 for m in v),
-                     expect="needs >= 2 blocks, each >= 1 "
-                            "(the moment-growth fit needs two points)")
     cutoff = exp.get("N", "int", check=lambda v: v >= 1, expect="must be >= 1")
+    blocks = exp.get("M_list", "int_list",
+                     check=lambda v: len(v) >= 2 and all(1 <= m <= cutoff for m in v),
+                     expect="needs >= 2 blocks, each in [1, N] (the moment-growth "
+                            "fit needs two points; a block M > N is empty in |n| <= N)")
     p = exp.get("p", "number", default=4.0,
                 check=lambda v: 1 <= v <= MAX_P, expect=f"must lie in [1, {MAX_P}]")
     samples = exp.get("samples", "int", check=lambda v: v >= 100,

@@ -16,15 +16,16 @@ rate_leibniz below); the lower-order Leibniz constants are generated
 symbolically here and self-checked against a direct evaluation before
 first use.
 
-Quartic integrals always go through alias-free pointwise products; purely
-quadratic quantities are lattice sums.
+Every quartic integral is one grid mean: four fields of window K have a
+product with modes up to 4K, so its mean on quadrature_grid(K) >= 4K + 1
+points per direction is exact.  Quadratic quantities are lattice sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -38,10 +39,11 @@ from .spectral import (
     apply_multiplier,
     bessel_power,
     derivative,
+    grid_values,
     inner_product,
-    integrate,
     pointwise_product,
     project_ball,
+    quadrature_grid,
     riesz_power,
 )
 
@@ -59,11 +61,12 @@ def _power(base: str, sigma: float) -> Multiplier:
     return bessel_power(sigma) if base == "bessel" else riesz_power(sigma)
 
 
-def _check_equation(equation: str, beta: float) -> None:
+def _check_equation(equation: str, beta: float | None = None) -> None:
+    """Known equation family, and beta > 1 for nlkg_beta when beta is given."""
     if equation not in EQUATIONS:
         raise UnsupportedParameterError(
             f"equation must be one of {EQUATIONS}, got {equation!r}")
-    if equation == "nlkg_beta" and not beta > 1:
+    if equation == "nlkg_beta" and beta is not None and not beta > 1:
         raise UnsupportedParameterError(f"nlkg_beta needs beta > 1, got {beta}")
 
 
@@ -153,23 +156,15 @@ def _self_check_correction(s: int, base: str, terms: tuple) -> None:
 
 
 def _leibniz_sum(terms: tuple, smoothed_v: SpectralField, u: SpectralField) -> float:
-    d_cache: dict = {}
-
-    def dfield(order):
-        if order not in d_cache:
-            d_cache[order] = apply_multiplier(u, derivative(*order))
-        return d_cache[order]
-
-    left_cache: dict = {}
-    right_cache: dict = {}
-    total = 0.0
-    for coeff, (oa, ob, og) in terms:
-        if oa not in left_cache:
-            left_cache[oa] = pointwise_product(smoothed_v, dfield(oa))
-        if (ob, og) not in right_cache:
-            right_cache[(ob, og)] = pointwise_product(dfield(ob), dfield(og))
-        total += coeff * inner_product(left_cache[oa], right_cache[(ob, og)])
-    return total
+    """sum c * int smoothed_v d^a u d^b u d^g u, each a grid mean; the
+    smoothed v and each distinct derivative of u go to the grid once."""
+    grid = quadrature_grid(max(smoothed_v.max_mode, u.max_mode))
+    vg = grid_values(smoothed_v, grid)
+    orders = {order for _, triple in terms for order in triple}
+    d = {order: grid_values(apply_multiplier(u, derivative(*order)), grid)
+         for order in orders}
+    return sum(coeff * float((vg * d[oa] * d[ob] * d[og]).mean())
+               for coeff, (oa, ob, og) in terms)
 
 
 # -- energies ----------------------------------------------------------------
@@ -193,9 +188,17 @@ def _weighted_mass(f: SpectralField, base: str, sigma: float) -> float:
     return float((w * np.abs(f.coeffs) ** 2).sum())
 
 
+def _grid_mean(*fields: SpectralField) -> float:
+    """Integral of the product of up to four fields as one grid mean; each
+    distinct field goes to the grid once."""
+    grid = quadrature_grid(max(f.max_mode for f in fields))
+    distinct = {id(f): f for f in fields}
+    vals = {key: grid_values(f, grid) for key, f in distinct.items()}
+    return float(reduce(np.multiply, [vals[id(f)] for f in fields]).mean())
+
+
 def _quartic_integral(f: SpectralField) -> float:
-    sq = pointwise_product(f, f)
-    return inner_product(sq, sq)
+    return _grid_mean(f, f, f, f)
 
 
 def hamiltonian(p: PhaseState, equation: str = "nlkg", beta: float = 0.0) -> float:
@@ -235,16 +238,12 @@ def quartic_correction(u: SpectralField, s: float, cutoff: int,
     with base/sigma set by the equation family (no subtraction for
     nlkg_beta).  This is the log-density of the weighted measure.
     """
-    if equation not in EQUATIONS:
-        raise UnsupportedParameterError(
-            f"equation must be one of {EQUATIONS}, got {equation!r}")
+    _check_equation(equation)
     base = _BASE_FOR[equation]
     uN = project_ball(u, cutoff)
     su = apply_multiplier(uN, _power(base, s))
-    smooth_sq = pointwise_product(su, su)
-    plain_sq = pointwise_product(uN, uN)
-    quart = 1.5 * inner_product(smooth_sq, plain_sq)
-    return quart - 1.5 * _sigma_const(equation, cutoff, s) * integrate(plain_sq)
+    quart = 1.5 * _grid_mean(su, su, uN, uN)
+    return quart - 1.5 * _sigma_const(equation, cutoff, s) * inner_product(uN, uN)
 
 
 def renormalized_energy(p: PhaseState, s: float, cutoff: int,
@@ -274,9 +273,7 @@ def wick_renormalized_mass(u: SpectralField, s: float, cutoff: int,
                            equation: str = "nlkg") -> float:
     """int (base^s low_pass u)^2 minus the matching counterterm; mean zero
     under the reference Gaussian ensemble, a degree-2 polynomial in it."""
-    if equation not in EQUATIONS:
-        raise UnsupportedParameterError(
-            f"equation must be one of {EQUATIONS}, got {equation!r}")
+    _check_equation(equation)
     uN = project_ball(u, cutoff)
     smoothed = _weighted_mass(uN, _BASE_FOR[equation], s)
     return smoothed - _sigma_const(equation, cutoff, s)
@@ -309,9 +306,7 @@ def chaos_components(u: SpectralField, s: float, cutoff: int,
     full quartic.  double_pair_renorm subtracts the counterterm mass, so
     double_pair_renorm + single_pair + no_pair is the quartic correction.
     """
-    if equation not in EQUATIONS:
-        raise UnsupportedParameterError(
-            f"equation must be one of {EQUATIONS}, got {equation!r}")
+    _check_equation(equation)
     base = _BASE_FOR[equation]
     uN = project_ball(u, cutoff)
     K = uN.max_mode
@@ -328,7 +323,7 @@ def chaos_components(u: SpectralField, s: float, cutoff: int,
     pair4 = t2w - float(w[K, K] ** 2 * a[K, K] ** 2)  # excludes n = 0
 
     su = apply_multiplier(uN, _power(base, s))
-    full = 1.5 * inner_product(pointwise_product(su, su), pointwise_product(uN, uN))
+    full = 1.5 * _grid_mean(su, su, uN, uN)
 
     double_pair = 1.5 * t1 * t0
     single_pair = 3.0 * (tw**2 - t2w) - 1.5 * pair4
@@ -373,13 +368,10 @@ def energy_rate_terms(p: PhaseState, s: float, cutoff: int,
     su = apply_multiplier(uN, _power(base, s_int))
     sv = apply_multiplier(vN, _power(base, s_int))
 
-    smooth_sq = pointwise_product(su, su)
-    cross_prod = pointwise_product(vN, uN)
-    highlow = 3.0 * (inner_product(smooth_sq, cross_prod)
-                     - integrate(smooth_sq) * integrate(cross_prod))
-
     smoothed_mass = inner_product(su, su)
     cross = inner_product(vN, uN)
+    highlow = 3.0 * (_grid_mean(su, su, vN, uN) - smoothed_mass * cross)
+
     mass = 3.0 * (smoothed_mass - _sigma_const(equation, cutoff, s_int)) * cross
     if equation == "nlw":
         # the plain energy rides along with the modified one; its only

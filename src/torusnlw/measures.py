@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EQUATIONS, UnsupportedParameterError, quartic_correction, truncated_energy
-from .spectral import PhaseState, pointwise_product, inner_product, project_ball
+from .energy import _check_equation, _quartic_integral, quartic_correction, truncated_energy
+from .spectral import PhaseState, project_ball
 
 MARGINALS = ("position", "velocity")
 
@@ -49,16 +49,12 @@ def weighted_density(p: PhaseState, s: float, cutoff: int, radius: float,
     for the wave equation (its conserved energy is carried inside the
     modified one, bringing the extra factor along).
     """
-    if equation not in EQUATIONS:
-        raise UnsupportedParameterError(
-            f"equation must be one of {EQUATIONS}, got {equation!r}")
+    _check_equation(equation)
     if not radius > 0:
         raise ValueError(f"cutoff radius must be positive (or inf), got {radius}")
     log_weight = -quartic_correction(p.u, s, cutoff, equation)
     if equation == "nlw":
-        uN = project_ball(p.u, cutoff)
-        sq = pointwise_product(uN, uN)
-        log_weight -= 0.25 * inner_product(sq, sq)
+        log_weight -= 0.25 * _quartic_integral(project_ball(p.u, cutoff))
     indicator = truncated_energy(p, cutoff, equation, beta) <= radius
     with np.errstate(over="ignore"):
         weight = float(np.exp(log_weight)) if indicator else 0.0

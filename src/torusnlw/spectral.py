@@ -6,10 +6,11 @@ kept Hermitian (c_{-n} = conj(c_n)), so the field it represents is real.
 The torus is normalized to unit volume: integrate(f) returns c_0 and
 inner_product(f, g) = sum_n f_n g_{-n} is the L^2 pairing (Parseval).
 
-Products are never computed on an under-resolved grid.  The fast path
-evaluates both factors on a grid large enough that every retained mode of
-the product is exact; the direct path convolves coefficient arrays and is
-kept as an independent oracle.
+Fields reach the grid through one real-FFT pair, grid_values (irfft2 of
+the n2 >= 0 half of the block) and its rfft2 inverse.  A product of four
+window-K fields has modes up to 4K, so its plain mean on quadrature_grid(K)
+>= 4K + 1 points per direction is its exact integral.  The direct product
+convolves coefficient arrays and is kept as an independent oracle.
 
 Fields are immutable after construction and every operation is a pure
 function of its inputs, so values can be shared freely across threads and
@@ -23,8 +24,7 @@ from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import fft2, ifft2, next_fast_len
-from scipy.signal import convolve2d
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 _HERMITIAN_TOL = 1e-12
 
@@ -60,9 +60,15 @@ def _hermitian_defect(coeffs: np.ndarray) -> float:
     return float(np.abs(coeffs - np.conj(coeffs[::-1, ::-1])).max())
 
 
-def _hermitify(coeffs: np.ndarray) -> np.ndarray:
-    # Exact symmetrization; changes values only at rounding level.
-    return 0.5 * (coeffs + np.conj(coeffs[::-1, ::-1]))
+def _from_half(half: np.ndarray) -> np.ndarray:
+    """Hermitian block from its n2 >= 0 columns, the rest by conjugate mirror."""
+    K = half.shape[1] - 1
+    c = np.empty((2 * K + 1, 2 * K + 1), np.complex128)
+    c[:, K:] = half
+    c[:, :K] = np.conj(half[::-1, K:0:-1])
+    c[:K, K] = np.conj(c[:K:-1, K])
+    c[K, K] = c[K, K].real
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,22 +323,29 @@ def _crop(coeffs: np.ndarray, K: int, K_new: int) -> np.ndarray:
 # -- grid transport ---------------------------------------------------------
 
 
-def _to_grid(coeffs: np.ndarray, max_mode: int, grid: int) -> np.ndarray:
-    """Values of the field on the grid x_j = 2 pi j / grid (real part).
+def quadrature_grid(max_mode: int) -> int:
+    """Grid on which a mean of four window-max_mode factors is exact."""
+    return next_fast_len(4 * max_mode + 1, real=True)
 
+
+def grid_values(f: SpectralField, grid: int) -> np.ndarray:
+    """Values of f on the grid x_j = 2 pi j / grid in each direction.
+
+    Only the n2 >= 0 half of the Hermitian block is transformed (irfft2).
     Requires grid >= 2 * max_mode + 1 so modes occupy distinct bins.
     """
-    spec = np.zeros((grid, grid), np.complex128)
-    idx = _mode_axis(max_mode) % grid
-    spec[np.ix_(idx, idx)] = coeffs
-    return ifft2(spec).real * (grid * grid)
+    K = f.max_mode
+    if grid < 2 * K + 1:
+        raise SpectralError(f"grid {grid} cannot hold window {K}")
+    spec = np.zeros((grid, grid // 2 + 1), np.complex128)
+    spec[_mode_axis(K) % grid, :K + 1] = f.coeffs[:, K:]
+    return irfft2(spec, s=(grid, grid), norm="forward")
 
 
 def _from_grid(values: np.ndarray, max_mode: int) -> np.ndarray:
-    grid = values.shape[0]
-    spec = fft2(values) / (grid * grid)
-    idx = _mode_axis(max_mode) % grid
-    return spec[np.ix_(idx, idx)]
+    """Window-max_mode coefficient block of real grid values (rfft2)."""
+    spec = rfft2(values, norm="forward")
+    return _from_half(spec[_mode_axis(max_mode) % values.shape[0], :max_mode + 1])
 
 
 # -- products, integrals, norms ---------------------------------------------
@@ -350,16 +363,15 @@ def pointwise_product(f: SpectralField, g: SpectralField,
     """
     K_out = f.max_mode + g.max_mode
     if method == "direct":
-        c = convolve2d(f.coeffs, g.coeffs, mode="full")
+        from scipy.signal import convolve2d  # slow to import; oracle only
+        c = _from_half(convolve2d(f.coeffs, g.coeffs, mode="full")[:, K_out:])
     elif method == "fft":
-        grid = next_fast_len(2 * K_out + 1)
-        fg = _to_grid(f.coeffs, f.max_mode, grid)
-        gg = fg if g is f else _to_grid(g.coeffs, g.max_mode, grid)
-        vals = fg * gg
-        c = _from_grid(vals, K_out)
+        grid = next_fast_len(2 * K_out + 1, real=True)
+        fg = grid_values(f, grid)
+        c = _from_grid(fg * (fg if g is f else grid_values(g, grid)), K_out)
     else:
         raise SpectralError(f"unknown product method {method!r}")
-    return SpectralField(K_out, _hermitify(c), _trusted=True)
+    return SpectralField(K_out, c, _trusted=True)
 
 
 def truncated_cube(u: SpectralField, cutoff: int) -> SpectralField:
@@ -372,10 +384,9 @@ def truncated_cube(u: SpectralField, cutoff: int) -> SpectralField:
     w = project_ball(u, cutoff)
     Kw = w.max_mode
     K_out = min(cutoff, 3 * Kw)
-    grid = next_fast_len(max(4 * cutoff + 2, 3 * Kw + K_out + 2))
-    vals = _to_grid(w.coeffs, Kw, grid)
-    c = _from_grid(vals * vals * vals, K_out)
-    c = _hermitify(c) * (_sq_modulus(K_out) <= cutoff**2)
+    grid = next_fast_len(max(4 * cutoff + 2, 3 * Kw + K_out + 2), real=True)
+    vals = grid_values(w, grid)
+    c = _from_grid(vals * vals * vals, K_out) * (_sq_modulus(K_out) <= cutoff**2)
     return SpectralField(K_out, c, _trusted=True)
 
 
@@ -389,8 +400,9 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
     K = min(f.max_mode, g.max_mode)
     a = _crop(f.coeffs, f.max_mode, K)
     b = _crop(g.coeffs, g.max_mode, K)
-    # g_{-n} = conj(g_n), so the pairing is the standard complex dot product.
-    return float(np.vdot(b, a).real)
+    # g_{-n} = conj(g_n), so the pairing is Re sum a conj(b); plain NumPy
+    # sums keep it off the threaded BLAS dot product.
+    return float((a.real * b.real).sum() + (a.imag * b.imag).sum())
 
 
 def sobolev_norm(p: PhaseState, sigma: float) -> float:
@@ -408,7 +420,7 @@ def grid_sup_norm(f: SpectralField, oversample: int = 4) -> float:
     if oversample < 2:
         raise SpectralError("oversample must be >= 2")
     grid = oversample * (2 * f.max_mode + 1)
-    return float(np.abs(_to_grid(f.coeffs, f.max_mode, grid)).max())
+    return float(np.abs(grid_values(f, grid)).max())
 
 
 # -- serialization ----------------------------------------------------------

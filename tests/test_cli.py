@@ -356,6 +356,21 @@ class TestMonteCarloCommands:
         assert code == 1
         assert "order" in capsys.readouterr().err
 
+    def test_mc_kin_block_beyond_cutoff_is_config_error(self, tmp_path, capsys):
+        # the blocks 16 and 32 are empty inside |n| <= 4: no moment to fit
+        code, _ = run(
+            tmp_path,
+            "mc-kin",
+            {
+                "ensemble": {"variant": "mu_s", "s": 2.0, "seed": 3},
+                "experiment": {"M_list": [16, 32], "N": 4, "samples": 100},
+            },
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "experiment.M_list" in err
+        assert "Traceback" not in err
+
     def test_mc_tail_outputs(self, tmp_path):
         code, out = run(
             tmp_path,

@@ -27,8 +27,14 @@ from torusnlw.energy import (
     renormalized_energy,
     truncated_energy,
     wick_renormalized_mass,
+    _BASE_FOR,
     _cubic_correction_terms,
+    _leibniz_sum,
+    _power,
+    _quartic_integral,
+    _sigma_const,
 )
+from torusnlw.measures import weighted_density
 from torusnlw.sampling import EnsembleSpec, counterterm, sample, wave_counterterm
 from torusnlw.spectral import (
     PhaseState,
@@ -36,6 +42,8 @@ from torusnlw.spectral import (
     field_from_modes,
     high_pass,
     apply_multiplier,
+    derivative,
+    inner_product,
     integrate,
     pointwise_product,
     project_ball,
@@ -234,6 +242,76 @@ class TestRateTerms:
         hi = field_from_modes(3, {(3, 0): 0.2})
         terms = energy_rate_terms(PhaseState(hi, hi), 2.0, 1)
         assert terms.total == pytest.approx(0.0, abs=1e-14)
+
+
+def _direct(f, g):
+    return pointwise_product(f, g, method="direct")
+
+
+ORACLE_CASES = [(K, equation) for K in (3, 8) for equation in ("nlkg", "nlw")]
+
+
+class TestQuarticGridMeansAgainstDirectProducts:
+    """Each quartic integral taken as a grid mean against the same integral
+    built from direct coefficient convolutions and a lattice pairing."""
+
+    @staticmethod
+    def case(K, equation):
+        p = gaussian_state(K=K, index=K)
+        s = 2.0
+        uN, vN = project_ball(p.u, K), project_ball(p.v, K)
+        base = _BASE_FOR[equation]
+        su = apply_multiplier(uN, _power(base, s))
+        sv = apply_multiplier(vN, _power(base, s))
+        return p, s, uN, vN, su, sv
+
+    @pytest.mark.parametrize("K", [3, 8])
+    def test_quartic_integral(self, K):
+        p, _, uN, *_ = self.case(K, "nlkg")
+        for f in (uN, p.u):  # the ball and the whole square window
+            sq = _direct(f, f)
+            assert _quartic_integral(f) == pytest.approx(inner_product(sq, sq), rel=1e-12)
+
+    @pytest.mark.parametrize("K,equation", ORACLE_CASES)
+    def test_quartic_correction_and_chaos_total(self, K, equation):
+        p, s, uN, _, su, _ = self.case(K, equation)
+        plain = _direct(uN, uN)
+        quart = 1.5 * inner_product(_direct(su, su), plain)
+        expect = quart - 1.5 * _sigma_const(equation, K, s) * integrate(plain)
+        assert quartic_correction(p.u, s, K, equation) == pytest.approx(expect, rel=1e-12)
+        chaos = chaos_components(p.u, s, K, equation)
+        assert chaos.total == pytest.approx(quart, rel=1e-12)
+
+    @pytest.mark.parametrize("K,equation", ORACLE_CASES)
+    def test_rate_highlow(self, K, equation):
+        p, s, uN, vN, su, _ = self.case(K, equation)
+        smooth_sq, cross = _direct(su, su), _direct(vN, uN)
+        expect = 3.0 * (inner_product(smooth_sq, cross)
+                        - integrate(smooth_sq) * integrate(cross))
+        got = energy_rate_terms(p, s, K, equation).highlow
+        assert got == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("K,equation", ORACLE_CASES)
+    @pytest.mark.parametrize("s", [2, 4])
+    def test_leibniz_sum(self, K, equation, s):
+        p, _, uN, vN, _, _ = self.case(K, equation)
+        base = _BASE_FOR[equation]
+        sv = apply_multiplier(vN, _power(base, s))
+        terms = _cubic_correction_terms(s, base)
+        d = {o: apply_multiplier(uN, derivative(*o)) for _, t in terms for o in t}
+        expect = sum(c * inner_product(_direct(sv, d[a]), _direct(d[b], d[g]))
+                     for c, (a, b, g) in terms)
+        assert _leibniz_sum(terms, sv, uN) == pytest.approx(expect, rel=1e-12)
+        assert energy_rate_terms(p, s, K, equation).leibniz == pytest.approx(
+            expect, rel=1e-12)
+
+    @pytest.mark.parametrize("K", [3, 8])
+    def test_wave_density_log_weight(self, K):
+        p, s, uN, *_ = self.case(K, "nlw")
+        sq = _direct(uN, uN)
+        expect = -quartic_correction(p.u, s, K, "nlw") - 0.25 * inner_product(sq, sq)
+        got = weighted_density(p, s, K, math.inf, "nlw").log_weight
+        assert got == pytest.approx(expect, rel=1e-12)
 
 
 class TestLeibnizExpansion:

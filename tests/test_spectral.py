@@ -8,6 +8,10 @@ against hand-expanded coefficients.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,12 +33,14 @@ from torusnlw.spectral import (
     field_from_modes,
     field_to_dict,
     grid_sup_norm,
+    grid_values,
     high_pass,
     inner_product,
     integrate,
     low_pass,
     pointwise_product,
     project_ball,
+    quadrature_grid,
     remove_mean,
     riesz_power,
     sobolev_norm,
@@ -130,6 +136,58 @@ class TestProducts:
         np.testing.assert_allclose(fg.coeffs, ref.coeffs, atol=1e-12)
 
 
+class TestGridTransport:
+    @pytest.mark.parametrize("grid", [7, 8, 13])
+    def test_grid_values_match_fourier_sum(self, rng, grid):
+        # odd and even grids; the sum is evaluated term by term, no FFT
+        f = random_field(rng, 3)
+        vals = grid_values(f, grid)
+        assert vals.shape == (grid, grid)
+        n = np.arange(-3, 4)
+        for j1, j2 in [(0, 0), (1, grid - 1), (grid // 2, 3), (grid - 1, 2)]:
+            x1, x2 = 2 * np.pi * j1 / grid, 2 * np.pi * j2 / grid
+            direct = sum(f.coeffs[a, b] * np.exp(1j * (n[a] * x1 + n[b] * x2))
+                         for a in range(7) for b in range(7))
+            assert vals[j1, j2] == pytest.approx(direct.real, abs=1e-12)
+
+    def test_grid_values_reject_a_grid_too_small(self, rng):
+        with pytest.raises(SpectralError, match="grid"):
+            grid_values(random_field(rng, 3), 6)
+
+    def test_products_are_exactly_hermitian(self, rng):
+        for c in (pointwise_product(random_field(rng, 3), random_field(rng, 2)).coeffs,
+                  truncated_cube(random_field(rng, 4), 3).coeffs):
+            np.testing.assert_array_equal(c, np.conj(c[::-1, ::-1]))
+
+    def test_quadrature_grid_sizes(self):
+        assert [quadrature_grid(K) for K in (0, 3, 8, 16, 64)] == [1, 15, 36, 72, 270]
+        assert all(quadrature_grid(K) >= 4 * K + 1 for K in range(80))
+
+    def test_quartic_mean_needs_4k_plus_1_points(self, rng):
+        # cos^4(K x1) has the mode 4K; on 4K points it aliases onto the
+        # zero mode and the mean reads 1/2, on 4K + 1 points it is 3/8
+        K = 3
+        c = field_from_modes(K, {(K, 0): 0.5})
+        assert float(np.mean(grid_values(c, 4 * K) ** 4)) == pytest.approx(0.5, abs=1e-14)
+        assert float(np.mean(grid_values(c, 4 * K + 1) ** 4)) == pytest.approx(
+            3 / 8, abs=1e-14)
+        # and for a generic field the (4K + 1)-point mean is the exact quartic
+        f = random_field(rng, K)
+        sq = pointwise_product(f, f, method="direct")
+        exact = inner_product(sq, sq)
+        assert float(np.mean(grid_values(f, 4 * K + 1) ** 4)) == pytest.approx(
+            exact, rel=1e-13)
+        assert float(np.mean(grid_values(f, 4 * K) ** 4)) != pytest.approx(exact, rel=1e-6)
+
+    def test_direct_oracle_not_imported_with_the_cli(self):
+        import torusnlw
+        src = str(Path(torusnlw.__file__).parents[1])
+        code = "import sys, torusnlw.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
+
 class TestQuadrature:
     def test_integrate_is_grid_average(self, rng):
         f = random_field(rng, 3)
@@ -146,6 +204,16 @@ class TestQuadrature:
         g = random_field(rng, 2)
         wide = inner_product(embed_window(g, 4), f)
         assert inner_product(f, g) == pytest.approx(wide, abs=1e-13)
+
+    def test_inner_product_matches_vdot_pairing(self, rng):
+        # unequal windows take the crop path
+        f, g = random_field(rng, 6), random_field(rng, 4)
+        for a, b in ((f, g), (g, f), (f, f)):
+            K = min(a.max_mode, b.max_mode)
+            ca = a.coeffs[a.max_mode - K:a.max_mode + K + 1, a.max_mode - K:a.max_mode + K + 1]
+            cb = b.coeffs[b.max_mode - K:b.max_mode + K + 1, b.max_mode - K:b.max_mode + K + 1]
+            expect = float(np.vdot(cb, ca).real)
+            assert inner_product(a, b) == pytest.approx(expect, rel=1e-13)
 
     def test_parseval(self, rng):
         f = random_field(rng, 3)
