@@ -19,13 +19,18 @@ first use.
 Every quartic integral is one grid mean: four fields of window K have a
 product with modes up to 4K, so its mean on quadrature_grid(K) >= 4K + 1
 points per direction is exact.  Quadratic quantities are lattice sums.
+The renormalized functionals of one state at one cutoff share their
+factors: u_N, v_N, their smoothings and the derivatives of u_N are each
+built and sent to the grid once per state and cutoff (_Factors), however
+many of the correction, its chaos split, the rate terms and the truncated
+energy are asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -159,59 +164,189 @@ def _leibniz_sum(terms: tuple, smoothed_v: SpectralField, u: SpectralField) -> f
     """sum c * int smoothed_v d^a u d^b u d^g u, each a grid mean; the
     smoothed v and each distinct derivative of u go to the grid once."""
     grid = quadrature_grid(max(smoothed_v.max_mode, u.max_mode))
-    vg = grid_values(smoothed_v, grid)
     orders = {order for _, triple in terms for order in triple}
-    d = {order: grid_values(apply_multiplier(u, derivative(*order)), grid)
-         for order in orders}
-    return sum(coeff * float((vg * d[oa] * d[ob] * d[og]).mean())
+    vals = {order: grid_values(apply_multiplier(u, derivative(*order)), grid)
+            for order in orders}
+    vals["sv"] = grid_values(smoothed_v, grid)
+    return _leibniz_mean(terms, vals.__getitem__)
+
+
+def _leibniz_mean(terms: tuple, values) -> float:
+    """The Leibniz sum from grid values: values("sv") of the smoothed v,
+    values(order) of each derivative of u."""
+    vg = values("sv")
+    return sum(coeff * _product_mean(vg, values(oa), values(ob), values(og))
                for coeff, (oa, ob, og) in terms)
 
 
-# -- energies ----------------------------------------------------------------
+def _product_mean(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
+    """Mean of a * b * c * d, multiplied left to right in one temporary."""
+    prod = a * b
+    prod *= c
+    prod *= d
+    return float(prod.mean())
 
 
-def _quadratic_masses(p: PhaseState):
-    """(int u^2, int |grad u|^2, int v^2) as lattice sums."""
-    K = p.max_mode
-    au = np.abs(p.u.coeffs) ** 2
-    av = np.abs(p.v.coeffs) ** 2
-    return float(au.sum()), float((_sq_modulus(K) * au).sum()), float(av.sum())
+# -- one state's factors at one cutoff ---------------------------------------
+
+
+def _weight(K: int, base: str, sigma: float) -> np.ndarray:
+    """|symbol of base^sigma|^2 on the window-K block."""
+    w = (_sq_bracket(K) if base == "bessel" else _sq_modulus(K)) ** sigma
+    if base == "riesz":
+        w[K, K] = 0.0
+    return w
 
 
 def _weighted_mass(f: SpectralField, base: str, sigma: float) -> float:
     """int (base^sigma f)^2 as a lattice sum."""
-    K = f.max_mode
-    w = _sq_bracket(K) ** sigma if base == "bessel" else _sq_modulus(K) ** sigma
-    if base == "riesz":
-        w = w.copy()
-        w[K, K] = 0.0
-    return float((w * np.abs(f.coeffs) ** 2).sum())
-
-
-def _grid_mean(*fields: SpectralField) -> float:
-    """Integral of the product of up to four fields as one grid mean; each
-    distinct field goes to the grid once."""
-    grid = quadrature_grid(max(f.max_mode for f in fields))
-    distinct = {id(f): f for f in fields}
-    vals = {key: grid_values(f, grid) for key, f in distinct.items()}
-    return float(reduce(np.multiply, [vals[id(f)] for f in fields]).mean())
+    return float((_weight(f.max_mode, base, sigma) * np.abs(f.coeffs) ** 2).sum())
 
 
 def _quartic_integral(f: SpectralField) -> float:
-    return _grid_mean(f, f, f, f)
+    vals = grid_values(f, quadrature_grid(f.max_mode))
+    return _product_mean(vals, vals, vals, vals)
 
 
-def hamiltonian(p: PhaseState, equation: str = "nlkg", beta: float = 0.0) -> float:
-    """Conserved energy of the untruncated equation at the given state."""
-    _check_equation(equation, beta)
-    mass, grad, kinetic = _quadratic_masses(p)
+def _energy(u: SpectralField, v: SpectralField, equation: str, beta: float,
+            quartic: float) -> float:
+    """Quadratic part of the conserved energy (lattice sums of the whole
+    fields) plus 1/4 the given quartic integral."""
+    au = np.abs(u.coeffs) ** 2
+    mass, grad = float(au.sum()), float((_sq_modulus(u.max_mode) * au).sum())
+    kinetic = float((np.abs(v.coeffs) ** 2).sum())
     if equation == "nlkg":
         quad = mass + grad + kinetic
     elif equation == "nlw":
         quad = grad + kinetic
     else:
-        quad = 2.0 * _weighted_mass(p.u, "bessel", beta) + kinetic
-    return 0.5 * quad + 0.25 * _quartic_integral(p.u)
+        quad = 2.0 * _weighted_mass(u, "bessel", beta) + kinetic
+    return 0.5 * quad + 0.25 * quartic
+
+
+class _Factors:
+    """One state's factors at one cutoff and the functionals built on them.
+
+    u_N, v_N, base^s u_N, base^s v_N and the derivatives of u_N are each
+    built once, on first use, and sent to quadrature_grid once; every
+    quartic functional that needs a factor shares its grid values.  The
+    public functions below build a throwaway one per call; a Monte Carlo
+    state keeps one per cutoff while it is evaluated.  `v` may be None
+    for the functionals of u alone, `s` for the truncated energy.
+    """
+
+    def __init__(self, u: SpectralField, v: SpectralField | None, s: float | None,
+                 cutoff: int, equation: str, beta: float = 0.0):
+        self.u, self.v, self.s = u, v, s
+        self.cutoff, self.equation, self.beta = cutoff, equation, beta
+        self.base = _BASE_FOR[equation]
+        self.uN = project_ball(u, cutoff)
+        # v shares u's window, so every factor fits this grid
+        self.grid = quadrature_grid(self.uN.max_mode)
+        self._values: dict = {}
+
+    @cached_property
+    def vN(self) -> SpectralField:
+        return project_ball(self.v, self.cutoff)
+
+    @cached_property
+    def su(self) -> SpectralField:
+        return apply_multiplier(self.uN, _power(self.base, self.s))
+
+    @cached_property
+    def sv(self) -> SpectralField:
+        return apply_multiplier(self.vN, _power(self.base, self.s))
+
+    def values(self, key) -> np.ndarray:
+        """Grid values of the factor named `key`, or of the derivative of
+        u_N of order `key`; the order-(0, 0) derivative is u_N itself."""
+        if key == (0, 0):
+            key = "uN"
+        if key not in self._values:
+            field = (getattr(self, key) if isinstance(key, str)
+                     else apply_multiplier(self.uN, derivative(*key)))
+            self._values[key] = grid_values(field, self.grid)
+        return self._values[key]
+
+    def _mean(self, a, b, c, d) -> float:
+        """int of the product of four factors, one grid mean."""
+        return _product_mean(self.values(a), self.values(b), self.values(c),
+                             self.values(d))
+
+    @cached_property
+    def smoothed_quartic(self) -> float:
+        """3/2 int (base^s u_N)^2 u_N^2: the quartic of the correction and
+        the total of its chaos split."""
+        return 1.5 * self._mean("su", "su", "uN", "uN")
+
+    @cached_property
+    def low_quartic(self) -> float:
+        """int u_N^4."""
+        return self._mean("uN", "uN", "uN", "uN")
+
+    @cached_property
+    def quartic_correction(self) -> float:
+        sigma = _sigma_const(self.equation, self.cutoff, self.s)
+        return self.smoothed_quartic - 1.5 * sigma * inner_product(self.uN, self.uN)
+
+    @cached_property
+    def truncated_energy(self) -> float:
+        return _energy(self.u, self.v, self.equation, self.beta, self.low_quartic)
+
+    @property
+    def renormalized_energy(self) -> float:
+        u, v, s, beta = self.u, self.v, self.s, self.beta
+        order = s + (beta if self.equation == "nlkg_beta" else 1)
+        quad = _weighted_mass(v, self.base, s) + _weighted_mass(u, self.base, order)
+        total = 0.5 * quad + self.quartic_correction
+        if self.equation == "nlw":
+            total += _energy(u, v, "nlkg", beta, self.low_quartic)
+        return total
+
+    @cached_property
+    def chaos(self) -> ChaosComponents:
+        uN, s = self.uN, self.s
+        K = uN.max_mode
+        a = np.abs(uN.coeffs) ** 2
+        w = _weight(K, self.base, s / 2.0)
+        t0 = float(a.sum())                # int u^2
+        t1 = float((w**2 * a).sum())       # int (base^s u)^2
+        tw = float((w * a).sum())
+        t2w = float((w**2 * a**2).sum())
+        pair4 = t2w - float(w[K, K] ** 2 * a[K, K] ** 2)  # excludes n = 0
+
+        double_pair = 1.5 * t1 * t0
+        single_pair = 3.0 * (tw**2 - t2w) - 1.5 * pair4
+        no_pair = self.smoothed_quartic - double_pair - single_pair
+        renorm = double_pair - 1.5 * _sigma_const(self.equation, self.cutoff, s) * t0
+        return ChaosComponents(double_pair, single_pair, no_pair, renorm)
+
+    @cached_property
+    def rate(self) -> EnergyRateTerms:
+        s_int = _even_order(self.s)
+        uN, vN, su = self.uN, self.vN, self.su
+        smoothed_mass = inner_product(su, su)
+        cross = inner_product(vN, uN)
+        highlow = 3.0 * (self._mean("su", "su", "vN", "uN") - smoothed_mass * cross)
+
+        sigma = _sigma_const(self.equation, self.cutoff, s_int)
+        mass = 3.0 * (smoothed_mass - sigma) * cross
+        if self.equation == "nlw":
+            # the plain energy rides along with the modified one; its only
+            # non-conserved piece is the mass term, contributing int u v
+            mass += cross
+
+        leibniz = _leibniz_mean(_cubic_correction_terms(s_int, self.base), self.values)
+        return EnergyRateTerms(highlow, mass, leibniz)
+
+
+# -- energies ----------------------------------------------------------------
+
+
+def hamiltonian(p: PhaseState, equation: str = "nlkg", beta: float = 0.0) -> float:
+    """Conserved energy of the untruncated equation at the given state."""
+    _check_equation(equation, beta)
+    return _energy(p.u, p.v, equation, beta, _quartic_integral(p.u))
 
 
 def truncated_energy(p: PhaseState, cutoff: int, equation: str = "nlkg",
@@ -219,14 +354,7 @@ def truncated_energy(p: PhaseState, cutoff: int, equation: str = "nlkg",
     """Energy conserved by the truncated flow: full-field quadratic part,
     quartic part on the low-pass field only."""
     _check_equation(equation, beta)
-    mass, grad, kinetic = _quadratic_masses(p)
-    if equation == "nlkg":
-        quad = mass + grad + kinetic
-    elif equation == "nlw":
-        quad = grad + kinetic
-    else:
-        quad = 2.0 * _weighted_mass(p.u, "bessel", beta) + kinetic
-    return 0.5 * quad + 0.25 * _quartic_integral(project_ball(p.u, cutoff))
+    return _Factors(p.u, p.v, None, cutoff, equation, beta).truncated_energy
 
 
 def quartic_correction(u: SpectralField, s: float, cutoff: int,
@@ -239,11 +367,7 @@ def quartic_correction(u: SpectralField, s: float, cutoff: int,
     nlkg_beta).  This is the log-density of the weighted measure.
     """
     _check_equation(equation)
-    base = _BASE_FOR[equation]
-    uN = project_ball(u, cutoff)
-    su = apply_multiplier(uN, _power(base, s))
-    quart = 1.5 * _grid_mean(su, su, uN, uN)
-    return quart - 1.5 * _sigma_const(equation, cutoff, s) * inner_product(uN, uN)
+    return _Factors(u, None, s, cutoff, equation).quartic_correction
 
 
 def renormalized_energy(p: PhaseState, s: float, cutoff: int,
@@ -257,16 +381,7 @@ def renormalized_energy(p: PhaseState, s: float, cutoff: int,
     nlkg_beta:  1/2 int (J^s v)^2 + 1/2 int (J^(s+beta) u)^2 + correction
     """
     _check_equation(equation, beta)
-    if equation == "nlkg":
-        quad = _weighted_mass(p.v, "bessel", s) + _weighted_mass(p.u, "bessel", s + 1)
-    elif equation == "nlw":
-        quad = _weighted_mass(p.v, "riesz", s) + _weighted_mass(p.u, "riesz", s + 1)
-    else:
-        quad = _weighted_mass(p.v, "bessel", s) + _weighted_mass(p.u, "bessel", s + beta)
-    total = 0.5 * quad + quartic_correction(p.u, s, cutoff, equation)
-    if equation == "nlw":
-        total += truncated_energy(p, cutoff, "nlkg")
-    return total
+    return _Factors(p.u, p.v, s, cutoff, equation, beta).renormalized_energy
 
 
 def wick_renormalized_mass(u: SpectralField, s: float, cutoff: int,
@@ -307,29 +422,7 @@ def chaos_components(u: SpectralField, s: float, cutoff: int,
     double_pair_renorm + single_pair + no_pair is the quartic correction.
     """
     _check_equation(equation)
-    base = _BASE_FOR[equation]
-    uN = project_ball(u, cutoff)
-    K = uN.max_mode
-    a = np.abs(uN.coeffs) ** 2
-    w = _sq_bracket(K) ** (s / 2.0) if base == "bessel" else _sq_modulus(K) ** (s / 2.0)
-    if base == "riesz":
-        w = w.copy()
-        w[K, K] = 0.0
-
-    t0 = float(a.sum())                # int u^2
-    t1 = float((w**2 * a).sum())       # int (base^s u)^2
-    tw = float((w * a).sum())
-    t2w = float((w**2 * a**2).sum())
-    pair4 = t2w - float(w[K, K] ** 2 * a[K, K] ** 2)  # excludes n = 0
-
-    su = apply_multiplier(uN, _power(base, s))
-    full = 1.5 * _grid_mean(su, su, uN, uN)
-
-    double_pair = 1.5 * t1 * t0
-    single_pair = 3.0 * (tw**2 - t2w) - 1.5 * pair4
-    no_pair = full - double_pair - single_pair
-    renorm = double_pair - 1.5 * _sigma_const(equation, cutoff, s) * t0
-    return ChaosComponents(double_pair, single_pair, no_pair, renorm)
+    return _Factors(u, None, s, cutoff, equation).chaos
 
 
 # -- time derivative of the renormalized energy -------------------------------
@@ -360,26 +453,9 @@ def energy_rate_terms(p: PhaseState, s: float, cutoff: int,
 
     holds for every state; see the finite-difference tests.
     """
-    s_int = _even_order(s)
+    _even_order(s)
     _check_equation(equation, beta)
-    base = _BASE_FOR[equation]
-    uN = project_ball(p.u, cutoff)
-    vN = project_ball(p.v, cutoff)
-    su = apply_multiplier(uN, _power(base, s_int))
-    sv = apply_multiplier(vN, _power(base, s_int))
-
-    smoothed_mass = inner_product(su, su)
-    cross = inner_product(vN, uN)
-    highlow = 3.0 * (_grid_mean(su, su, vN, uN) - smoothed_mass * cross)
-
-    mass = 3.0 * (smoothed_mass - _sigma_const(equation, cutoff, s_int)) * cross
-    if equation == "nlw":
-        # the plain energy rides along with the modified one; its only
-        # non-conserved piece is the mass term, contributing int u v
-        mass += cross
-
-    leibniz = _leibniz_sum(_cubic_correction_terms(s_int, base), sv, uN)
-    return EnergyRateTerms(highlow, mass, leibniz)
+    return _Factors(p.u, p.v, s, cutoff, equation, beta).rate
 
 
 # -- combined report ----------------------------------------------------------
@@ -420,21 +496,22 @@ def energy_report(p: PhaseState, s: float, cutoff: int,
     """Assemble all diagnostics; the rate terms are filled only when s is
     an even integer >= 2 (they are undefined otherwise)."""
     _check_equation(equation, beta)
+    f = _Factors(p.u, p.v, s, cutoff, equation, beta)
     try:
-        rate = energy_rate_terms(p, s, cutoff, equation, beta)
+        rate = f.rate
         highlow, mass, leib = rate.highlow, rate.mass, rate.leibniz
     except UnsupportedParameterError:
         highlow = mass = leib = None
-    chaos = chaos_components(p.u, s, cutoff, equation)
+    chaos = f.chaos
     return EnergyReport(
         equation=equation,
         s=s,
         cutoff=cutoff,
         beta=beta,
         energy=hamiltonian(p, equation, beta),
-        truncated=truncated_energy(p, cutoff, equation, beta),
-        renormalized=renormalized_energy(p, s, cutoff, equation, beta),
-        quartic_corr=quartic_correction(p.u, s, cutoff, equation),
+        truncated=f.truncated_energy,
+        renormalized=f.renormalized_energy,
+        quartic_corr=f.quartic_correction,
         rate_highlow=highlow,
         rate_mass=mass,
         rate_leibniz=leib,

@@ -20,13 +20,12 @@ runs over squared-modulus classes with multiplicities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _check_equation, _quartic_integral, quartic_correction, truncated_energy
-from .spectral import PhaseState, project_ball
+from .energy import _check_equation, _Factors
+from .spectral import PhaseState
 
 MARGINALS = ("position", "velocity")
 
@@ -50,12 +49,18 @@ def weighted_density(p: PhaseState, s: float, cutoff: int, radius: float,
     modified one, bringing the extra factor along).
     """
     _check_equation(equation)
+    return _density(_Factors(p.u, p.v, s, cutoff, equation, beta), radius)
+
+
+def _density(f: _Factors, radius: float) -> DensityValue:
+    """weighted_density from one state's factors at the cutoff."""
     if not radius > 0:
         raise ValueError(f"cutoff radius must be positive (or inf), got {radius}")
-    log_weight = -quartic_correction(p.u, s, cutoff, equation)
-    if equation == "nlw":
-        log_weight -= 0.25 * _quartic_integral(project_ball(p.u, cutoff))
-    indicator = truncated_energy(p, cutoff, equation, beta) <= radius
+    _check_equation(f.equation, f.beta)
+    log_weight = -f.quartic_correction
+    if f.equation == "nlw":
+        log_weight -= 0.25 * f.low_quartic
+    indicator = f.truncated_energy <= radius
     with np.errstate(over="ignore"):
         weight = float(np.exp(log_weight)) if indicator else 0.0
     return DensityValue(weight=weight, indicator=indicator, log_weight=log_weight)

@@ -23,15 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .energy import (
-    UnsupportedParameterError,
-    chaos_components,
-    energy_rate_terms,
-    quartic_correction,
-    truncated_energy,
-    wick_renormalized_mass,
-)
-from .measures import weighted_density
+from .energy import (UnsupportedParameterError, _Factors, truncated_energy,
+                     wick_renormalized_mass)
+from .measures import _density
 from .sampling import EnsembleSpec, sample
 from .spectral import (
     PhaseState,
@@ -116,42 +110,29 @@ def fit_rate(abscissae, ordinates) -> RateFit:
 
 
 class _StateEvaluator:
-    """Per-state memo for the registry evaluators: the rate terms once per
-    state, the quartic correction and its chaos split once per cutoff."""
+    """One drawn state and its factors at each cutoff (energy._Factors),
+    shared by every functional evaluated on it and dropped with it."""
 
     def __init__(self, state: PhaseState, ens: EnsembleSpec):
         self.state = state
         self.ens = ens
-        self._cache: dict = {}
-
-    def _memo(self, key, thunk):
-        if key not in self._cache:
-            self._cache[key] = thunk()
-        return self._cache[key]
+        self._factors: dict = {}
 
     def cutoff(self, params: dict) -> int:
         return int(params.get("cutoff", self.ens.truncation_N))
 
-    def rate(self):
-        e = self.ens
-        return self._memo("rate", lambda: energy_rate_terms(
-            self.state, e.s, e.truncation_N, e.equation, e.beta))
-
-    def quartic(self, cutoff: int) -> float:
-        e = self.ens
-        return self._memo(("quartic", cutoff), lambda: quartic_correction(
-            self.state.u, e.s, cutoff, e.equation))
-
-    def chaos(self, cutoff: int):
-        e = self.ens
-        return self._memo(("chaos", cutoff), lambda: chaos_components(
-            self.state.u, e.s, cutoff, e.equation))
+    def factors(self, cutoff: int) -> _Factors:
+        if cutoff not in self._factors:
+            e = self.ens
+            self._factors[cutoff] = _Factors(self.state.u, self.state.v, e.s, cutoff,
+                                             e.equation, e.beta)
+        return self._factors[cutoff]
 
     def cutoff_indicator(self) -> float:
         e = self.ens
         if math.isinf(e.energy_cutoff_r):
             return 1.0
-        energy = truncated_energy(self.state, e.truncation_N, e.equation, e.beta)
+        energy = self.factors(e.truncation_N).truncated_energy
         return 1.0 if energy <= e.energy_cutoff_r else 0.0
 
 
@@ -160,7 +141,8 @@ class Functional:
     """One registry entry.  `degree` is the polynomial chaos degree in the
     Gaussian coordinates (needed by chaos_growth_check; None when the
     functional is not homogeneous), `requires` the parameters with no
-    default, and `evaluate(memo, params)` the value on one state."""
+    default, and `evaluate(ev, params)` the value on the state of the
+    _StateEvaluator ev."""
 
     degree: int | None
     requires: tuple
@@ -168,13 +150,14 @@ class Functional:
 
 
 def _rate_term(term: str) -> Functional:
-    return Functional(4, (), lambda ev, params: getattr(ev.rate(), term))
+    return Functional(4, (), lambda ev, params: getattr(
+        ev.factors(ev.ens.truncation_N).rate, term))
 
 
 def _chaos_gap(component: str) -> Functional:
     def gap(ev, params):
-        hi = ev.chaos(ev.cutoff(params))
-        lo = ev.chaos(int(params["lower_cutoff"]))
+        hi = ev.factors(ev.cutoff(params)).chaos
+        lo = ev.factors(int(params["lower_cutoff"])).chaos
         return getattr(hi, component) - getattr(lo, component)
     return Functional(4, ("lower_cutoff",), gap)
 
@@ -190,9 +173,7 @@ def _block_sup_norm(ev, params) -> float:
 
 
 def _density_weight(ev, params) -> float:
-    e = ev.ens
-    return weighted_density(ev.state, e.s, ev.cutoff(params), float(params["radius"]),
-                            e.equation, e.beta).weight
+    return _density(ev.factors(ev.cutoff(params)), float(params["radius"])).weight
 
 
 # name -> Functional; `cutoff` defaults to the ensemble's truncation_N
@@ -202,10 +183,11 @@ FUNCTIONALS: dict = {
     "energy_rate_mass": _rate_term("mass"),
     "energy_rate_leibniz": _rate_term("leibniz"),
     "quartic_correction": Functional(
-        4, (), lambda ev, params: ev.quartic(ev.cutoff(params))),
+        4, (), lambda ev, params: ev.factors(ev.cutoff(params)).quartic_correction),
     "quartic_correction_gap": Functional(
         4, ("lower_cutoff",), lambda ev, params: (
-            ev.quartic(ev.cutoff(params)) - ev.quartic(int(params["lower_cutoff"])))),
+            ev.factors(ev.cutoff(params)).quartic_correction
+            - ev.factors(int(params["lower_cutoff"])).quartic_correction)),
     "chaos_double_pair_renorm_gap": _chaos_gap("double_pair_renorm"),
     "chaos_single_pair_gap": _chaos_gap("single_pair"),
     "chaos_no_pair_gap": _chaos_gap("no_pair"),
@@ -224,6 +206,9 @@ def _eval_block(ens: EnsembleSpec, funcs: tuple, start: int, stop: int,
     entries = [(FUNCTIONALS[name].evaluate, params) for name, params in funcs]
     out = np.empty((stop - start, len(funcs) + 1))
     for row, index in enumerate(range(start, stop)):
+        # Rebinding ev frees the last state's grids after this draw: freed
+        # before it, they leave the heap top empty, malloc hands those pages
+        # back and every state faults them in again.
         ev = _StateEvaluator(sample(ens, index) if sampler is None else sampler(index), ens)
         for col, (evaluate, params) in enumerate(entries):
             out[row, col] = evaluate(ev, params)
@@ -284,6 +269,9 @@ def _estimate_from_values(values: np.ndarray, weights: np.ndarray, p: float,
                           ens: EnsembleSpec, tag: str,
                           resamples: int = BOOTSTRAP_RESAMPLES) -> LpEstimate:
     n = values.size
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise FloatingPointError(f"{tag}: {bad} of {n} draws are not finite")
     effective = int(round(weights.sum()))
     if effective == 0:
         raise DegenerateEnsembleError(

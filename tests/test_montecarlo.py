@@ -7,10 +7,19 @@ import math
 import numpy as np
 import pytest
 
-from torusnlw.energy import UnsupportedParameterError
+import torusnlw.energy as energy
+from torusnlw.energy import (
+    UnsupportedParameterError,
+    chaos_components,
+    energy_rate_terms,
+    quartic_correction,
+    truncated_energy,
+)
+from torusnlw.measures import weighted_density
 from torusnlw.montecarlo import (
     DegenerateEnsembleError,
     FUNCTIONALS,
+    _estimate_from_values,
     chaos_growth_check,
     collect_values,
     convergence_rate_study,
@@ -21,7 +30,7 @@ from torusnlw.montecarlo import (
     sup_norm_moment_study,
     tail_estimate_study,
 )
-from torusnlw.sampling import EnsembleSpec
+from torusnlw.sampling import EnsembleSpec, sample
 from torusnlw.spectral import PhaseState, field_from_modes, zero_field
 
 COS = field_from_modes(1, {(1, 0): 0.5})
@@ -110,6 +119,87 @@ class TestEstimateLp:
         a = estimate_lp("wick_mass", ens, 2.0, 200)
         b = estimate_lp("wick_mass", ens, 2.0, 200)
         assert a == b
+
+
+class TestNonFiniteValues:
+    """A non-finite draw is an error that names the column, raised before
+    the bootstrap (the CLI reports it as a runtime error, exit 2)."""
+
+    def test_one_nan_among_100_draws(self):
+        values = np.linspace(1.0, 2.0, 100)
+        values[37] = math.nan
+        with pytest.raises(FloatingPointError, match="gap:M=4: 1 of 100 draws"):
+            _estimate_from_values(values, np.ones(100), 2.0, make_ens(), "gap:M=4")
+
+    def test_inf_in_a_rejected_draw(self):
+        values, weights = np.linspace(1.0, 2.0, 100), np.ones(100)
+        values[3], weights[3] = math.inf, 0.0
+        with pytest.raises(FloatingPointError, match="col: 1 of 100 draws"):
+            _estimate_from_values(values, weights, 4.0, make_ens(), "col")
+
+
+class TestSharedFactors:
+    """One state's factors go to the quadrature grid once per cutoff, and
+    the values evaluated from them equal the public functions' exactly."""
+
+    @staticmethod
+    def transforms(monkeypatch, ens, funcs) -> int:
+        energy._cubic_correction_terms(2, "bessel")  # its one-off self-check
+        grids = []
+        real = energy.grid_values
+        monkeypatch.setattr(energy, "grid_values",
+                            lambda f, grid: grids.append(grid) or real(f, grid))
+        collect_values(ens, funcs, 1)
+        return len(grids)
+
+    def test_gap_decay_columns(self, monkeypatch):
+        # u_N and J^s u_N at each of the cutoffs 64, 4, 8, 16, 32
+        names = ("quartic_correction_gap", "chaos_double_pair_renorm_gap",
+                 "chaos_single_pair_gap", "chaos_no_pair_gap")
+        funcs = [(name, {"lower_cutoff": m}) for name in names for m in (4, 8, 16, 32)]
+        assert self.transforms(monkeypatch, make_ens(K=64, seed=901), funcs) == 10
+
+    def test_rate_with_finite_radius(self, monkeypatch):
+        # u_N (also the order-(0, 0) derivative and the energy's quartic),
+        # v_N, J^s u_N, J^s v_N and the two first derivatives of u_N
+        ens = make_ens(K=16, seed=901, energy_cutoff_r=1e6)
+        assert self.transforms(monkeypatch, ens, [("energy_rate_total", {})]) == 6
+
+    def test_density_weight(self, monkeypatch):
+        ens = make_ens(K=16, seed=901)
+        assert self.transforms(monkeypatch, ens, [("density_weight", {"radius": 1e6})]) == 2
+
+    @pytest.mark.parametrize("variant,beta", [("mu_s", 0.0), ("mu_tilde_s", 0.0),
+                                              ("mu_s_beta", 1.5)])
+    def test_values_equal_public_functions(self, variant, beta):
+        N, M, n = 8, 4, 6
+        ens = make_ens(K=N, seed=31, variant=variant, beta=beta)
+        s, eq = ens.s, ens.equation
+        states = [sample(ens, i) for i in range(n)]
+        radius = float(np.median([truncated_energy(p, N, eq, beta) for p in states]))
+        gaps = ("chaos_double_pair_renorm_gap", "chaos_single_pair_gap",
+                "chaos_no_pair_gap")
+        funcs = [("quartic_correction", {}), ("quartic_correction_gap", {"lower_cutoff": M}),
+                 *[(name, {"lower_cutoff": M}) for name in gaps],
+                 ("energy_rate_highlow", {}), ("energy_rate_mass", {}),
+                 ("energy_rate_leibniz", {}), ("energy_rate_total", {}),
+                 ("density_weight", {"radius": radius}),
+                 ("density_weight", {"radius": radius, "cutoff": M})]
+        values, weights = collect_values(
+            EnsembleSpec(variant=variant, s=s, sample_max_mode=N, truncation_N=N,
+                         master_seed=31, beta=beta, energy_cutoff_r=radius), funcs, n)
+        for p, row, weight in zip(states, values, weights):
+            q, q_lo = (quartic_correction(p.u, s, c, eq) for c in (N, M))
+            hi, lo = (chaos_components(p.u, s, c, eq) for c in (N, M))
+            rate = energy_rate_terms(p, s, N, eq, beta)
+            expect = [q, q - q_lo,
+                      *[getattr(hi, c) - getattr(lo, c)
+                        for c in ("double_pair_renorm", "single_pair", "no_pair")],
+                      rate.highlow, rate.mass, rate.leibniz, rate.total,
+                      *[weighted_density(p, s, c, radius, eq, beta).weight for c in (N, M)]]
+            assert row.tolist() == expect
+            assert weight == float(truncated_energy(p, N, eq, beta) <= radius)
+        assert 0 < weights.sum() < n
 
 
 class TestWorkerDeterminism:
