@@ -12,25 +12,23 @@ order s adds a quartic correction: 3/2 the smoothed-mass-weighted quartic
 minus 3/2 counterterm times the low-pass mass (no subtraction for the
 beta family).  Its time derivative along the truncated flow splits into
 three probabilistically tame terms (rate_highlow / rate_mass /
-rate_leibniz below); the lower-order Leibniz constants are generated
-symbolically here and self-checked against a direct evaluation before
-first use.
+rate_leibniz below); the Leibniz term, the commutator remainder of
+base^s(u^3) paired with v, is 3 int (base^s v)(base^s u) u^2 - int (base^2s v) u^3.
 
 Every quartic integral is one grid mean: four fields of window K have a
 product with modes up to 4K, so its mean on quadrature_grid(K) >= 4K + 1
 points per direction is exact.  Quadratic quantities are lattice sums.
 The renormalized functionals of one state at one cutoff share their
-factors: u_N, v_N, their smoothings and the derivatives of u_N are each
-built and sent to the grid once per state and cutoff (_Factors), however
-many of the correction, its chaos split, the rate terms and the truncated
-energy are asked for.
+factors: u_N, v_N and their smoothings are each built and sent to the
+grid once per state and cutoff (_Factors), however many of the
+correction, its chaos split, the rate terms and the truncated energy are
+asked for.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -43,10 +41,8 @@ from .spectral import (
     _sq_modulus,
     apply_multiplier,
     bessel_power,
-    derivative,
     grid_values,
     inner_product,
-    pointwise_product,
     project_ball,
     quadrature_grid,
     riesz_power,
@@ -78,7 +74,7 @@ def _check_equation(equation: str, beta: float | None = None) -> None:
 def _even_order(s: float) -> int:
     if s != int(s) or int(s) % 2 != 0 or int(s) < 2:
         raise UnsupportedParameterError(
-            f"the derivative machinery needs an even integer s >= 2, got {s}")
+            f"the energy rate is studied at even integer s >= 2, got {s}")
     return int(s)
 
 
@@ -88,95 +84,6 @@ def _sigma_const(equation: str, cutoff: int, s: float) -> float:
     if equation == "nlw":
         return wave_counterterm(cutoff, s)
     return 0.0  # nlkg_beta: no subtraction needed for beta > 1
-
-
-# -- symbolic Leibniz expansion of the cubic commutator ----------------------
-#
-# For even s, base^s is a differential operator: (1 - Lap)^(s/2) expands
-# binomially in powers of -Lap (bessel) while (-Lap)^(s/2) is a single
-# homogeneous power (riesz).  Splitting base^s(u^3) = 3 u^2 base^s(u) + R
-# by the product rule leaves R with every factor of order < s and total
-# order <= s (bessel) or exactly s (riesz).  The rate_leibniz term is
-# -int (base^s v) R, so each monomial of R yields one quartic integral.
-
-
-def _compositions3(n: int):
-    for i in range(n + 1):
-        for j in range(n - i + 1):
-            yield i, j, n - i - j
-
-
-@lru_cache(maxsize=32)
-def _cubic_correction_terms(s: int, base: str) -> tuple:
-    """Coefficients c and derivative orders (a, b, g) with
-
-        int (base^2s v)(-u^3) = -3 int (base^s v)(base^s u) u^2
-                                + sum c * int (base^s v) d^a u d^b u d^g u
-
-    for any fields u, v.  Verified against direct evaluation on random
-    fields before being returned.
-    """
-    half = s // 2
-    ks = range(half + 1) if base == "bessel" else [half]
-    acc: dict = {}
-    for k in ks:
-        c_k = math.comb(half, k) * (-1) ** k if base == "bessel" else (-1) ** k
-        for j in range(k + 1):
-            c_kj = c_k * math.comb(k, j)
-            a, b = 2 * j, 2 * (k - j)
-            for a_parts in _compositions3(a):
-                m_a = math.factorial(a) // math.prod(map(math.factorial, a_parts))
-                for b_parts in _compositions3(b):
-                    m_b = math.factorial(b) // math.prod(map(math.factorial, b_parts))
-                    key = tuple(sorted(zip(a_parts, b_parts)))
-                    acc[key] = acc.get(key, 0) + c_kj * m_a * m_b
-            # remove the absorbed leading part 3 u^2 d^(a,b) u
-            lead = tuple(sorted(((0, 0), (0, 0), (a, b))))
-            acc[lead] = acc.get(lead, 0) - 3 * c_kj
-    terms = tuple(sorted((-c, orders) for orders, c in acc.items() if c != 0))
-    _self_check_correction(s, base, terms)
-    return terms
-
-
-def _self_check_correction(s: int, base: str, terms: tuple) -> None:
-    # Exercised once per (s, base) per process, on fixed pseudo-random data.
-    rng = np.random.default_rng(20240000 + 10 * s + (base == "riesz"))
-    K = 3
-    for _ in range(2):
-        c = rng.normal(size=(2 * K + 1, 2 * K + 1)) + 1j * rng.normal(size=(2 * K + 1, 2 * K + 1))
-        u = SpectralField(K, 0.5 * (c + np.conj(c[::-1, ::-1])))
-        c = rng.normal(size=(2 * K + 1, 2 * K + 1)) + 1j * rng.normal(size=(2 * K + 1, 2 * K + 1))
-        v = SpectralField(K, 0.5 * (c + np.conj(c[::-1, ::-1])))
-        cube = pointwise_product(pointwise_product(u, u), u)
-        lhs = -inner_product(apply_multiplier(v, _power(base, 2 * s)), cube)
-        sv = apply_multiplier(v, _power(base, s))
-        su = apply_multiplier(u, _power(base, s))
-        rhs = -3.0 * inner_product(pointwise_product(sv, su), pointwise_product(u, u))
-        rhs += _leibniz_sum(terms, sv, u)
-        scale = max(abs(lhs), 1e-30)
-        if abs(lhs - rhs) > 1e-10 * scale:
-            raise RuntimeError(
-                f"generated Leibniz constants for s={s}, base={base} failed "
-                f"the self-check: {lhs} vs {rhs}")
-
-
-def _leibniz_sum(terms: tuple, smoothed_v: SpectralField, u: SpectralField) -> float:
-    """sum c * int smoothed_v d^a u d^b u d^g u, each a grid mean; the
-    smoothed v and each distinct derivative of u go to the grid once."""
-    grid = quadrature_grid(max(smoothed_v.max_mode, u.max_mode))
-    orders = {order for _, triple in terms for order in triple}
-    vals = {order: grid_values(apply_multiplier(u, derivative(*order)), grid)
-            for order in orders}
-    vals["sv"] = grid_values(smoothed_v, grid)
-    return _leibniz_mean(terms, vals.__getitem__)
-
-
-def _leibniz_mean(terms: tuple, values) -> float:
-    """The Leibniz sum from grid values: values("sv") of the smoothed v,
-    values(order) of each derivative of u."""
-    vg = values("sv")
-    return sum(coeff * _product_mean(vg, values(oa), values(ob), values(og))
-               for coeff, (oa, ob, og) in terms)
 
 
 def _product_mean(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
@@ -227,12 +134,13 @@ def _energy(u: SpectralField, v: SpectralField, equation: str, beta: float,
 class _Factors:
     """One state's factors at one cutoff and the functionals built on them.
 
-    u_N, v_N, base^s u_N, base^s v_N and the derivatives of u_N are each
-    built once, on first use, and sent to quadrature_grid once; every
-    quartic functional that needs a factor shares its grid values.  The
-    public functions below build a throwaway one per call; a Monte Carlo
-    state keeps one per cutoff while it is evaluated.  `v` may be None
-    for the functionals of u alone, `s` for the truncated energy.
+    u_N, v_N, base^s u_N, base^s v_N and base^2s v_N are each built
+    once, on first use, and sent to quadrature_grid once; every quartic
+    functional that needs a factor shares its grid values, the Leibniz
+    rate term included (two grid means, of sv su uN uN and s2v uN uN uN).
+    The public functions below build a throwaway one per call; a Monte
+    Carlo state keeps one per cutoff while it is evaluated.  `v` may be
+    None for the functionals of u alone, `s` for the truncated energy.
     """
 
     def __init__(self, u: SpectralField, v: SpectralField | None, s: float | None,
@@ -257,15 +165,14 @@ class _Factors:
     def sv(self) -> SpectralField:
         return apply_multiplier(self.vN, _power(self.base, self.s))
 
-    def values(self, key) -> np.ndarray:
-        """Grid values of the factor named `key`, or of the derivative of
-        u_N of order `key`; the order-(0, 0) derivative is u_N itself."""
-        if key == (0, 0):
-            key = "uN"
+    @cached_property
+    def s2v(self) -> SpectralField:
+        return apply_multiplier(self.vN, _power(self.base, 2 * self.s))
+
+    def values(self, key: str) -> np.ndarray:
+        """Grid values of the factor named `key`."""
         if key not in self._values:
-            field = (getattr(self, key) if isinstance(key, str)
-                     else apply_multiplier(self.uN, derivative(*key)))
-            self._values[key] = grid_values(field, self.grid)
+            self._values[key] = grid_values(getattr(self, key), self.grid)
         return self._values[key]
 
     def _mean(self, a, b, c, d) -> float:
@@ -336,7 +243,8 @@ class _Factors:
             # non-conserved piece is the mass term, contributing int u v
             mass += cross
 
-        leibniz = _leibniz_mean(_cubic_correction_terms(s_int, self.base), self.values)
+        leibniz = (3.0 * self._mean("sv", "su", "uN", "uN")
+                   - self._mean("s2v", "uN", "uN", "uN"))
         return EnergyRateTerms(highlow, mass, leibniz)
 
 
@@ -435,7 +343,7 @@ class EnergyRateTerms:
 
     highlow: float   # 3 int P!=0[(base^s u)^2] P!=0[v u]
     mass: float      # 3 (int (base^s u)^2 - sigma) int v u  (+ int u v for nlw)
-    leibniz: float   # lower-order commutator terms
+    leibniz: float   # 3 int (base^s v)(base^s u) u^2 - int (base^2s v) u^3
 
     @property
     def total(self) -> float:
@@ -446,8 +354,10 @@ def energy_rate_terms(p: PhaseState, s: float, cutoff: int,
                       equation: str = "nlkg", beta: float = 0.0) -> EnergyRateTerms:
     """Exact splitting of the time derivative of the renormalized energy.
 
-    Requires an even integer s >= 2 (the Leibniz expansion differentiates
-    s times).  The identity
+    Requires an even integer s >= 2, the paper's scope; the computation
+    does not need it.  The Leibniz term is two grid means, of its defining
+    identity 3 int (base^s v_N)(base^s u_N) u_N^2 - int (base^2s v_N) u_N^3.
+    The rate identity
 
         d/dt renormalized_energy(low_pass Phi(t) p) |_{t=0} = total
 
@@ -494,7 +404,7 @@ class EnergyReport:
 def energy_report(p: PhaseState, s: float, cutoff: int,
                   equation: str = "nlkg", beta: float = 0.0) -> EnergyReport:
     """Assemble all diagnostics; the rate terms are filled only when s is
-    an even integer >= 2 (they are undefined otherwise)."""
+    an even integer >= 2 (the paper's scope for the rate)."""
     _check_equation(equation, beta)
     f = _Factors(p.u, p.v, s, cutoff, equation, beta)
     try:

@@ -67,9 +67,8 @@ def test_energy_conservation_along_truncated_flow(capsys):
     halving must cut the drift by a factor in (3, 5) (the order
     signature the rate-identity check also uses), and the drift must be
     below 1e-8 at the first rung the order law puts under that budget,
-    dt <= dt_0 * sqrt(1e-8 / drift_0).  Reproduce the ladder with
-    ``scripts/conservation_scan.py --seed 2026 --dt 1e-3 5e-4 2.5e-4
-    1.25e-4 6.25e-5``.
+    dt <= dt_0 * sqrt(1e-8 / drift_0).  Print the ladder with
+    ``pytest tests/test_acceptance.py -k conservation -s``.
     """
     t0 = time.perf_counter()
     N, budget = 16, 1e-8

@@ -28,8 +28,6 @@ from torusnlw.energy import (
     truncated_energy,
     wick_renormalized_mass,
     _BASE_FOR,
-    _cubic_correction_terms,
-    _leibniz_sum,
     _power,
     _quartic_integral,
     _sigma_const,
@@ -214,12 +212,12 @@ class TestRateTerms:
         with pytest.raises(UnsupportedParameterError):
             energy_rate_terms(p, 2.5, 1)
 
-    @pytest.mark.parametrize("equation,kw", [
-        ("nlkg", {}),
-        ("nlw", {}),
-        ("nlkg_beta", {"beta": 2.0}),
+    @pytest.mark.parametrize("equation,kw,s", [
+        pytest.param(eq, kw, s, id=f"{eq}-kw{i}" + ("-s4" if s == 4 else ""))
+        for s in (2.0, 4.0)
+        for i, (eq, kw) in enumerate([("nlkg", {}), ("nlw", {}), ("nlkg_beta", {"beta": 2.0})])
     ])
-    def test_matches_flow_derivative(self, equation, kw):
+    def test_matches_flow_derivative(self, equation, kw, s):
         # time derivative of the renormalized energy along the flow at
         # t = 0 via central differences, h = 1e-4.
         # The identity lives on the flow's phase space, fields supported in
@@ -231,10 +229,10 @@ class TestRateTerms:
         model = ModelSpec(equation, 4, **kw)
         integ = IntegratorSpec(scheme="rk4", dt=2e-5)
         h = 1e-4
-        plus = renormalized_energy(evolve(p, h, model, integ), 2.0, 4, equation, **kw)
-        minus = renormalized_energy(evolve(p, -h, model, integ), 2.0, 4, equation, **kw)
+        plus = renormalized_energy(evolve(p, h, model, integ), s, 4, equation, **kw)
+        minus = renormalized_energy(evolve(p, -h, model, integ), s, 4, equation, **kw)
         fd = (plus - minus) / (2 * h)
-        total = energy_rate_terms(p, 2.0, 4, equation, **kw).total
+        total = energy_rate_terms(p, s, 4, equation, **kw).total
         assert fd == pytest.approx(total, rel=1e-5)
 
     def test_rate_vanishes_in_ball_complement_direction(self):
@@ -297,11 +295,21 @@ class TestQuarticGridMeansAgainstDirectProducts:
         p, _, uN, vN, _, _ = self.case(K, equation)
         base = _BASE_FOR[equation]
         sv = apply_multiplier(vN, _power(base, s))
-        terms = _cubic_correction_terms(s, base)
-        d = {o: apply_multiplier(uN, derivative(*o)) for _, t in terms for o in t}
-        expect = sum(c * inner_product(_direct(sv, d[a]), _direct(d[b], d[g]))
-                     for c, (a, b, g) in terms)
-        assert _leibniz_sum(terms, sv, uN) == pytest.approx(expect, rel=1e-12)
+        if s == 2:
+            # (1 - Lap)(u^3) - 3 u^2 (1 - Lap) u = -2 u^3 - 6 u |grad u|^2;
+            # (-Lap) drops the u^3 term.  Written out, not from the identity.
+            d1, d2 = (apply_multiplier(uN, derivative(*o)) for o in ((1, 0), (0, 1)))
+            uu = _direct(sv, uN)
+            expect = 6.0 * (inner_product(uu, _direct(d1, d1))
+                            + inner_product(uu, _direct(d2, d2)))
+            if base == "bessel":
+                expect += 2.0 * inner_product(uu, _direct(uN, uN))
+        else:
+            su = apply_multiplier(uN, _power(base, s))
+            s2v = apply_multiplier(vN, _power(base, 2 * s))
+            sq = _direct(uN, uN)
+            expect = (3.0 * inner_product(_direct(sv, su), sq)
+                      - inner_product(_direct(s2v, uN), sq))
         assert energy_rate_terms(p, s, K, equation).leibniz == pytest.approx(
             expect, rel=1e-12)
 
@@ -312,31 +320,6 @@ class TestQuarticGridMeansAgainstDirectProducts:
         expect = -quartic_correction(p.u, s, K, "nlw") - 0.25 * inner_product(sq, sq)
         got = weighted_density(p, s, K, math.inf, "nlw").log_weight
         assert got == pytest.approx(expect, rel=1e-12)
-
-
-class TestLeibnizExpansion:
-    def test_order_two_terms_explicit(self):
-        # (1 - Lap)(u^3) - 3 u^2 (1 - Lap) u = -2 u^3 - 6 u |grad u|^2
-        assert _cubic_correction_terms(2, "bessel") == (
-            (2, ((0, 0), (0, 0), (0, 0))),
-            (6, ((0, 0), (0, 1), (0, 1))),
-            (6, ((0, 0), (1, 0), (1, 0))),
-        )
-
-    def test_order_two_riesz_drops_zeroth_term(self):
-        assert _cubic_correction_terms(2, "riesz") == (
-            (6, ((0, 0), (0, 1), (0, 1))),
-            (6, ((0, 0), (1, 0), (1, 0))),
-        )
-
-    @pytest.mark.parametrize("s,n_bessel,n_riesz", [
-        (2, 3, 2), (4, 16, 13), (6, 62, 46), (8, 183, 121),
-    ])
-    def test_term_counts(self, s, n_bessel, n_riesz):
-        # generation self-checks each table against the defining operator
-        # identity on random fields; reaching here means they passed
-        assert len(_cubic_correction_terms(s, "bessel")) == n_bessel
-        assert len(_cubic_correction_terms(s, "riesz")) == n_riesz
 
 
 def brute_force_chaos(u, s: float, cutoff: int) -> ChaosComponents:

@@ -144,7 +144,6 @@ class TestSharedFactors:
 
     @staticmethod
     def transforms(monkeypatch, ens, funcs) -> int:
-        energy._cubic_correction_terms(2, "bessel")  # its one-off self-check
         grids = []
         real = energy.grid_values
         monkeypatch.setattr(energy, "grid_values",
@@ -160,10 +159,14 @@ class TestSharedFactors:
         assert self.transforms(monkeypatch, make_ens(K=64, seed=901), funcs) == 10
 
     def test_rate_with_finite_radius(self, monkeypatch):
-        # u_N (also the order-(0, 0) derivative and the energy's quartic),
-        # v_N, J^s u_N, J^s v_N and the two first derivatives of u_N
+        # u_N (also the energy's quartic), v_N, J^s u_N, J^s v_N and J^2s v_N
         ens = make_ens(K=16, seed=901, energy_cutoff_r=1e6)
-        assert self.transforms(monkeypatch, ens, [("energy_rate_total", {})]) == 6
+        assert self.transforms(monkeypatch, ens, [("energy_rate_total", {})]) == 5
+
+    def test_rate_at_s4(self, monkeypatch):
+        # the same five factors: the count does not grow with s
+        ens = make_ens(K=16, seed=901, energy_cutoff_r=1e6, s=4.0)
+        assert self.transforms(monkeypatch, ens, [("energy_rate_total", {})]) == 5
 
     def test_density_weight(self, monkeypatch):
         ens = make_ens(K=16, seed=901)
