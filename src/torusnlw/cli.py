@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import math
 import os
@@ -750,7 +751,30 @@ def _write_outputs(outdir: Path, command: str, resolved: dict, seed, workers: in
         json.dumps(schema, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+# glibc's mallopt parameters (malloc.h) and the size kept on the heap
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_KEEP_BYTES = 32 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc serve blocks up to 32 MiB from the heap and keep up to
+    32 MiB of freed heap top, in this process and the workers it forks.
+
+    Every state's grids are allocated and freed anew.  By default glibc
+    maps the large ones afresh and hands freed heap tops back, so each
+    state faults its pages in again.  A no-op where libc is not glibc.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _HEAP_KEEP_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _HEAP_KEEP_BYTES)
+    except (OSError, AttributeError):
+        pass
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = argparse.ArgumentParser(
         prog="torusnlw",
         description="Spectral simulation and Monte Carlo verification for "

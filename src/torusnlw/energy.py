@@ -28,7 +28,8 @@ asked for.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,10 +38,12 @@ from .spectral import (
     Multiplier,
     PhaseState,
     SpectralField,
+    _frozen,
     _sq_bracket,
     _sq_modulus,
     apply_multiplier,
     bessel_power,
+    grid_stack,
     grid_values,
     inner_product,
     project_ball,
@@ -97,12 +100,13 @@ def _product_mean(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) ->
 # -- one state's factors at one cutoff ---------------------------------------
 
 
+@lru_cache(maxsize=256)
 def _weight(K: int, base: str, sigma: float) -> np.ndarray:
     """|symbol of base^sigma|^2 on the window-K block."""
     w = (_sq_bracket(K) if base == "bessel" else _sq_modulus(K)) ** sigma
     if base == "riesz":
         w[K, K] = 0.0
-    return w
+    return _frozen(w)
 
 
 def _weighted_mass(f: SpectralField, base: str, sigma: float) -> float:
@@ -131,27 +135,41 @@ def _energy(u: SpectralField, v: SpectralField, equation: str, beta: float,
     return 0.5 * quad + 0.25 * quartic
 
 
+class _UOnly(NamedTuple):
+    """The state of a functional of u alone."""
+
+    u: SpectralField
+    v: None = None
+
+
 class _Factors:
     """One state's factors at one cutoff and the functionals built on them.
 
     u_N, v_N, base^s u_N, base^s v_N and base^2s v_N are each built
-    once, on first use, and sent to quadrature_grid once; every quartic
+    once, on first use, and sent to quadrature_grid once; the factors one
+    functional asks for go in one grid_stack call, and every quartic
     functional that needs a factor shares its grid values, the Leibniz
     rate term included (two grid means, of sv su uN uN and s2v uN uN uN).
     The public functions below build a throwaway one per call; a Monte
-    Carlo state keeps one per cutoff while it is evaluated.  `v` may be
-    None for the functionals of u alone, `s` for the truncated energy.
+    Carlo state keeps one per cutoff while it is evaluated.  `state` has
+    fields u and v, and v is read only by the functionals that need it
+    (a Monte Carlo draw makes it on that first read); `s` may be None for
+    the truncated energy.
     """
 
-    def __init__(self, u: SpectralField, v: SpectralField | None, s: float | None,
-                 cutoff: int, equation: str, beta: float = 0.0):
-        self.u, self.v, self.s = u, v, s
+    def __init__(self, state, s: float | None, cutoff: int, equation: str,
+                 beta: float = 0.0):
+        self.state, self.u, self.s = state, state.u, s
         self.cutoff, self.equation, self.beta = cutoff, equation, beta
         self.base = _BASE_FOR[equation]
-        self.uN = project_ball(u, cutoff)
+        self.uN = project_ball(self.u, cutoff)
         # v shares u's window, so every factor fits this grid
         self.grid = quadrature_grid(self.uN.max_mode)
         self._values: dict = {}
+
+    @property
+    def v(self) -> SpectralField:
+        return self.state.v
 
     @cached_property
     def vN(self) -> SpectralField:
@@ -169,16 +187,19 @@ class _Factors:
     def s2v(self) -> SpectralField:
         return apply_multiplier(self.vN, _power(self.base, 2 * self.s))
 
-    def values(self, key: str) -> np.ndarray:
-        """Grid values of the factor named `key`."""
-        if key not in self._values:
-            self._values[key] = grid_values(getattr(self, key), self.grid)
-        return self._values[key]
+    def values(self, *keys: str) -> dict:
+        """Grid values of the factors named `keys`; those not on the grid
+        yet go there in one transform."""
+        new = [key for key in dict.fromkeys(keys) if key not in self._values]
+        if new:
+            stack = grid_stack([getattr(self, key) for key in new], self.grid)
+            self._values.update(zip(new, stack))
+        return self._values
 
     def _mean(self, a, b, c, d) -> float:
         """int of the product of four factors, one grid mean."""
-        return _product_mean(self.values(a), self.values(b), self.values(c),
-                             self.values(d))
+        vals = self.values(a, b, c, d)
+        return _product_mean(vals[a], vals[b], vals[c], vals[d])
 
     @cached_property
     def smoothed_quartic(self) -> float:
@@ -231,6 +252,7 @@ class _Factors:
     @cached_property
     def rate(self) -> EnergyRateTerms:
         s_int = _even_order(self.s)
+        self.values("uN", "vN", "su", "sv", "s2v")  # every factor read below, in one transform
         uN, vN, su = self.uN, self.vN, self.su
         smoothed_mass = inner_product(su, su)
         cross = inner_product(vN, uN)
@@ -262,7 +284,7 @@ def truncated_energy(p: PhaseState, cutoff: int, equation: str = "nlkg",
     """Energy conserved by the truncated flow: full-field quadratic part,
     quartic part on the low-pass field only."""
     _check_equation(equation, beta)
-    return _Factors(p.u, p.v, None, cutoff, equation, beta).truncated_energy
+    return _Factors(p, None, cutoff, equation, beta).truncated_energy
 
 
 def quartic_correction(u: SpectralField, s: float, cutoff: int,
@@ -275,7 +297,7 @@ def quartic_correction(u: SpectralField, s: float, cutoff: int,
     nlkg_beta).  This is the log-density of the weighted measure.
     """
     _check_equation(equation)
-    return _Factors(u, None, s, cutoff, equation).quartic_correction
+    return _Factors(_UOnly(u), s, cutoff, equation).quartic_correction
 
 
 def renormalized_energy(p: PhaseState, s: float, cutoff: int,
@@ -289,7 +311,7 @@ def renormalized_energy(p: PhaseState, s: float, cutoff: int,
     nlkg_beta:  1/2 int (J^s v)^2 + 1/2 int (J^(s+beta) u)^2 + correction
     """
     _check_equation(equation, beta)
-    return _Factors(p.u, p.v, s, cutoff, equation, beta).renormalized_energy
+    return _Factors(p, s, cutoff, equation, beta).renormalized_energy
 
 
 def wick_renormalized_mass(u: SpectralField, s: float, cutoff: int,
@@ -330,7 +352,7 @@ def chaos_components(u: SpectralField, s: float, cutoff: int,
     double_pair_renorm + single_pair + no_pair is the quartic correction.
     """
     _check_equation(equation)
-    return _Factors(u, None, s, cutoff, equation).chaos
+    return _Factors(_UOnly(u), s, cutoff, equation).chaos
 
 
 # -- time derivative of the renormalized energy -------------------------------
@@ -365,7 +387,7 @@ def energy_rate_terms(p: PhaseState, s: float, cutoff: int,
     """
     _even_order(s)
     _check_equation(equation, beta)
-    return _Factors(p.u, p.v, s, cutoff, equation, beta).rate
+    return _Factors(p, s, cutoff, equation, beta).rate
 
 
 # -- combined report ----------------------------------------------------------
@@ -406,7 +428,7 @@ def energy_report(p: PhaseState, s: float, cutoff: int,
     """Assemble all diagnostics; the rate terms are filled only when s is
     an even integer >= 2 (the paper's scope for the rate)."""
     _check_equation(equation, beta)
-    f = _Factors(p.u, p.v, s, cutoff, equation, beta)
+    f = _Factors(p, s, cutoff, equation, beta)
     try:
         rate = f.rate
         highlow, mass, leib = rate.highlow, rate.mass, rate.leibniz

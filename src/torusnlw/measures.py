@@ -49,7 +49,7 @@ def weighted_density(p: PhaseState, s: float, cutoff: int, radius: float,
     modified one, bringing the extra factor along).
     """
     _check_equation(equation)
-    return _density(_Factors(p.u, p.v, s, cutoff, equation, beta), radius)
+    return _density(_Factors(p, s, cutoff, equation, beta), radius)
 
 
 def _density(f: _Factors, radius: float) -> DensityValue:

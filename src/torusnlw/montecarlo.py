@@ -26,9 +26,8 @@ import numpy as np
 from .energy import (UnsupportedParameterError, _Factors, truncated_energy,
                      wick_renormalized_mass)
 from .measures import _density
-from .sampling import EnsembleSpec, sample
+from .sampling import EnsembleSpec, _Draw, sample
 from .spectral import (
-    PhaseState,
     apply_multiplier,
     derivative,
     dyadic_block,
@@ -39,11 +38,13 @@ from .spectral import (
 
 MAX_P = 16.0  # empirical L^p beyond this is extreme-value dominated
 BOOTSTRAP_RESAMPLES = 200
+_MAX_REDRAWS = 1000  # consecutive bootstrap redraws that hold no accepted draw
 _MASK64 = (1 << 64) - 1
 
 
 class DegenerateEnsembleError(RuntimeError):
-    """The energy cutoff rejected every sample."""
+    """The energy cutoff rejected every sample, or so many that bootstrap
+    resamples keep holding none."""
 
 
 def _tag64(tag: str) -> int:
@@ -111,9 +112,12 @@ def fit_rate(abscissae, ordinates) -> RateFit:
 
 class _StateEvaluator:
     """One drawn state and its factors at each cutoff (energy._Factors),
-    shared by every functional evaluated on it and dropped with it."""
+    shared by every functional evaluated on it and dropped with it.
 
-    def __init__(self, state: PhaseState, ens: EnsembleSpec):
+    `state` is a PhaseState or a sampling._Draw, whose v is drawn on its
+    first read: studies that read only u never draw it."""
+
+    def __init__(self, state, ens: EnsembleSpec):
         self.state = state
         self.ens = ens
         self._factors: dict = {}
@@ -124,8 +128,7 @@ class _StateEvaluator:
     def factors(self, cutoff: int) -> _Factors:
         if cutoff not in self._factors:
             e = self.ens
-            self._factors[cutoff] = _Factors(self.state.u, self.state.v, e.s, cutoff,
-                                             e.equation, e.beta)
+            self._factors[cutoff] = _Factors(self.state, e.s, cutoff, e.equation, e.beta)
         return self._factors[cutoff]
 
     def cutoff_indicator(self) -> float:
@@ -206,10 +209,7 @@ def _eval_block(ens: EnsembleSpec, funcs: tuple, start: int, stop: int,
     entries = [(FUNCTIONALS[name].evaluate, params) for name, params in funcs]
     out = np.empty((stop - start, len(funcs) + 1))
     for row, index in enumerate(range(start, stop)):
-        # Rebinding ev frees the last state's grids after this draw: freed
-        # before it, they leave the heap top empty, malloc hands those pages
-        # back and every state faults them in again.
-        ev = _StateEvaluator(sample(ens, index) if sampler is None else sampler(index), ens)
+        ev = _StateEvaluator(_Draw(ens, index) if sampler is None else sampler(index), ens)
         for col, (evaluate, params) in enumerate(entries):
             out[row, col] = evaluate(ev, params)
         out[row, len(funcs)] = ev.cutoff_indicator()
@@ -281,11 +281,15 @@ def _estimate_from_values(values: np.ndarray, weights: np.ndarray, p: float,
     rng = _tagged_rng(ens.master_seed, f"bootstrap:{tag}:p={p!r}:n={n}")
     norms = np.empty(resamples)
     for b in range(resamples):
-        idx = rng.integers(0, n, size=n)
-        norm = _weighted_norm(abs_pow[idx], weights[idx], p)
-        while math.isnan(norm):  # resample hit only rejected states; redraw
+        for _ in range(1 + _MAX_REDRAWS):  # a resample of rejected states only has no norm
             idx = rng.integers(0, n, size=n)
             norm = _weighted_norm(abs_pow[idx], weights[idx], p)
+            if not math.isnan(norm):
+                break
+        else:
+            raise DegenerateEnsembleError(
+                f"{tag}, p={p}: {_MAX_REDRAWS} bootstrap redraws in a row held no "
+                f"accepted sample ({effective} of {n} accepted)")
         norms[b] = norm
     lo, hi = np.percentile(norms, [2.5, 97.5])
     return LpEstimate(

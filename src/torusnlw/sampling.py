@@ -14,14 +14,16 @@ are N(0, 1/2) for n != 0).
 
 Draws are counter-based: sample(spec, index) keys a Philox stream by
 (master_seed, index), so any worker partition of the index range produces
-the identical ensemble, with no shared RNG state.
+the identical ensemble, with no shared RNG state.  The stream holds u's
+normals first and v's after them, so a draw can stop after u when only u
+is read (_Draw).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -132,24 +134,47 @@ def _assemble(raw: np.ndarray, weight: np.ndarray, max_mode: int) -> SpectralFie
     return SpectralField(max_mode, coeffs, _trusted=True)
 
 
+class _Draw:
+    """Sample `index` of the ensemble, one component at a time: u and v
+    are each drawn on first read, and reading v draws u first, so the
+    normals come off the stream in one order whatever is read."""
+
+    def __init__(self, spec: EnsembleSpec, index: int):
+        if index < 0:
+            raise ValueError(f"sample index must be >= 0, got {index}")
+        self.max_mode = K = spec.sample_max_mode
+        self._weights = _weights(spec.variant, spec.s, spec.beta, K)
+        self._n_half = (2 * K + 1) ** 2 // 2 + 1
+        self._rng = _stream(spec.master_seed, index)
+
+    def _next(self, weight: np.ndarray) -> SpectralField:
+        return _assemble(self._rng.standard_normal((self._n_half, 2)), weight,
+                         self.max_mode)
+
+    @cached_property
+    def u(self) -> SpectralField:
+        return self._next(self._weights[0])
+
+    @cached_property
+    def v(self) -> SpectralField:
+        self.u  # u's normals precede v's in the stream: draw them first
+        return self._next(self._weights[1])
+
+
 def sample(spec: EnsembleSpec, index: int) -> PhaseState:
     """Draw sample `index` of the ensemble.
 
     Reproducible and order-independent: the result depends only on
     (spec.master_seed, index), never on which process draws it.
     """
-    if index < 0:
-        raise ValueError(f"sample index must be >= 0, got {index}")
-    K = spec.sample_max_mode
-    w_u, w_v = _weights(spec.variant, spec.s, spec.beta, K)
-    n_half = (2 * K + 1) ** 2 // 2 + 1
-    raw = _stream(spec.master_seed, index).standard_normal((2, n_half, 2))
-    return PhaseState(_assemble(raw[0], w_u, K), _assemble(raw[1], w_v, K))
+    d = _Draw(spec, index)
+    return PhaseState(d.u, d.v)
 
 
 # -- renormalization constants ----------------------------------------------
 
 
+@lru_cache(maxsize=128)
 def counterterm(cutoff: int) -> float:
     """sum over |n| <= cutoff of 1 / (1 + |n|^2).
 
@@ -162,6 +187,7 @@ def counterterm(cutoff: int) -> float:
     return float(np.sum(mask / _sq_bracket(cutoff)))
 
 
+@lru_cache(maxsize=128)
 def wave_counterterm(cutoff: int, s: float) -> float:
     """sum over |n| <= cutoff of |n|^(2s) / (1 + |n|^2 + |n|^(2s+2)).
 

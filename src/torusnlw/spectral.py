@@ -6,8 +6,10 @@ kept Hermitian (c_{-n} = conj(c_n)), so the field it represents is real.
 The torus is normalized to unit volume: integrate(f) returns c_0 and
 inner_product(f, g) = sum_n f_n g_{-n} is the L^2 pairing (Parseval).
 
-Fields reach the grid through one real-FFT pair, grid_values (irfft2 of
-the n2 >= 0 half of the block) and its rfft2 inverse.  A product of four
+Fields reach the grid through grid_stack, which takes every field of one
+window to the grid in one pruned transform (an ifft down the K + 1
+columns of the n2 >= 0 half of each block, then an irfft along the rows),
+and come back through rfft2.  A product of four
 window-K fields has modes up to 4K, so its plain mean on quadrature_grid(K)
 >= 4K + 1 points per direction is its exact integral.  The direct product
 convolves coefficient arrays and is kept as an independent oracle.
@@ -24,7 +26,7 @@ from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft2, next_fast_len, rfft2
+from scipy.fft import ifft, irfft, next_fast_len, rfft2
 
 _HERMITIAN_TOL = 1e-12
 
@@ -328,18 +330,32 @@ def quadrature_grid(max_mode: int) -> int:
     return next_fast_len(4 * max_mode + 1, real=True)
 
 
-def grid_values(f: SpectralField, grid: int) -> np.ndarray:
-    """Values of f on the grid x_j = 2 pi j / grid in each direction.
+def grid_stack(fields, grid: int) -> np.ndarray:
+    """Values of fields sharing one window on the grid x_j = 2 pi j / grid
+    in each direction, as an (n, grid, grid) array.
 
-    Only the n2 >= 0 half of the Hermitian block is transformed (irfft2).
+    The n2 >= 0 halves of the blocks are transformed together: one ifft
+    along n1 over their K + 1 columns only (the other columns are zero),
+    then one irfft along n2; bitwise the irfft2 of each zero-filled half.
     Requires grid >= 2 * max_mode + 1 so modes occupy distinct bins.
     """
-    K = f.max_mode
+    K = fields[0].max_mode
+    if any(f.max_mode != K for f in fields):
+        raise SpectralError("grid_stack needs fields of one window, got "
+                            f"{sorted({f.max_mode for f in fields})}")
     if grid < 2 * K + 1:
         raise SpectralError(f"grid {grid} cannot hold window {K}")
-    spec = np.zeros((grid, grid // 2 + 1), np.complex128)
-    spec[_mode_axis(K) % grid, :K + 1] = f.coeffs[:, K:]
-    return irfft2(spec, s=(grid, grid), norm="forward")
+    spec = np.zeros((len(fields), grid, K + 1), np.complex128)
+    rows = _mode_axis(K) % grid
+    for i, f in enumerate(fields):
+        spec[i, rows] = f.coeffs[:, K:]
+    spec = ifft(spec, axis=1, norm="forward", overwrite_x=True)
+    return irfft(spec, n=grid, axis=-1, norm="forward")
+
+
+def grid_values(f: SpectralField, grid: int) -> np.ndarray:
+    """Values of f on the grid x_j = 2 pi j / grid in each direction."""
+    return grid_stack((f,), grid)[0]
 
 
 def _from_grid(values: np.ndarray, max_mode: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
 
@@ -295,6 +296,26 @@ class TestMonteCarloCommands:
         assert fits[1][0] == "total"
         est = read_csv(out / "estimates.csv")
         assert len(est) == 3  # header + one per M
+
+    def test_runs_where_libc_is_not_glibc(self, tmp_path, monkeypatch):
+        # the allocator setting is skipped when libc cannot be loaded, and
+        # the outputs do not depend on it
+        config = {"ensemble": {"variant": "mu_s", "s": 2.0, "seed": 3},
+                  "experiment": {"M_list": [2, 4], "N_ref": 8, "samples": 120},
+                  "output": {"emit_raw": True}}
+        code, out = run(tmp_path, "mc-converge", config, name="glibc")
+        assert code == 0
+
+        def no_libc(name, *args, **kwargs):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        code, out_other = run(tmp_path, "mc-converge", config, name="other")
+        assert code == 0
+        csvs = sorted(p.name for p in out.glob("*.csv"))
+        assert csvs == ["estimates.csv", "fits.csv", "raw_values.csv"]
+        for name in csvs:
+            assert (out / name).read_bytes() == (out_other / name).read_bytes()
 
     def test_mc_chaos_outputs(self, tmp_path):
         code, out = run(

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import torusnlw.energy as energy
+import torusnlw.montecarlo as montecarlo
+import torusnlw.sampling as sampling
 from torusnlw.energy import (
     UnsupportedParameterError,
     chaos_components,
@@ -139,38 +141,42 @@ class TestNonFiniteValues:
 
 
 class TestSharedFactors:
-    """One state's factors go to the quadrature grid once per cutoff, and
-    the values evaluated from them equal the public functions' exactly."""
+    """One state's factors go to the quadrature grid once per cutoff, in
+    one grid_stack call per cutoff, and the values evaluated from them
+    equal the public functions' exactly."""
 
     @staticmethod
-    def transforms(monkeypatch, ens, funcs) -> int:
-        grids = []
-        real = energy.grid_values
-        monkeypatch.setattr(energy, "grid_values",
-                            lambda f, grid: grids.append(grid) or real(f, grid))
+    def transforms(monkeypatch, ens, funcs) -> tuple:
+        """(fields transformed, grid_stack calls) for one state."""
+        stacks = []
+        real = energy.grid_stack
+        monkeypatch.setattr(energy, "grid_stack",
+                            lambda fields, grid: stacks.append(len(fields))
+                            or real(fields, grid))
         collect_values(ens, funcs, 1)
-        return len(grids)
+        return sum(stacks), len(stacks)
 
     def test_gap_decay_columns(self, monkeypatch):
-        # u_N and J^s u_N at each of the cutoffs 64, 4, 8, 16, 32
+        # u_N and J^s u_N at each of the cutoffs 64, 4, 8, 16, 32, one call each
         names = ("quartic_correction_gap", "chaos_double_pair_renorm_gap",
                  "chaos_single_pair_gap", "chaos_no_pair_gap")
         funcs = [(name, {"lower_cutoff": m}) for name in names for m in (4, 8, 16, 32)]
-        assert self.transforms(monkeypatch, make_ens(K=64, seed=901), funcs) == 10
+        assert self.transforms(monkeypatch, make_ens(K=64, seed=901), funcs) == (10, 5)
 
     def test_rate_with_finite_radius(self, monkeypatch):
         # u_N (also the energy's quartic), v_N, J^s u_N, J^s v_N and J^2s v_N
         ens = make_ens(K=16, seed=901, energy_cutoff_r=1e6)
-        assert self.transforms(monkeypatch, ens, [("energy_rate_total", {})]) == 5
+        assert self.transforms(monkeypatch, ens, [("energy_rate_total", {})]) == (5, 1)
 
     def test_rate_at_s4(self, monkeypatch):
         # the same five factors: the count does not grow with s
         ens = make_ens(K=16, seed=901, energy_cutoff_r=1e6, s=4.0)
-        assert self.transforms(monkeypatch, ens, [("energy_rate_total", {})]) == 5
+        assert self.transforms(monkeypatch, ens, [("energy_rate_total", {})]) == (5, 1)
 
     def test_density_weight(self, monkeypatch):
         ens = make_ens(K=16, seed=901)
-        assert self.transforms(monkeypatch, ens, [("density_weight", {"radius": 1e6})]) == 2
+        assert self.transforms(monkeypatch, ens,
+                               [("density_weight", {"radius": 1e6})]) == (2, 1)
 
     @pytest.mark.parametrize("variant,beta", [("mu_s", 0.0), ("mu_tilde_s", 0.0),
                                               ("mu_s_beta", 1.5)])
@@ -203,6 +209,64 @@ class TestSharedFactors:
             assert row.tolist() == expect
             assert weight == float(truncated_energy(p, N, eq, beta) <= radius)
         assert 0 < weights.sum() < n
+
+
+class TestBootstrapRedraws:
+    def test_redraws_are_capped(self, monkeypatch):
+        # a generator that only ever resamples the rejected draw 1
+        class Rejected:
+            def integers(self, low, high, size):
+                return np.ones(size, dtype=np.int64)
+
+        monkeypatch.setattr(montecarlo, "_tagged_rng", lambda seed, tag: Rejected())
+        weights = np.zeros(100)
+        weights[0] = 1.0
+        with pytest.raises(DegenerateEnsembleError, match=r"gap:M=4, p=2\.0: 1000"):
+            _estimate_from_values(np.ones(100), weights, 2.0, make_ens(), "gap:M=4")
+
+    def test_one_accepted_draw_in_100_is_estimated(self):
+        # a resample misses the accepted draw with probability 0.99^100 ~ 37%
+        values = np.arange(1.0, 101.0)
+        weights = np.zeros(100)
+        weights[37] = 1.0
+        est = _estimate_from_values(values, weights, 2.0, make_ens(seed=4), "one")
+        assert est.value == 38.0
+        assert est.ci_low == est.ci_high == 38.0
+        assert est.effective_samples == 1
+
+
+class TestLazyVelocity:
+    """The evaluator draws v only when a functional or the cutoff reads it."""
+
+    @staticmethod
+    def assembled(monkeypatch, ens, funcs) -> int:
+        calls = []
+        real = sampling._assemble
+        monkeypatch.setattr(sampling, "_assemble",
+                            lambda *args: calls.append(1) or real(*args))
+        collect_values(ens, funcs, 3)
+        return len(calls)
+
+    def test_gap_study_draws_only_u(self, monkeypatch):
+        funcs = [("quartic_correction_gap", {"lower_cutoff": 2}),
+                 ("chaos_no_pair_gap", {"lower_cutoff": 2})]
+        assert self.assembled(monkeypatch, make_ens(K=4, seed=8), funcs) == 3
+
+    def test_energy_cutoff_draws_v(self, monkeypatch):
+        ens = make_ens(K=4, seed=8, energy_cutoff_r=1e6)
+        assert self.assembled(monkeypatch, ens,
+                              [("quartic_correction", {})]) == 6
+
+    def test_values_equal_full_draws(self):
+        # v read first (its block sup norm) still takes u's normals off the
+        # stream before its own
+        ens = make_ens(K=4, seed=8, energy_cutoff_r=50.0)
+        funcs = [("block_sup_norm", {"block": 2, "field": "v"}), ("wick_mass", {}),
+                 ("energy_rate_total", {})]
+        values, weights = collect_values(ens, funcs, 5)
+        full, full_w = collect_values(ens, funcs, 5, sampler=lambda i: sample(ens, i))
+        np.testing.assert_array_equal(values, full)
+        np.testing.assert_array_equal(weights, full_w)
 
 
 class TestWorkerDeterminism:

@@ -13,6 +13,10 @@ from hypothesis import strategies as st
 from torusnlw.sampling import (
     VARIANTS,
     EnsembleSpec,
+    _assemble,
+    _Draw,
+    _stream,
+    _weights,
     counterterm,
     sample,
     wave_counterterm,
@@ -96,6 +100,35 @@ class TestDeterminism:
         assert p.u.coeffs[K, K].imag == 0.0
         np.testing.assert_array_equal(p.u.coeffs, np.conj(p.u.coeffs[::-1, ::-1]))
         np.testing.assert_array_equal(p.v.coeffs, np.conj(p.v.coeffs[::-1, ::-1]))
+
+
+class TestDrawByComponent:
+    @pytest.mark.parametrize("n_half", [145, 2113, 8321])  # windows 8, 32, 64
+    def test_normals_split_by_component(self, n_half):
+        # (n, 2) normals twice from one stream are the (2, n, 2) block
+        whole = _stream(11, 5).standard_normal((2, n_half, 2))
+        rng = _stream(11, 5)
+        np.testing.assert_array_equal(whole[0], rng.standard_normal((n_half, 2)))
+        np.testing.assert_array_equal(whole[1], rng.standard_normal((n_half, 2)))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("v_first", [False, True])
+    def test_draw_matches_one_block_of_normals(self, variant, v_first):
+        # u from the first half of one (2, n, 2) block of normals, v from
+        # the second, whichever component is read first
+        spec = make_spec(variant=variant, K=5, seed=3,
+                         beta=2.0 if variant == "mu_s_beta" else 0.0)
+        w_u, w_v = _weights(variant, spec.s, spec.beta, 5)
+        for index in (0, 9):
+            raw = _stream(3, index).standard_normal((2, 61, 2))
+            d = _Draw(spec, index)
+            if v_first:
+                d.v  # takes u's normals off the stream first
+            np.testing.assert_array_equal(d.u.coeffs, _assemble(raw[0], w_u, 5).coeffs)
+            np.testing.assert_array_equal(d.v.coeffs, _assemble(raw[1], w_v, 5).coeffs)
+            full = sample(spec, index)
+            np.testing.assert_array_equal(d.u.coeffs, full.u.coeffs)
+            np.testing.assert_array_equal(d.v.coeffs, full.v.coeffs)
 
 
 def empirical_mode_power(spec, mode, n_samples=4000, which="u"):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.fft import irfft2
 
 from conftest import random_field, random_state
 from torusnlw.spectral import (
@@ -32,6 +33,7 @@ from torusnlw.spectral import (
     field_from_dict,
     field_from_modes,
     field_to_dict,
+    grid_stack,
     grid_sup_norm,
     grid_values,
     high_pass,
@@ -153,6 +155,27 @@ class TestGridTransport:
     def test_grid_values_reject_a_grid_too_small(self, rng):
         with pytest.raises(SpectralError, match="grid"):
             grid_values(random_field(rng, 3), 6)
+
+    @pytest.mark.parametrize("K", [1, 8, 16, 32, 64])
+    def test_grid_stack_is_irfft2_of_the_half_block(self, rng, K):
+        # the pruned transform against irfft2 of the zero-filled n2 >= 0
+        # half, bit for bit, on the quadrature grid and grid_sup_norm's grid
+        fields = [random_field(rng, K) for _ in range(3)]
+        for grid in (quadrature_grid(K), 4 * (2 * K + 1)):
+            stack = grid_stack(fields, grid)
+            assert stack.shape == (3, grid, grid)
+            for f, vals in zip(fields, stack):
+                spec = np.zeros((grid, grid // 2 + 1), np.complex128)
+                spec[np.arange(-K, K + 1) % grid, :K + 1] = f.coeffs[:, K:]
+                np.testing.assert_array_equal(
+                    vals, irfft2(spec, s=(grid, grid), norm="forward"))
+                np.testing.assert_array_equal(vals, grid_values(f, grid))
+
+    def test_grid_stack_rejects_small_grids_and_mixed_windows(self, rng):
+        with pytest.raises(SpectralError, match="grid 6 cannot hold window 3"):
+            grid_stack([random_field(rng, 3), random_field(rng, 3)], 6)
+        with pytest.raises(SpectralError, match="one window"):
+            grid_stack([random_field(rng, 3), random_field(rng, 2)], 15)
 
     def test_products_are_exactly_hermitian(self, rng):
         for c in (pointwise_product(random_field(rng, 3), random_field(rng, 2)).coeffs,
