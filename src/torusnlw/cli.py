@@ -6,6 +6,17 @@ on failure), then writes CSV tables (RFC 4180), a metadata JSON with the
 fully resolved config, and a schema JSON documenting the CSV columns.
 Runtime failures (blow-up, degenerate ensembles) exit 2.
 
+Each command is one row of the table ``_RUNNERS``: a declarative config
+spec and a run function.  A spec is a ``_Group`` of ``_Key`` values and
+nested groups; three groups are shared (the ensemble, with or without a
+sampling window, the output and the initial state).  ``_validate`` walks
+a spec and returns the resolved config, which metadata.json stores under
+``config``, together with the objects the spec's groups build on the way
+(the ``EnsembleSpec``, the ``IntegratorSpec``, the initial state), so a
+library ``ValueError`` from them is a config error under the group's key
+path.  Checks that
+span keys are small rules attached to the group that holds those keys.
+
 The TORUSNLW_OUTPUT_DIR environment variable overrides the configured
 output directory; --workers bounds sampling parallelism without changing
 any output byte.
@@ -21,7 +32,10 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +64,6 @@ from .montecarlo import (
 from .sampling import VARIANTS, EnsembleSpec, sample
 from .spectral import (
     PhaseState,
-    SpectralError,
     sobolev_norm,
     state_from_dict,
     state_to_dict,
@@ -58,91 +71,124 @@ from .spectral import (
 )
 
 OUTPUT_DIR_ENV = "TORUSNLW_OUTPUT_DIR"
-COMMANDS = ("sample", "evolve", "diagnose", "mc-lp", "mc-converge", "mc-chaos",
-            "mc-kin", "mc-tail", "kakutani")
 
 
 class ConfigError(Exception):
     """Config rejected before computation; the message names the key path."""
 
 
-# -- config access with key-path errors ---------------------------------------
+# -- config specs and their validator -----------------------------------------
+
+_REQUIRED = object()  # the config must give the key
+_OMIT = object()      # an absent key stays out of the resolved config
 
 
-class _Section:
-    """A validated view of one (possibly nested) config dict."""
+@dataclass(frozen=True)
+class _Key:
+    """One config value.  default is a value, a function of the values of
+    the group resolved so far, _REQUIRED or _OMIT; check is a (test,
+    message) pair; then maps the checked value to its resolved form."""
 
-    def __init__(self, data: dict, path: str = ""):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path or 'config'}: expected an object")
-        self.data = data
-        self.path = path
-        self.seen: set = set()
-
-    def _at(self, key: str) -> str:
-        return f"{self.path}.{key}" if self.path else key
-
-    def child(self, key: str, required: bool = True) -> "_Section | None":
-        self.seen.add(key)
-        if key not in self.data:
-            if required:
-                raise ConfigError(f"{self._at(key)}: missing required section")
-            return None
-        return _Section(self.data[key], self._at(key))
-
-    def get(self, key: str, kind: str, default=..., check=None, expect: str = ""):
-        self.seen.add(key)
-        if key not in self.data:
-            if default is ...:
-                raise ConfigError(f"{self._at(key)}: missing required key")
-            return default
-        value = self.data[key]
-        ok, value = _coerce(value, kind)
-        if not ok:
-            raise ConfigError(f"{self._at(key)}: expected {kind}")
-        if check is not None and not check(value):
-            raise ConfigError(f"{self._at(key)}: {expect or 'invalid value'}")
-        return value
-
-    def finish(self) -> None:
-        unknown = sorted(set(self.data) - self.seen)
-        if unknown:
-            raise ConfigError(f"{self.path or 'config'}: unknown keys {unknown}")
+    kind: str
+    default: object = _REQUIRED
+    check: tuple | None = None
+    then: Callable | None = None
 
 
-def _coerce(value, kind: str):
-    if kind == "int":
-        return isinstance(value, int) and not isinstance(value, bool), value
-    if kind == "number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False, value
-        return True, float(value)
-    if kind == "radius":  # positive number, "auto", or "inf"
-        if value == "auto":
-            return True, "auto"
-        if value == "inf":
-            return True, math.inf
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False, value
-        return True, float(value)
-    if kind == "str":
-        return isinstance(value, str), value
-    if kind == "bool":
-        return isinstance(value, bool), value
-    if kind == "int_list":
-        ok = (isinstance(value, list) and value
-              and all(isinstance(v, int) and not isinstance(v, bool) for v in value))
-        return ok, list(value) if ok else value
-    if kind == "number_list":
-        ok = (isinstance(value, list) and value
-              and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      for v in value))
-        return ok, [float(v) for v in value] if ok else value
-    if kind == "int_pair":
-        ok = (isinstance(value, list) and len(value) == 2
-              and all(isinstance(v, int) and not isinstance(v, bool) for v in value))
-        return ok, (value[0], value[1]) if ok else value
-    raise AssertionError(kind)
+@dataclass(frozen=True)
+class _Group:
+    """One config object: its keys and groups in validation order.  When
+    absent, default {} resolves every default.  Each rule maps (values,
+    built) to None or to the (relative key path, message) of a broken
+    condition.  finish(values, built) runs last and returns the group's
+    built object; without it that is the dict of its groups' objects."""
+
+    keys: dict
+    default: object = _REQUIRED
+    rules: tuple = ()
+    finish: Callable | None = None
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _radius(v):  # a number, "auto", or "inf"
+    return v if v == "auto" else math.inf if v == "inf" else float(v)
+
+
+_KINDS = {  # kind -> (accepts the JSON value, converts it)
+    "int": (_is_int, int),
+    "number": (_is_number, float),
+    "radius": (lambda v: v in ("auto", "inf") or _is_number(v), _radius),
+    "str": (lambda v: isinstance(v, str), str),
+    "bool": (lambda v: isinstance(v, bool), bool),
+    "int_list": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_int, v)), list),
+    "number_list": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_number, v)),
+                    lambda v: [float(x) for x in v]),
+    "int_pair": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)), list),
+}
+
+
+def _ge(lo):
+    return lambda v: v >= lo, f"must be >= {lo}"
+
+
+def _gt(lo):
+    return lambda v: v > lo, f"must be > {lo}"
+
+
+def _one_of(options, why: str = ""):
+    return lambda v: v in options, f"one of {options}{why}"
+
+
+def _join(path: str, key: str) -> str:
+    return ".".join(part for part in (path, key) if part) or "config"
+
+
+def _validate(spec: _Group, data, path: str = ""):
+    """Returns (resolved values, built object) of one config group."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{_join(path, '')}: expected an object")
+    values: dict = {}
+    built: dict = {}
+    for key, item in spec.keys.items():
+        at = _join(path, key)
+        group = isinstance(item, _Group)
+        if key not in data:
+            if item.default is _REQUIRED:
+                raise ConfigError(f"{at}: missing required {'section' if group else 'key'}")
+            if item.default is _OMIT:
+                continue
+        if group:
+            values[key], built[key] = _validate(item, data.get(key, item.default), at)
+        elif key not in data:
+            values[key] = item.default(values) if callable(item.default) else item.default
+        else:
+            accepts, convert = _KINDS[item.kind]
+            if not accepts(data[key]):
+                raise ConfigError(f"{at}: expected {item.kind}")
+            value = convert(data[key])
+            if item.check is not None and not item.check[0](value):
+                raise ConfigError(f"{at}: {item.check[1]}")
+            values[key] = value if item.then is None else item.then(value)
+    unknown = sorted(set(data) - set(spec.keys))
+    if unknown:
+        raise ConfigError(f"{_join(path, '')}: unknown keys {unknown}")
+    for rule in spec.rules:
+        broken = rule(values, built)
+        if broken is not None:
+            raise ConfigError(f"{_join(path, broken[0])}: {broken[1]}")
+    if spec.finish is None:
+        return values, built
+    try:
+        return values, spec.finish(values, built)
+    except ValueError as exc:
+        raise ConfigError(f"{_join(path, '')}: {exc}")
 
 
 def _load_config(path: str) -> dict:
@@ -159,96 +205,104 @@ def _load_config(path: str) -> dict:
     return data
 
 
-# -- shared config blocks ------------------------------------------------------
+# -- shared config groups ------------------------------------------------------
 
 
-def _output_block(root: _Section) -> dict:
-    out = root.child("output", required=False)
-    if out is None:
-        resolved = {"directory": "torusnlw-out", "emit_raw": False}
-    else:
-        resolved = {
-            "directory": out.get("directory", "str", default="torusnlw-out"),
-            "emit_raw": out.get("emit_raw", "bool", default=False),
-        }
-        out.finish()
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        resolved["directory"] = env
-    return resolved
+def _ensemble_spec(ens: dict, built) -> EnsembleSpec:
+    # without a window the studies draw one window per cutoff; the spec
+    # built here at window 0 only checks the variant's parameters
+    window = ens.get("sample_max_mode", 0)
+    return EnsembleSpec(variant=ens["variant"], s=ens["s"], sample_max_mode=window,
+                        truncation_N=ens.get("truncation_N", window),
+                        master_seed=ens["seed"], beta=ens["beta"])
 
 
-def _ensemble_block(sec: _Section, *, need_window: bool = True) -> dict:
-    variant = sec.get("variant", "str", default="mu_s",
-                      check=lambda v: v in VARIANTS, expect=f"one of {VARIANTS}")
-    resolved = {
-        "variant": variant,
-        "s": sec.get("s", "number", check=lambda v: v > 1, expect="must be > 1"),
-        "beta": sec.get("beta", "number", default=0.0),
-        "seed": sec.get("seed", "int", default=0,
-                        check=lambda v: v >= 0, expect="must be >= 0"),
-    }
-    if need_window:
-        resolved["sample_max_mode"] = sec.get(
-            "sample_max_mode", "int", check=lambda v: v >= 0, expect="must be >= 0")
-        resolved["truncation_N"] = sec.get(
-            "truncation_N", "int", default=resolved["sample_max_mode"],
-            check=lambda v: v >= 0, expect="must be >= 0")
-    return resolved
+def _ensemble(windowed: bool) -> _Group:
+    keys = {"variant": _Key("str", "mu_s", _one_of(VARIANTS)),
+            "s": _Key("number", check=_gt(1)),
+            "beta": _Key("number", 0.0),
+            "seed": _Key("int", 0, _ge(0))}
+    if windowed:
+        keys["sample_max_mode"] = _Key("int", check=_ge(0))
+        keys["truncation_N"] = _Key("int", lambda ens: ens["sample_max_mode"], _ge(0))
+    return _Group(keys, finish=_ensemble_spec)
 
 
-def _build_ensemble(resolved: dict, radius: float = math.inf) -> EnsembleSpec:
+_ENSEMBLE = _ensemble(windowed=False)
+_WINDOWED_ENSEMBLE = _ensemble(windowed=True)
+
+
+def _output_directory(out: dict, built) -> None:
+    # the environment's directory replaces the configured one in the
+    # resolved config too, so metadata.json records where the run wrote
+    out["directory"] = os.environ.get(OUTPUT_DIR_ENV) or out["directory"]
+
+
+_OUTPUT = _Group({"directory": _Key("str", "torusnlw-out"),
+                  "emit_raw": _Key("bool", False)},
+                 default={}, finish=_output_directory)
+
+
+def _one_source(state: dict, built):
+    if sum(k in state for k in ("file", "sample", "zero")) != 1:
+        return "", "exactly one of file/sample/zero required"
+    return None
+
+
+def _initial_state(state: dict, built) -> PhaseState:
+    """Read or draw the state at validation, so a bad file is a config
+    error and not a runtime one."""
+    if "zero" in state:
+        f = zero_field(state["zero"]["max_mode"])
+        return PhaseState(f, f)
+    if "sample" in state:
+        return built["sample"]
+    path = state["file"]
     try:
-        return EnsembleSpec(
-            variant=resolved["variant"],
-            s=resolved["s"],
-            sample_max_mode=resolved["sample_max_mode"],
-            truncation_N=resolved["truncation_N"],
-            master_seed=resolved["seed"],
-            beta=resolved["beta"],
-            energy_cutoff_r=radius,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"ensemble: {exc}")
+        return state_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except OSError as exc:
+        raise ConfigError(f"state.file: {exc.strerror or exc}: {path}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"state.file: not a valid state file ({exc})")
 
 
-def _state_block(root: _Section) -> tuple:
-    """Returns (resolved dict, PhaseState). Loads files during validation
-    so a bad path is a config error, not a runtime one."""
-    sec = root.child("state")
-    sources = [k for k in ("file", "sample", "zero") if k in sec.data]
-    if len(sources) != 1:
-        raise ConfigError(f"{sec.path}: exactly one of file/sample/zero required")
-    kind = sources[0]
-    if kind == "file":
-        path = sec.get("file", "str")
-        sec.finish()
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            state = state_from_dict(payload)
-        except OSError as exc:
-            raise ConfigError(f"{sec.path}.file: {exc.strerror or exc}: {path}")
-        except (json.JSONDecodeError, SpectralError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{sec.path}.file: not a valid state file ({exc})")
-        return {"file": path}, state
-    if kind == "zero":
-        zero = sec.child("zero")
-        max_mode = zero.get("max_mode", "int", check=lambda v: v >= 0,
-                            expect="must be >= 0")
-        zero.finish()
-        sec.finish()
-        f = zero_field(max_mode)
-        return {"zero": {"max_mode": max_mode}}, PhaseState(f, f)
-    inner = sec.child("sample")
-    ens_sec = inner.child("ensemble")
-    ens = _ensemble_block(ens_sec)
-    ens_sec.finish()
-    index = inner.get("index", "int", default=0, check=lambda v: v >= 0,
-                      expect="must be >= 0")
-    inner.finish()
-    sec.finish()
-    state = sample(_build_ensemble(ens), index)
-    return {"sample": {"ensemble": ens, "index": index}}, state
+_INDEX = _Key("int", 0, _ge(0))
+_STATE = _Group({
+    "file": _Key("str", _OMIT),
+    "sample": _Group({"ensemble": _WINDOWED_ENSEMBLE, "index": _INDEX}, _OMIT,
+                     finish=lambda draw, built: sample(built["ensemble"], draw["index"])),
+    "zero": _Group({"max_mode": _Key("int", check=_ge(0))}, _OMIT),
+}, rules=(_one_source,), finish=_initial_state)
+
+_SAMPLES = _Key("int", check=_ge(100))
+_P_RANGE = (lambda p: 1 <= p <= MAX_P, f"must lie in [1, {MAX_P}]")
+
+
+def _nlkg_beta(model: dict, built):
+    if model["equation"] == "nlkg_beta" and not model["beta"] > 1:
+        return "beta", "nlkg_beta needs beta > 1"
+    return None
+
+
+def _below(reference: str):
+    """Rule: every lower cutoff in M_list is below the reference cutoff."""
+    def rule(exp: dict, built):
+        if max(exp["M_list"]) >= exp[reference]:
+            return "M_list", f"every M must be < {reference}"
+        return None
+    return rule
+
+
+def _seed(cfg: dict):
+    """The ensemble seed of a run that draws, else None."""
+    ens = cfg.get("ensemble") or cfg.get("state", {}).get("sample", {}).get("ensemble")
+    return ens["seed"] if ens else None
+
+
+def _study_kwargs(cfg: dict, workers: int) -> dict:
+    ens = cfg["ensemble"]
+    return {"variant": ens["variant"], "beta": ens["beta"], "master_seed": ens["seed"],
+            "workers": workers}
 
 
 # -- CSV plumbing --------------------------------------------------------------
@@ -298,76 +352,54 @@ def _estimate_row(est):
             est.effective_samples]
 
 
-# -- command implementations ---------------------------------------------------
-# Each validates its config and returns (resolved, seed, output, execute);
-# execute() maps file names to (columns, rows) for CSV or a JSON-able object,
-# plus "_meta" (into metadata.json) and, on mc-* commands, "_raw" (the drawn
-# series, written by main as raw_values.csv when output.emit_raw is set).
+# -- commands ------------------------------------------------------------------
+# Each command is a spec and a run(cfg, built, workers) that maps file names
+# to (columns, rows) for CSV or a JSON-able object, plus "_meta" (into
+# metadata.json) and, on mc-* commands, "_raw" (the drawn series, written by
+# main as raw_values.csv when output.emit_raw is set).  Library functions are
+# looked up in this module's globals when a run starts.
+
+_SAMPLE = _Group({"ensemble": _WINDOWED_ENSEMBLE, "index": _INDEX, "output": _OUTPUT})
 
 
-def _cmd_sample(root: _Section, workers: int):
-    ens_sec = root.child("ensemble")
-    ens = _ensemble_block(ens_sec)
-    ens_sec.finish()
-    index = root.get("index", "int", default=0, check=lambda v: v >= 0,
-                     expect="must be >= 0")
-    output = _output_block(root)
-    root.finish()
-    resolved = {"ensemble": ens, "index": index, "output": output}
-
-    def execute():
-        state = sample(_build_ensemble(ens), index)
-        payload = state_to_dict(state)
-        payload["ensemble"] = ens
-        payload["index"] = index
-        return {"state.json": payload}
-
-    return resolved, ens["seed"], output, execute
+def _run_sample(cfg, built, workers):
+    payload = state_to_dict(sample(built["ensemble"], cfg["index"]))
+    payload["ensemble"] = cfg["ensemble"]
+    payload["index"] = cfg["index"]
+    return {"state.json": payload}
 
 
-def _cmd_evolve(root: _Section, workers: int):
-    model_sec = root.child("model")
-    equation = model_sec.get("equation", "str", default="nlkg",
-                             check=lambda v: v in EQUATIONS, expect=f"one of {EQUATIONS}")
-    cutoff = model_sec.get("N", "int", check=lambda v: v >= 0, expect="must be >= 0")
-    beta = model_sec.get("beta", "number", default=0.0)
-    model_sec.finish()
-    state_resolved, state = _state_block(root)
-    integ_sec = root.child("integrator")
-    scheme = integ_sec.get("scheme", "str", default="strang_splitting",
-                           check=lambda v: v in SCHEMES, expect=f"one of {SCHEMES}")
-    dt = integ_sec.get("dt", "number", default=1e-3, check=lambda v: v > 0,
-                       expect="must be > 0")
-    t_final = integ_sec.get("t_final", "number",
-                            check=lambda v: math.isfinite(v), expect="must be finite")
-    integ_sec.finish()
-    traj_sec = root.child("trajectory", required=False)
-    if traj_sec is None:
-        stride, sigma, s = 1, 1.0, 2.0
-    else:
-        stride = traj_sec.get("stride", "int", default=1, check=lambda v: v >= 1,
-                              expect="must be >= 1")
-        sigma = traj_sec.get("sigma", "number", default=1.0)
-        s = traj_sec.get("s", "number", default=2.0, check=lambda v: v > 1,
-                         expect="must be > 1")
-        traj_sec.finish()
-    output = _output_block(root)
-    root.finish()
-    try:
-        model = ModelSpec(equation=equation, truncation_N=cutoff, beta=beta)
-        integ = IntegratorSpec(scheme=scheme, dt=dt)
-    except ValueError as exc:
-        raise ConfigError(f"model/integrator: {exc}")
-    if state.max_mode < cutoff:
-        raise ConfigError(
-            f"state: window {state.max_mode} is smaller than model.N = {cutoff}")
-    resolved = {
-        "model": {"equation": equation, "N": cutoff, "beta": beta},
-        "state": state_resolved,
-        "integrator": {"scheme": scheme, "dt": dt, "t_final": t_final},
-        "trajectory": {"stride": stride, "sigma": sigma, "s": s},
-        "output": output,
-    }
+_EQUATION = _Key("str", "nlkg", _one_of(EQUATIONS))
+_CUTOFF = _Key("int", check=_ge(0))
+
+
+def _window_covers_cutoff(cfg, built):
+    window, cutoff = built["state"].max_mode, cfg["model"]["N"]
+    if window < cutoff:
+        return "state", f"window {window} is smaller than model.N = {cutoff}"
+    return None
+
+
+_EVOLVE = _Group({
+    "model": _Group({"equation": _EQUATION, "N": _CUTOFF, "beta": _Key("number", 0.0)},
+                    rules=(_nlkg_beta,)),
+    "state": _STATE,
+    "integrator": _Group({
+        "scheme": _Key("str", "strang_splitting", _one_of(SCHEMES)),
+        "dt": _Key("number", 1e-3, _gt(0)),
+        "t_final": _Key("number", check=(math.isfinite, "must be finite")),
+    }, finish=lambda integ, built: IntegratorSpec(scheme=integ["scheme"], dt=integ["dt"])),
+    "trajectory": _Group({"stride": _Key("int", 1, _ge(1)),
+                          "sigma": _Key("number", 1.0),
+                          "s": _Key("number", 2.0, _gt(1))}, default={}),
+    "output": _OUTPUT,
+}, rules=(_window_covers_cutoff,))
+
+
+def _run_evolve(cfg, built, workers):
+    model, s, sigma = cfg["model"], cfg["trajectory"]["s"], cfg["trajectory"]["sigma"]
+    equation, cutoff, beta = model["equation"], model["N"], model["beta"]
+    flow = ModelSpec(equation=equation, truncation_N=cutoff, beta=beta)
     columns = [
         ("t", "time"),
         ("energy", "conserved energy of the untruncated equation"),
@@ -375,190 +407,137 @@ def _cmd_evolve(root: _Section, workers: int):
         ("renormalized_energy", "modified energy at smoothing order s"),
         ("sobolev_norm", "H^sigma x H^(sigma-1) norm of the state"),
     ]
-
-    def execute():
-        rows = []
-        # a diverging flow ends in IntegrationError; the diagnostics of the
-        # last finite-but-huge states may overflow to inf on the way there
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t, st in trajectory(state, t_final, model, integ, stride=stride):
-                rows.append([
-                    t,
-                    hamiltonian(st, equation, beta),
-                    truncated_energy(st, cutoff, equation, beta),
-                    renormalized_energy(st, s, cutoff, equation, beta),
-                    sobolev_norm(st, sigma),
-                ])
-        return {"trajectory.csv": (columns, rows)}
-
-    return resolved, _state_seed(state_resolved), output, execute
+    rows = []
+    # a diverging flow ends in IntegrationError; the diagnostics of the
+    # last finite-but-huge states may overflow to inf on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, st in trajectory(built["state"], cfg["integrator"]["t_final"], flow,
+                                built["integrator"], stride=cfg["trajectory"]["stride"]):
+            rows.append([
+                t,
+                hamiltonian(st, equation, beta),
+                truncated_energy(st, cutoff, equation, beta),
+                renormalized_energy(st, s, cutoff, equation, beta),
+                sobolev_norm(st, sigma),
+            ])
+    return {"trajectory.csv": (columns, rows)}
 
 
-def _state_seed(state_resolved: dict):
-    inner = state_resolved.get("sample")
-    return inner["ensemble"]["seed"] if inner else None
+_DIAGNOSE = _Group({
+    "model": _Group({"equation": _EQUATION, "s": _Key("number", check=_gt(1)),
+                     "N": _CUTOFF, "beta": _Key("number", 0.0)},
+                    rules=(_nlkg_beta,)),
+    "state": _STATE,
+    "output": _OUTPUT,
+})
 
 
-def _cmd_diagnose(root: _Section, workers: int):
-    model_sec = root.child("model")
-    equation = model_sec.get("equation", "str", default="nlkg",
-                             check=lambda v: v in EQUATIONS, expect=f"one of {EQUATIONS}")
-    s = model_sec.get("s", "number", check=lambda v: v > 1, expect="must be > 1")
-    cutoff = model_sec.get("N", "int", check=lambda v: v >= 0, expect="must be >= 0")
-    beta = model_sec.get("beta", "number", default=0.0)
-    model_sec.finish()
-    state_resolved, state = _state_block(root)
-    output = _output_block(root)
-    root.finish()
-    if equation == "nlkg_beta" and not beta > 1:
-        raise ConfigError("model.beta: nlkg_beta needs beta > 1")
-    resolved = {
-        "model": {"equation": equation, "s": s, "N": cutoff, "beta": beta},
-        "state": state_resolved,
-        "output": output,
-    }
-
-    def execute():
-        report = energy_report(state, s, cutoff, equation, beta)
-        return {"report.json": report.to_dict()}
-
-    return resolved, _state_seed(state_resolved), output, execute
+def _run_diagnose(cfg, built, workers):
+    m = cfg["model"]
+    report = energy_report(built["state"], m["s"], m["N"], m["equation"], m["beta"])
+    return {"report.json": report.to_dict()}
 
 
 # mc-lp and mc-chaos name one registry functional and supply no parameters
 _PARAMETERLESS = sorted(name for name, f in FUNCTIONALS.items() if not f.requires)
 _CHAOS_FUNCTIONALS = [name for name in _PARAMETERLESS
                       if FUNCTIONALS[name].degree is not None]
+_R = (lambda r: r == "auto" or r > 0, 'must be > 0, "auto" or "inf"')
+
+_MC_LP = _Group({
+    "ensemble": _ENSEMBLE,
+    "experiment": _Group({
+        "N_list": _Key("int_list", check=(lambda v: min(v) >= 1, "cutoffs must be >= 1")),
+        "p_list": _Key("number_list", check=(
+            lambda v: len(set(v)) >= 2 and all(1 <= p <= MAX_P for p in v),
+            f"needs >= 2 distinct entries, each in [1, {MAX_P}] "
+            "(the growth fit in p needs two points)")),
+        "samples": _SAMPLES,
+        "functional": _Key("str", "energy_rate_total", _one_of(
+            _PARAMETERLESS, " (mc-lp supplies no functional parameters)")),
+        "r": _Key("radius", "auto", _R),
+    }),
+    "output": _OUTPUT,
+})
 
 
-def _mc_common(root: _Section, *, need_window: bool):
-    ens_sec = root.child("ensemble")
-    ens = _ensemble_block(ens_sec, need_window=need_window)
-    ens_sec.finish()
-    return ens
-
-
-def _cmd_mc_lp(root: _Section, workers: int):
-    ens = _mc_common(root, need_window=False)
-    exp = root.child("experiment")
-    cutoffs = exp.get("N_list", "int_list", check=lambda v: all(n >= 1 for n in v),
-                      expect="cutoffs must be >= 1")
-    p_list = exp.get("p_list", "number_list",
-                     check=lambda v: len(v) >= 2
-                     and all(1 <= p <= MAX_P for p in v),
-                     expect=f"needs >= 2 entries, each in [1, {MAX_P}] "
-                            "(the growth fit in p needs two points)")
-    samples = exp.get("samples", "int", check=lambda v: v >= 100,
-                      expect="must be >= 100")
-    functional = exp.get("functional", "str", default="energy_rate_total",
-                         check=lambda v: v in _PARAMETERLESS,
-                         expect=f"one of {_PARAMETERLESS} "
-                                "(mc-lp supplies no functional parameters)")
-    radius = exp.get("r", "radius", default="auto")
-    exp.finish()
-    output = _output_block(root)
-    root.finish()
-    resolved = {
-        "ensemble": ens,
-        "experiment": {"N_list": cutoffs, "p_list": p_list, "samples": samples,
-                       "functional": functional,
-                       "r": "auto" if radius == "auto" else radius},
-        "output": output,
-    }
+def _run_mc_lp(cfg, built, workers):
+    exp = cfg["experiment"]
+    result = lp_growth_experiment(
+        cfg["ensemble"]["s"], exp["N_list"], exp["p_list"], exp["r"], exp["samples"],
+        functional=exp["functional"], **_study_kwargs(cfg, workers))
     est_columns = [("cutoff", "frequency cutoff of the ensemble")] + _ESTIMATE_COLUMNS
     fit_columns = ([("kind", "p_slope: growth fit in p at one cutoff; "
                              "spread: max/min value ratio over cutoffs at one p"),
                     ("cutoff", "cutoff for p_slope rows, empty for spread rows"),
                     ("p", "p for spread rows, empty for p_slope rows")]
                    + _FIT_COLUMNS + [("ratio", "spread rows: max/min ratio")])
-
-    def execute():
-        result = lp_growth_experiment(
-            ens["s"], cutoffs, p_list, radius, samples, functional=functional,
-            variant=ens["variant"], beta=ens["beta"], master_seed=ens["seed"],
-            workers=workers)
-        est_rows = [[row.cutoff] + _estimate_row(row.estimate) for row in result.rows]
-        fit_rows = [["p_slope", cutoff, "", fit.slope, fit.intercept, fit.residual, ""]
-                    for cutoff, fit in result.p_fits]
-        fit_rows += [["spread", "", p, "", "", "", ratio]
-                     for p, ratio in result.spread_by_p]
-        return {"estimates.csv": (est_columns, est_rows),
-                "fits.csv": (fit_columns, fit_rows),
-                "_meta": {"resolved_radii": [[c, r] for c, r in result.radii]},
-                "_raw": result.raw}
-
-    return resolved, ens["seed"], output, execute
+    est_rows = [[row.cutoff] + _estimate_row(row.estimate) for row in result.rows]
+    fit_rows = [["p_slope", cutoff, "", fit.slope, fit.intercept, fit.residual, ""]
+                for cutoff, fit in result.p_fits]
+    fit_rows += [["spread", "", p, "", "", "", ratio] for p, ratio in result.spread_by_p]
+    return {"estimates.csv": (est_columns, est_rows),
+            "fits.csv": (fit_columns, fit_rows),
+            "_meta": {"resolved_radii": [[c, r] for c, r in result.radii]},
+            "_raw": result.raw}
 
 
-def _cmd_mc_converge(root: _Section, workers: int):
-    ens = _mc_common(root, need_window=False)
-    exp = root.child("experiment")
-    lower = exp.get("M_list", "int_list",
-                    check=lambda v: len(v) >= 2 and all(m >= 1 for m in v),
-                    expect="needs >= 2 cutoffs, each >= 1 "
-                           "(the decay fit needs two points)")
-    n_ref = exp.get("N_ref", "int", default=2 * max(lower),
-                    check=lambda v: v >= 1, expect="must be >= 1")
-    p = exp.get("p", "number", default=2.0,
-                check=lambda v: 1 <= v <= MAX_P, expect=f"must lie in [1, {MAX_P}]")
-    samples = exp.get("samples", "int", check=lambda v: v >= 100,
-                      expect="must be >= 100")
-    components = exp.get("components", "bool", default=False)
-    exp.finish()
-    output = _output_block(root)
-    root.finish()
-    if max(lower) >= n_ref:
-        raise ConfigError("experiment.M_list: every M must be < N_ref")
-    resolved = {
-        "ensemble": ens,
-        "experiment": {"M_list": sorted(lower), "N_ref": n_ref, "p": p,
-                       "samples": samples, "components": components},
-        "output": output,
-    }
+_MC_CONVERGE = _Group({
+    "ensemble": _ENSEMBLE,
+    "experiment": _Group({
+        "M_list": _Key("int_list", check=(
+            lambda v: len(set(v)) >= 2 and min(v) >= 1,
+            "needs >= 2 distinct cutoffs, each >= 1 (the decay fit needs two points)"),
+            then=sorted),
+        "N_ref": _Key("int", lambda exp: 2 * max(exp["M_list"]), _ge(1)),
+        "p": _Key("number", 2.0, _P_RANGE),
+        "samples": _SAMPLES,
+        "components": _Key("bool", False),
+    }, rules=(_below("N_ref"),)),
+    "output": _OUTPUT,
+})
+
+
+def _run_mc_converge(cfg, built, workers):
+    exp = cfg["experiment"]
+    result = convergence_rate_study(
+        cfg["ensemble"]["s"], exp["M_list"], exp["p"], exp["samples"],
+        reference_cutoff=exp["N_ref"], components=exp["components"],
+        **_study_kwargs(cfg, workers))
     est_columns = [("lower_cutoff", "cutoff M of the subtracted correction")] + _ESTIMATE_COLUMNS
     fit_columns = [("component", "total, or one chaos component of the gap")] + _FIT_COLUMNS
-
-    def execute():
-        result = convergence_rate_study(
-            ens["s"], lower, p, samples, reference_cutoff=n_ref,
-            variant=ens["variant"], beta=ens["beta"], master_seed=ens["seed"],
-            workers=workers, components=components)
-        est_rows = [[row.cutoff] + _estimate_row(row.estimate) for row in result.rows]
-        fit_rows = [["total", result.fit.slope, result.fit.intercept,
-                     result.fit.residual]]
-        fit_rows += [[name, fit.slope, fit.intercept, fit.residual]
-                     for name, fit in result.component_fits]
-        return {"estimates.csv": (est_columns, est_rows),
-                "fits.csv": (fit_columns, fit_rows),
-                "_meta": {"reference_cutoff": result.reference_cutoff},
-                "_raw": result.raw}
-
-    return resolved, ens["seed"], output, execute
+    est_rows = [[row.cutoff] + _estimate_row(row.estimate) for row in result.rows]
+    fit_rows = [["total", result.fit.slope, result.fit.intercept, result.fit.residual]]
+    fit_rows += [[name, fit.slope, fit.intercept, fit.residual]
+                 for name, fit in result.component_fits]
+    return {"estimates.csv": (est_columns, est_rows),
+            "fits.csv": (fit_columns, fit_rows),
+            "_meta": {"reference_cutoff": result.reference_cutoff},
+            "_raw": result.raw}
 
 
-def _cmd_mc_chaos(root: _Section, workers: int):
-    ens = _mc_common(root, need_window=True)
-    exp = root.child("experiment")
-    functional = exp.get("functional", "str", default="wick_mass",
-                         check=lambda v: v in _CHAOS_FUNCTIONALS,
-                         expect=f"one of {_CHAOS_FUNCTIONALS} (a declared chaos "
-                                "degree and no required parameters)")
-    p_list = exp.get("p_list", "number_list",
-                     check=lambda v: all(1 <= p <= MAX_P for p in v),
-                     expect=f"each p must lie in [1, {MAX_P}]")
-    samples = exp.get("samples", "int", check=lambda v: v >= 100,
-                      expect="must be >= 100")
-    radius = exp.get("r", "radius", default=math.inf)
-    exp.finish()
-    output = _output_block(root)
-    root.finish()
-    resolved = {
-        "ensemble": ens,
-        "experiment": {"functional": functional, "p_list": p_list,
-                       "samples": samples,
-                       "r": "auto" if radius == "auto" else radius},
-        "output": output,
-    }
+_MC_CHAOS = _Group({
+    "ensemble": _WINDOWED_ENSEMBLE,
+    "experiment": _Group({
+        "functional": _Key("str", "wick_mass", _one_of(
+            _CHAOS_FUNCTIONALS, " (a declared chaos degree and no required parameters)")),
+        "p_list": _Key("number_list", check=(
+            lambda v: all(1 <= p <= MAX_P for p in v), f"each p must lie in [1, {MAX_P}]")),
+        "samples": _SAMPLES,
+        "r": _Key("radius", math.inf, _R),
+    }),
+    "output": _OUTPUT,
+})
+
+
+def _run_mc_chaos(cfg, built, workers):
+    exp = cfg["experiment"]
+    spec = built["ensemble"]
+    radius = resolve_radius(exp["r"], spec)
+    if not math.isinf(radius):
+        spec = replace(spec, energy_cutoff_r=radius)
+    result = chaos_growth_check(exp["functional"], spec, exp["p_list"], exp["samples"],
+                                workers=workers)
     columns = [
         ("p", "moment order"),
         ("norm", "empirical L^p norm"),
@@ -567,95 +546,80 @@ def _cmd_mc_chaos(root: _Section, workers: int):
         ("rel_ci_width", "combined relative bootstrap CI width"),
         ("within_bound", "1 when ratio <= bound within 3 CI widths"),
     ]
-
-    def execute():
-        spec = _build_ensemble(ens)
-        spec_r = resolve_radius(radius, spec)
-        if not math.isinf(spec_r):
-            spec = _build_ensemble(ens, radius=spec_r)
-        result = chaos_growth_check(functional, spec, p_list, samples,
-                                    workers=workers)
-        rows = [[r.p, r.norm, r.ratio, r.bound, r.rel_ci_width, r.within_bound]
-                for r in result.rows]
-        return {"estimates.csv": (columns, rows),
-                "_meta": {"degree": result.degree, "base_norm": result.base_norm,
-                          "resolved_radius": spec_r},
-                "_raw": result.raw}
-
-    return resolved, ens["seed"], output, execute
+    rows = [[r.p, r.norm, r.ratio, r.bound, r.rel_ci_width, r.within_bound]
+            for r in result.rows]
+    return {"estimates.csv": (columns, rows),
+            "_meta": {"degree": result.degree, "base_norm": result.base_norm,
+                      "resolved_radius": radius},
+            "_raw": result.raw}
 
 
-def _cmd_mc_kin(root: _Section, workers: int):
-    ens = _mc_common(root, need_window=False)
-    exp = root.child("experiment")
-    order = exp.get("order", "int_pair", default=(0, 0),
-                    check=lambda v: v[0] >= 0 and v[1] >= 0,
-                    expect="orders must be nonnegative")
-    field = exp.get("field", "str", default="u",
-                    check=lambda v: v in ("u", "v"), expect="must be 'u' or 'v'")
-    cutoff = exp.get("N", "int", check=lambda v: v >= 1, expect="must be >= 1")
-    blocks = exp.get("M_list", "int_list",
-                     check=lambda v: len(v) >= 2 and all(1 <= m <= cutoff for m in v),
-                     expect="needs >= 2 blocks, each in [1, N] (the moment-growth "
-                            "fit needs two points; a block M > N is empty in |n| <= N)")
-    p = exp.get("p", "number", default=4.0,
-                check=lambda v: 1 <= v <= MAX_P, expect=f"must lie in [1, {MAX_P}]")
-    samples = exp.get("samples", "int", check=lambda v: v >= 100,
-                      expect="must be >= 100")
-    exp.finish()
-    output = _output_block(root)
-    root.finish()
-    limit = ens["s"] if field == "u" else ens["s"] - 1
-    if order[0] + order[1] > limit:
-        raise ConfigError(
-            f"experiment.order: total order {order[0] + order[1]} exceeds "
-            f"the admissible {limit} for field '{field}'")
-    resolved = {
-        "ensemble": ens,
-        "experiment": {"order": list(order), "field": field,
-                       "M_list": sorted(blocks), "N": cutoff, "p": p,
-                       "samples": samples},
-        "output": output,
-    }
+_KIN_BLOCKS = ("needs >= 2 distinct blocks, each in [1, N] (the moment-growth fit "
+               "needs two points; a block M > N is empty in |n| <= N)")
+
+
+def _blocks_within_cutoff(exp: dict, built):
+    return ("M_list", _KIN_BLOCKS) if max(exp["M_list"]) > exp["N"] else None
+
+
+def _admissible_order(cfg: dict, built):
+    exp, s = cfg["experiment"], cfg["ensemble"]["s"]
+    limit = s if exp["field"] == "u" else s - 1
+    total = exp["order"][0] + exp["order"][1]
+    if total > limit:
+        return ("experiment.order", f"total order {total} exceeds the admissible "
+                                    f"{limit} for field '{exp['field']}'")
+    return None
+
+
+_MC_KIN = _Group({
+    "ensemble": _ENSEMBLE,
+    "experiment": _Group({
+        "order": _Key("int_pair", [0, 0], (lambda v: min(v) >= 0,
+                                           "orders must be nonnegative")),
+        "field": _Key("str", "u", (lambda v: v in ("u", "v"), "must be 'u' or 'v'")),
+        "N": _Key("int", check=_ge(1)),
+        "M_list": _Key("int_list", check=(lambda v: len(set(v)) >= 2 and min(v) >= 1,
+                                          _KIN_BLOCKS), then=sorted),
+        "p": _Key("number", 4.0, _P_RANGE),
+        "samples": _SAMPLES,
+    }, rules=(_blocks_within_cutoff,)),
+    "output": _OUTPUT,
+}, rules=(_admissible_order,))
+
+
+def _run_mc_kin(cfg, built, workers):
+    exp = cfg["experiment"]
+    result = sup_norm_moment_study(
+        cfg["ensemble"]["s"], exp["order"], exp["M_list"], exp["N"], exp["p"],
+        exp["samples"], field=exp["field"], **_study_kwargs(cfg, workers))
     est_columns = [("block", "dyadic block frequency M")] + _ESTIMATE_COLUMNS
-    fit_columns = _FIT_COLUMNS
-
-    def execute():
-        result = sup_norm_moment_study(
-            ens["s"], order, blocks, cutoff, p, samples, field=field,
-            variant=ens["variant"], beta=ens["beta"], master_seed=ens["seed"],
-            workers=workers)
-        est_rows = [[row.cutoff] + _estimate_row(row.estimate) for row in result.rows]
-        fit_rows = [[result.fit.slope, result.fit.intercept, result.fit.residual]]
-        return {"estimates.csv": (est_columns, est_rows),
-                "fits.csv": (fit_columns, fit_rows),
-                "_raw": result.raw}
-
-    return resolved, ens["seed"], output, execute
+    est_rows = [[row.cutoff] + _estimate_row(row.estimate) for row in result.rows]
+    fit_rows = [[result.fit.slope, result.fit.intercept, result.fit.residual]]
+    return {"estimates.csv": (est_columns, est_rows),
+            "fits.csv": (_FIT_COLUMNS, fit_rows),
+            "_raw": result.raw}
 
 
-def _cmd_mc_tail(root: _Section, workers: int):
-    ens = _mc_common(root, need_window=False)
-    exp = root.child("experiment")
-    n_ref = exp.get("N", "int", check=lambda v: v >= 2, expect="must be >= 2")
-    lower = exp.get("M_list", "int_list", check=lambda v: all(m >= 1 for m in v),
-                    expect="cutoffs must be >= 1")
-    thresholds = exp.get("alpha_list", "number_list",
-                         check=lambda v: all(a >= 0 for a in v),
-                         expect="thresholds must be >= 0")
-    samples = exp.get("samples", "int", check=lambda v: v >= 100,
-                      expect="must be >= 100")
-    exp.finish()
-    output = _output_block(root)
-    root.finish()
-    if max(lower) >= n_ref:
-        raise ConfigError("experiment.M_list: every M must be < N")
-    resolved = {
-        "ensemble": ens,
-        "experiment": {"N": n_ref, "M_list": sorted(lower),
-                       "alpha_list": thresholds, "samples": samples},
-        "output": output,
-    }
+_MC_TAIL = _Group({
+    "ensemble": _ENSEMBLE,
+    "experiment": _Group({
+        "N": _Key("int", check=_ge(2)),
+        "M_list": _Key("int_list", check=(lambda v: min(v) >= 1, "cutoffs must be >= 1"),
+                       then=sorted),
+        "alpha_list": _Key("number_list", check=(lambda v: all(a >= 0 for a in v),
+                                                 "thresholds must be >= 0")),
+        "samples": _SAMPLES,
+    }, rules=(_below("N"),)),
+    "output": _OUTPUT,
+})
+
+
+def _run_mc_tail(cfg, built, workers):
+    exp = cfg["experiment"]
+    result = tail_estimate_study(
+        cfg["ensemble"]["s"], exp["N"], exp["M_list"], exp["alpha_list"], exp["samples"],
+        **_study_kwargs(cfg, workers))
     columns = [
         ("lower_cutoff", "cutoff M of the subtracted correction"),
         ("threshold", "exceedance threshold"),
@@ -665,32 +629,25 @@ def _cmd_mc_tail(root: _Section, workers: int):
     ]
     check_columns = [("check", "monotonicity check name"),
                      ("passed", "1 when the monotonicity holds")]
-
-    def execute():
-        result = tail_estimate_study(
-            ens["s"], n_ref, lower, thresholds, samples, variant=ens["variant"],
-            beta=ens["beta"], master_seed=ens["seed"], workers=workers)
-        rows = [[r.lower_cutoff, r.threshold, r.exceedances, r.probability,
-                 r.is_upper_bound] for r in result.rows]
-        check_rows = [["decay_in_threshold", result.threshold_monotone],
-                      ["decay_in_cutoff", result.cutoff_monotone]]
-        return {"estimates.csv": (columns, rows),
-                "checks.csv": (check_columns, check_rows),
-                "_raw": result.raw}
-
-    return resolved, ens["seed"], output, execute
+    rows = [[r.lower_cutoff, r.threshold, r.exceedances, r.probability, r.is_upper_bound]
+            for r in result.rows]
+    check_rows = [["decay_in_threshold", result.threshold_monotone],
+                  ["decay_in_cutoff", result.cutoff_monotone]]
+    return {"estimates.csv": (columns, rows),
+            "checks.csv": (check_columns, check_rows),
+            "_raw": result.raw}
 
 
-def _cmd_kakutani(root: _Section, workers: int):
-    s = root.get("s", "number", check=lambda v: v > 0, expect="must be > 0")
-    max_norm = root.get("max_norm", "int", check=lambda v: v >= 0,
-                        expect="must be >= 0")
-    marginal = root.get("marginal", "str", default="position",
-                        check=lambda v: v in MARGINALS, expect=f"one of {MARGINALS}")
-    output = _output_block(root)
-    root.finish()
-    resolved = {"s": s, "max_norm": max_norm, "marginal": marginal,
-                "output": output}
+_KAKUTANI = _Group({
+    "s": _Key("number", check=_gt(0)),
+    "max_norm": _Key("int", check=_ge(0)),
+    "marginal": _Key("str", "position", _one_of(MARGINALS)),
+    "output": _OUTPUT,
+})
+
+
+def _run_kakutani(cfg, built, workers):
+    summary = kakutani_terms(cfg["s"], cfg["max_norm"], cfg["marginal"])
     columns = [
         ("sq_modulus", "squared frequency modulus |n|^2 of the class"),
         ("multiplicity", "number of lattice points in the class"),
@@ -698,27 +655,29 @@ def _cmd_kakutani(root: _Section, workers: int):
         ("weighted", "multiplicity times statistic"),
         ("partial_sum", "running sum of the weighted statistics"),
     ]
-
-    def execute():
-        summary = kakutani_terms(s, max_norm, marginal)
-        rows = [list(row) for row in summary.rows()]
-        return {"kakutani.csv": (columns, rows),
-                "_meta": {"partial_sum": summary.partial_sum}}
-
-    return resolved, None, output, execute
+    return {"kakutani.csv": (columns, [list(row) for row in summary.rows()]),
+            "_meta": {"partial_sum": summary.partial_sum}}
 
 
-_RUNNERS = {
-    "sample": _cmd_sample,
-    "evolve": _cmd_evolve,
-    "diagnose": _cmd_diagnose,
-    "mc-lp": _cmd_mc_lp,
-    "mc-converge": _cmd_mc_converge,
-    "mc-chaos": _cmd_mc_chaos,
-    "mc-kin": _cmd_mc_kin,
-    "mc-tail": _cmd_mc_tail,
-    "kakutani": _cmd_kakutani,
+def _prepare(spec: _Group, run, config: dict, workers: int):
+    """Validate config against spec; returns the resolved config and the
+    run, not yet started."""
+    resolved, built = _validate(spec, config)
+    return resolved, partial(run, resolved, built, workers)
+
+
+_RUNNERS = {  # command -> (config, workers) -> (resolved config, run)
+    "sample": partial(_prepare, _SAMPLE, _run_sample),
+    "evolve": partial(_prepare, _EVOLVE, _run_evolve),
+    "diagnose": partial(_prepare, _DIAGNOSE, _run_diagnose),
+    "mc-lp": partial(_prepare, _MC_LP, _run_mc_lp),
+    "mc-converge": partial(_prepare, _MC_CONVERGE, _run_mc_converge),
+    "mc-chaos": partial(_prepare, _MC_CHAOS, _run_mc_chaos),
+    "mc-kin": partial(_prepare, _MC_KIN, _run_mc_kin),
+    "mc-tail": partial(_prepare, _MC_TAIL, _run_mc_tail),
+    "kakutani": partial(_prepare, _KAKUTANI, _run_kakutani),
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def _write_outputs(outdir: Path, command: str, resolved: dict, seed, workers: int,
@@ -788,26 +747,25 @@ def main(argv=None) -> int:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 1
     try:
-        cfg = _load_config(args.config)
-        resolved, seed, output, execute = _RUNNERS[args.command](
-            _Section(cfg), args.workers)
+        resolved, run = _RUNNERS[args.command](_load_config(args.config), args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     t0 = time.perf_counter()
     try:
-        files = execute()
+        files = run()
     except (IntegrationError, DegenerateEnsembleError, FloatingPointError,
             UnsupportedParameterError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - t0
+    output = resolved["output"]
     raw = files.pop("_raw", None)
     if raw is not None and output["emit_raw"]:
         files["raw_values.csv"] = (_RAW_COLUMNS, (
             [label, i, float(v), float(w)] for label, values, weights in raw
             for i, (v, w) in enumerate(zip(values, weights))))
-    _write_outputs(Path(output["directory"]), args.command, resolved, seed,
+    _write_outputs(Path(output["directory"]), args.command, resolved, _seed(resolved),
                    args.workers, wall, files)
     return 0
 

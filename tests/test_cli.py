@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import ctypes
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from torusnlw.cli import OUTPUT_DIR_ENV, main
+from torusnlw import cli
+from torusnlw.cli import COMMANDS, OUTPUT_DIR_ENV, main
 from torusnlw.energy import energy_report
 from torusnlw.montecarlo import FUNCTIONALS
 from torusnlw.sampling import EnsembleSpec, sample
@@ -473,3 +476,345 @@ def test_raw_values_written_only_when_requested(tmp_path, command, emit_raw):
     assert len(indices) == n_series
     samples = config["experiment"]["samples"]
     assert all(seen == list(range(samples)) for seen in indices.values())
+
+
+# -- validation: every rejection, the runner hook, resolved configs ---------
+
+DROP = object()  # edit() removes the key
+BETA = {"variant": "mu_s_beta", "beta": 0.5}
+VALID = {  # one accepted config per command; each rejection edits one key
+    "sample": {"ensemble": ENSEMBLE, "index": 2},
+    "evolve": {"model": {"equation": "nlkg", "N": 2},
+               "state": {"zero": {"max_mode": 2}},
+               "integrator": {"dt": 0.05, "t_final": 0.1}},
+    "diagnose": {"model": {"equation": "nlkg", "s": 2.0, "N": 2},
+                 "state": {"zero": {"max_mode": 2}}},
+    "mc-lp": MC_LP_CONFIG,
+    "mc-converge": {"ensemble": _MC_ENSEMBLE,
+                    "experiment": {"M_list": [2, 4], "N_ref": 8, "samples": 120}},
+    "mc-chaos": MC_CONFIGS["mc-chaos"][0],
+    "mc-kin": MC_CONFIGS["mc-kin"][0],
+    "mc-tail": MC_CONFIGS["mc-tail"][0],
+    "kakutani": {"s": 2.0, "max_norm": 1},
+}
+
+REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
+    ("sample", "ensemble", DROP, "ensemble: missing required section"),
+    ("sample", "ensemble", 3, "ensemble: expected an object"),
+    ("sample", "ensemble.variant", "mu_q",
+     "ensemble.variant: one of ('mu_s', 'mu_tilde_s', 'mu_s_beta')"),
+    ("sample", "ensemble.variant", 3, "ensemble.variant: expected str"),
+    ("sample", "ensemble.s", DROP, "ensemble.s: missing required key"),
+    ("sample", "ensemble.s", 1.0, "ensemble.s: must be > 1"),
+    ("sample", "ensemble.s", "2", "ensemble.s: expected number"),
+    ("sample", "ensemble.beta", "x", "ensemble.beta: expected number"),
+    ("sample", "ensemble.seed", -1, "ensemble.seed: must be >= 0"),
+    ("sample", "ensemble.seed", 1.5, "ensemble.seed: expected int"),
+    ("sample", "ensemble.seed", True, "ensemble.seed: expected int"),
+    ("sample", "ensemble.sample_max_mode", DROP,
+     "ensemble.sample_max_mode: missing required key"),
+    ("sample", "ensemble.sample_max_mode", -1, "ensemble.sample_max_mode: must be >= 0"),
+    ("sample", "ensemble.truncation_N", -1, "ensemble.truncation_N: must be >= 0"),
+    ("sample", "ensemble.truncation_N", 5,
+     "ensemble: sample_max_mode 3 < truncation_N 5: the window must cover the cutoff"),
+    ("sample", "ensemble", dict(ENSEMBLE, **BETA),
+     "ensemble: mu_s_beta needs beta > 1, got 0.5"),
+    ("sample", "ensemble.typo_key", 1, "ensemble: unknown keys ['typo_key']"),
+    ("sample", "index", -1, "index: must be >= 0"),
+    ("sample", "output", "x", "output: expected an object"),
+    ("sample", "output.directory", 3, "output.directory: expected str"),
+    ("sample", "output.emit_raw", "yes", "output.emit_raw: expected bool"),
+    ("sample", "output.dir", "x", "output: unknown keys ['dir']"),
+    ("sample", "extra", 1, "config: unknown keys ['extra']"),
+    ("evolve", "model", DROP, "model: missing required section"),
+    ("evolve", "model.equation", "kdv",
+     "model.equation: one of ('nlkg', 'nlw', 'nlkg_beta')"),
+    ("evolve", "model.N", DROP, "model.N: missing required key"),
+    ("evolve", "model.N", -1, "model.N: must be >= 0"),
+    ("evolve", "model.beta", "x", "model.beta: expected number"),
+    ("evolve", "model", {"equation": "nlkg_beta", "N": 2},
+     "model.beta: nlkg_beta needs beta > 1"),
+    ("evolve", "state", DROP, "state: missing required section"),
+    ("evolve", "state", {}, "state: exactly one of file/sample/zero required"),
+    ("evolve", "state", {"zero": {"max_mode": 2}, "file": "x.json"},
+     "state: exactly one of file/sample/zero required"),
+    ("evolve", "state", {"file": "{tmp}/absent.json"},
+     "state.file: No such file or directory: {tmp}/absent.json"),
+    ("evolve", "state", {"file": "{tmp}/bad-state.json"},
+     "state.file: not a valid state file ('int' object is not subscriptable)"),
+    ("evolve", "state", {"file": 3}, "state.file: expected str"),
+    ("evolve", "state.zero.max_mode", -1, "state.zero.max_mode: must be >= 0"),
+    ("evolve", "state.zero.extra", 1, "state.zero: unknown keys ['extra']"),
+    ("evolve", "state.extra", 1, "state: unknown keys ['extra']"),
+    ("evolve", "state", {"sample": {"ensemble": ENSEMBLE, "index": -1}},
+     "state.sample.index: must be >= 0"),
+    ("evolve", "state", {"sample": {"ensemble": dict(ENSEMBLE, s=1.0)}},
+     "state.sample.ensemble.s: must be > 1"),
+    ("evolve", "state", {"sample": {"ensemble": dict(ENSEMBLE, **BETA)}},
+     "state.sample.ensemble: mu_s_beta needs beta > 1, got 0.5"),
+    ("evolve", "state", {"sample": {"ensemble": dict(ENSEMBLE, truncation_N=5)}},
+     "state.sample.ensemble: sample_max_mode 3 < truncation_N 5: the window must "
+     "cover the cutoff"),
+    ("evolve", "state", {"sample": {}}, "state.sample.ensemble: missing required section"),
+    ("evolve", "integrator", DROP, "integrator: missing required section"),
+    ("evolve", "integrator.scheme", "euler",
+     "integrator.scheme: one of ('strang_splitting', 'rk4')"),
+    ("evolve", "integrator.dt", 0, "integrator.dt: must be > 0"),
+    ("evolve", "integrator.dt", float("inf"),
+     "integrator: dt must be a positive finite step, got inf"),
+    ("evolve", "integrator.t_final", DROP, "integrator.t_final: missing required key"),
+    ("evolve", "integrator.t_final", float("inf"), "integrator.t_final: must be finite"),
+    ("evolve", "trajectory.stride", 0, "trajectory.stride: must be >= 1"),
+    ("evolve", "trajectory.sigma", "x", "trajectory.sigma: expected number"),
+    ("evolve", "trajectory.s", 1, "trajectory.s: must be > 1"),
+    ("evolve", "model.N", 5, "state: window 2 is smaller than model.N = 5"),
+    ("diagnose", "model.s", DROP, "model.s: missing required key"),
+    ("diagnose", "model.s", 1, "model.s: must be > 1"),
+    ("diagnose", "model.N", -1, "model.N: must be >= 0"),
+    ("diagnose", "model.equation", "kdv",
+     "model.equation: one of ('nlkg', 'nlw', 'nlkg_beta')"),
+    ("diagnose", "model", {"equation": "nlkg_beta", "s": 2.0, "N": 2, "beta": 0.5},
+     "model.beta: nlkg_beta needs beta > 1"),
+    ("diagnose", "state", {}, "state: exactly one of file/sample/zero required"),
+    ("diagnose", "state", {"sample": {"ensemble": dict(ENSEMBLE, **BETA)}},
+     "state.sample.ensemble: mu_s_beta needs beta > 1, got 0.5"),
+    ("diagnose", "extra", 1, "config: unknown keys ['extra']"),
+    ("mc-lp", "experiment", DROP, "experiment: missing required section"),
+    ("mc-lp", "experiment.N_list", [0, 2], "experiment.N_list: cutoffs must be >= 1"),
+    ("mc-lp", "experiment.N_list", [], "experiment.N_list: expected int_list"),
+    ("mc-lp", "experiment.N_list", [2.5], "experiment.N_list: expected int_list"),
+    ("mc-lp", "experiment.p_list", [4.0],
+     "experiment.p_list: needs >= 2 distinct entries, each in [1, 16.0] (the "
+     "growth fit in p needs two points)"),
+    ("mc-lp", "experiment.p_list", [2.0, 2.0],
+     "experiment.p_list: needs >= 2 distinct entries, each in [1, 16.0] (the "
+     "growth fit in p needs two points)"),
+    ("mc-lp", "experiment.p_list", [0.5, 2.0],
+     "experiment.p_list: needs >= 2 distinct entries, each in [1, 16.0] (the "
+     "growth fit in p needs two points)"),
+    ("mc-lp", "experiment.p_list", [], "experiment.p_list: expected number_list"),
+    ("mc-lp", "experiment.samples", 99, "experiment.samples: must be >= 100"),
+    ("mc-lp", "experiment.samples", DROP, "experiment.samples: missing required key"),
+    ("mc-lp", "experiment.functional", "nope",
+     "experiment.functional: one of ['energy_rate_highlow', "
+     "'energy_rate_leibniz', 'energy_rate_mass', 'energy_rate_total', "
+     "'quartic_correction', 'scalar_gaussian', 'wick_mass'] (mc-lp supplies no "
+     "functional parameters)"),
+    ("mc-lp", "experiment.r", 0,
+     'experiment.r: must be > 0, "auto" or "inf"'),
+    ("mc-lp", "experiment.r", -1.5,
+     'experiment.r: must be > 0, "auto" or "inf"'),
+    ("mc-lp", "experiment.r", "big", "experiment.r: expected radius"),
+    ("mc-lp", "ensemble", dict(_MC_ENSEMBLE, **BETA),
+     "ensemble: mu_s_beta needs beta > 1, got 0.5"),
+    ("mc-lp", "ensemble.sample_max_mode", 4, "ensemble: unknown keys ['sample_max_mode']"),
+    ("mc-lp", "ensemble.s", 1, "ensemble.s: must be > 1"),
+    ("mc-converge", "experiment.M_list", [2],
+     "experiment.M_list: needs >= 2 distinct cutoffs, each >= 1 (the decay fit "
+     "needs two points)"),
+    ("mc-converge", "experiment.M_list", [2, 2],
+     "experiment.M_list: needs >= 2 distinct cutoffs, each >= 1 (the decay fit "
+     "needs two points)"),
+    ("mc-converge", "experiment.M_list", [0, 2],
+     "experiment.M_list: needs >= 2 distinct cutoffs, each >= 1 (the decay fit "
+     "needs two points)"),
+    ("mc-converge", "experiment.N_ref", 0, "experiment.N_ref: must be >= 1"),
+    ("mc-converge", "experiment.N_ref", 4, "experiment.M_list: every M must be < N_ref"),
+    ("mc-converge", "experiment.p", 0.5, "experiment.p: must lie in [1, 16.0]"),
+    ("mc-converge", "experiment.components", "yes", "experiment.components: expected bool"),
+    ("mc-converge", "experiment.samples", 50, "experiment.samples: must be >= 100"),
+    ("mc-converge", "ensemble", dict(_MC_ENSEMBLE, **BETA),
+     "ensemble: mu_s_beta needs beta > 1, got 0.5"),
+    ("mc-chaos", "experiment.functional", "block_sup_norm",
+     "experiment.functional: one of ['energy_rate_highlow', "
+     "'energy_rate_leibniz', 'energy_rate_mass', 'energy_rate_total', "
+     "'quartic_correction', 'scalar_gaussian', 'wick_mass'] (a declared chaos "
+     "degree and no required parameters)"),
+    ("mc-chaos", "experiment.p_list", [17.0],
+     "experiment.p_list: each p must lie in [1, 16.0]"),
+    ("mc-chaos", "experiment.samples", 10, "experiment.samples: must be >= 100"),
+    ("mc-chaos", "experiment.r", 0,
+     'experiment.r: must be > 0, "auto" or "inf"'),
+    ("mc-chaos", "experiment.r", -2,
+     'experiment.r: must be > 0, "auto" or "inf"'),
+    ("mc-chaos", "ensemble.sample_max_mode", DROP,
+     "ensemble.sample_max_mode: missing required key"),
+    ("mc-chaos", "ensemble.truncation_N", 5,
+     "ensemble: sample_max_mode 3 < truncation_N 5: the window must cover the cutoff"),
+    ("mc-chaos", "ensemble", dict(_MC_ENSEMBLE, sample_max_mode=3, **BETA),
+     "ensemble: mu_s_beta needs beta > 1, got 0.5"),
+    ("mc-kin", "experiment.order", [-1, 0], "experiment.order: orders must be nonnegative"),
+    ("mc-kin", "experiment.order", [1], "experiment.order: expected int_pair"),
+    ("mc-kin", "experiment.order", [3, 0],
+     "experiment.order: total order 3 exceeds the admissible 2.0 for field 'u'"),
+    ("mc-kin", "experiment",
+     {"order": [1, 1], "field": "v", "M_list": [1, 2], "N": 4, "samples": 120},
+     "experiment.order: total order 2 exceeds the admissible 1.0 for field 'v'"),
+    ("mc-kin", "experiment.field", "w", "experiment.field: must be 'u' or 'v'"),
+    ("mc-kin", "experiment.N", 0, "experiment.N: must be >= 1"),
+    ("mc-kin", "experiment.M_list", [16, 32],
+     "experiment.M_list: needs >= 2 distinct blocks, each in [1, N] (the "
+     "moment-growth fit needs two points; a block M > N is empty in |n| <= N)"),
+    ("mc-kin", "experiment.M_list", [1],
+     "experiment.M_list: needs >= 2 distinct blocks, each in [1, N] (the "
+     "moment-growth fit needs two points; a block M > N is empty in |n| <= N)"),
+    ("mc-kin", "experiment.M_list", [2, 2],
+     "experiment.M_list: needs >= 2 distinct blocks, each in [1, N] (the "
+     "moment-growth fit needs two points; a block M > N is empty in |n| <= N)"),
+    ("mc-kin", "experiment.p", 17, "experiment.p: must lie in [1, 16.0]"),
+    ("mc-kin", "experiment.samples", 99, "experiment.samples: must be >= 100"),
+    ("mc-kin", "ensemble", dict(_MC_ENSEMBLE, **BETA),
+     "ensemble: mu_s_beta needs beta > 1, got 0.5"),
+    ("mc-tail", "experiment.N", 1, "experiment.N: must be >= 2"),
+    ("mc-tail", "experiment.M_list", [0, 2], "experiment.M_list: cutoffs must be >= 1"),
+    ("mc-tail", "experiment.M_list", [2, 8], "experiment.M_list: every M must be < N"),
+    ("mc-tail", "experiment.alpha_list", [-1.0],
+     "experiment.alpha_list: thresholds must be >= 0"),
+    ("mc-tail", "experiment.samples", 99, "experiment.samples: must be >= 100"),
+    ("mc-tail", "ensemble", dict(_MC_ENSEMBLE, **BETA),
+     "ensemble: mu_s_beta needs beta > 1, got 0.5"),
+    ("kakutani", "s", 0, "s: must be > 0"),
+    ("kakutani", "s", DROP, "s: missing required key"),
+    ("kakutani", "max_norm", -1, "max_norm: must be >= 0"),
+    ("kakutani", "max_norm", 1.5, "max_norm: expected int"),
+    ("kakutani", "marginal", "both", "marginal: one of ('position', 'velocity')"),
+    ("kakutani", "extra", 1, "config: unknown keys ['extra']"),
+]
+
+
+def edit(command, path, value):
+    config = copy.deepcopy(VALID[command])
+    *parents, last = path.split(".")
+    node = config
+    for key in parents:
+        node = node.setdefault(key, {})
+    if value is DROP:
+        del node[last]
+    else:
+        node[last] = copy.deepcopy(value)
+    return config
+
+
+@pytest.mark.parametrize("command, path, value, message", REJECTIONS,
+                         ids=[f"{c}:{p}={'DROP' if v is DROP else v!r}"
+                              for c, p, v, _ in REJECTIONS])
+def test_rejected_at_validation_with_key_path(tmp_path, capsys, monkeypatch,
+                                               command, path, value, message):
+    # "{tmp}" stands for the test's directory in state file paths
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad-state.json").write_text('{"u": 1}')
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(edit(command, path, value)).replace("{tmp}", str(tmp_path)))
+    code = main([command, str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err == f"config error: {message.replace('{tmp}', str(tmp_path))}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad-state.json", "config.json"]
+
+
+def test_top_level_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[]")
+    assert main(["kakutani", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {cfg}: top level must be a JSON object\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_runner_returns_before_any_output(tmp_path, monkeypatch, command):
+    # the benchmark times set-up by wrapping the runner as bench/child.py does
+    calls = []
+    runner = cli._RUNNERS[command]
+    outdir = tmp_path / "run-out"
+
+    def validated(config, workers):
+        result = runner(config, workers)
+        calls.append((config, workers, outdir.exists()))
+        return result
+
+    monkeypatch.setitem(cli._RUNNERS, command, validated)
+    code, out = run(tmp_path, command, VALID[command], workers=2)
+    assert code == 0
+    assert calls == [(dict(VALID[command], output={"directory": str(out)}), 2, False)]
+    assert (out / "metadata.json").exists()
+
+
+OUT = "<output directory>"
+_WINDOW_3 = {"variant": "mu_s", "s": 2.0, "beta": 0.0, "seed": 0,
+             "sample_max_mode": 3, "truncation_N": 3}
+_DEFAULT_OUTPUT = {"directory": OUT, "emit_raw": False}
+RESOLVED = {  # command: (config, the metadata.json "config" it resolves to)
+    "sample": ({"ensemble": {"s": 2, "sample_max_mode": 3}},
+               {"ensemble": _WINDOW_3, "index": 0, "output": _DEFAULT_OUTPUT}),
+    "evolve": ({"model": {"N": 2},
+                "state": {"sample": {"ensemble": {"s": 2, "sample_max_mode": 3}}},
+                "integrator": {"t_final": 0.01}},
+               {"model": {"equation": "nlkg", "N": 2, "beta": 0.0},
+                "state": {"sample": {"ensemble": _WINDOW_3, "index": 0}},
+                "integrator": {"scheme": "strang_splitting", "dt": 0.001,
+                               "t_final": 0.01},
+                "trajectory": {"stride": 1, "sigma": 1.0, "s": 2.0},
+                "output": _DEFAULT_OUTPUT}),
+    "diagnose": ({"model": {"equation": "nlkg_beta", "s": 2, "N": 2, "beta": 1.5},
+                  "state": {"zero": {"max_mode": 2}}},
+                 {"model": {"equation": "nlkg_beta", "s": 2.0, "N": 2, "beta": 1.5},
+                  "state": {"zero": {"max_mode": 2}},
+                  "output": _DEFAULT_OUTPUT}),
+    "mc-lp": ({"ensemble": {"s": 2, "seed": 3},
+               "experiment": {"N_list": [3, 2], "p_list": [4, 2], "samples": 100},
+               "output": {"emit_raw": True}},
+              {"ensemble": {"variant": "mu_s", "s": 2.0, "beta": 0.0, "seed": 3},
+               "experiment": {"N_list": [3, 2], "p_list": [4.0, 2.0], "samples": 100,
+                              "functional": "energy_rate_total", "r": "auto"},
+               "output": {"directory": OUT, "emit_raw": True}}),
+    "mc-converge": ({"ensemble": {"variant": "mu_s_beta", "s": 2, "beta": 1.5},
+                     "experiment": {"M_list": [4, 2], "samples": 100}},
+                    {"ensemble": {"variant": "mu_s_beta", "s": 2.0, "beta": 1.5,
+                                  "seed": 0},
+                     "experiment": {"M_list": [2, 4], "N_ref": 8, "p": 2.0,
+                                    "samples": 100, "components": False},
+                     "output": _DEFAULT_OUTPUT}),
+    "mc-chaos": ({"ensemble": {"s": 2, "sample_max_mode": 3, "truncation_N": 2},
+                  "experiment": {"p_list": [4], "samples": 100, "r": 5}},
+                 {"ensemble": dict(_WINDOW_3, truncation_N=2),
+                  "experiment": {"functional": "wick_mass", "p_list": [4.0],
+                                 "samples": 100, "r": 5.0},
+                  "output": _DEFAULT_OUTPUT}),
+    "mc-kin": ({"ensemble": {"s": 2},
+                "experiment": {"M_list": [2, 1], "N": 4, "samples": 100}},
+               {"ensemble": {"variant": "mu_s", "s": 2.0, "beta": 0.0, "seed": 0},
+                "experiment": {"order": [0, 0], "field": "u", "M_list": [1, 2], "N": 4,
+                               "p": 4.0, "samples": 100},
+                "output": _DEFAULT_OUTPUT}),
+    "mc-tail": ({"ensemble": {"s": 2},
+                 "experiment": {"N": 8, "M_list": [4, 2], "alpha_list": [0.1, 0],
+                                "samples": 100}},
+                {"ensemble": {"variant": "mu_s", "s": 2.0, "beta": 0.0, "seed": 0},
+                 "experiment": {"N": 8, "M_list": [2, 4], "alpha_list": [0.1, 0.0],
+                                "samples": 100},
+                 "output": _DEFAULT_OUTPUT}),
+    "kakutani": ({"s": 2, "max_norm": 1},
+                 {"s": 2.0, "max_norm": 1, "marginal": "position",
+                  "output": _DEFAULT_OUTPUT}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RESOLVED))
+def test_resolved_config_in_metadata(tmp_path, command):
+    config, resolved = RESOLVED[command]
+    code, out = run(tmp_path, command, config)
+    assert code == 0
+    stored = json.loads((out / "metadata.json").read_text())["config"]
+    assert stored["output"]["directory"] == str(out)
+    stored["output"]["directory"] = OUT
+    assert stored == resolved
+
+
+def test_readme_mc_lp_example_is_valid(monkeypatch):
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A minimal `mc-lp` config:", 1)[1]
+    config = json.loads(block.split("```json", 1)[1].split("```", 1)[0])
+    resolved, _ = cli._RUNNERS["mc-lp"](config, 1)  # validation only: nothing runs
+    for section, given in config.items():
+        assert {key: resolved[section][key] for key in given} == given
