@@ -48,7 +48,7 @@ from .dynamics import (
     ModelSpec,
     trajectory,
 )
-from .energy import UnsupportedParameterError, energy_report, hamiltonian, renormalized_energy, truncated_energy
+from .energy import UnsupportedParameterError, _Factors, energy_report, hamiltonian
 from .measures import MARGINALS, kakutani_terms
 from .montecarlo import (
     FUNCTIONALS,
@@ -117,11 +117,18 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _finite(v) -> bool:
+    """No NaN or +-Infinity (Python's JSON parser reads them) in v or its entries."""
+    if isinstance(v, list):
+        return all(map(_finite, v))
+    return not isinstance(v, float) or math.isfinite(v)
+
+
 def _radius(v):  # a number, "auto", or "inf"
     return v if v == "auto" else math.inf if v == "inf" else float(v)
 
 
-_KINDS = {  # kind -> (accepts the JSON value, converts it)
+_KINDS = {  # kind -> (accepts the JSON value, converts it); numbers must be _finite
     "int": (_is_int, int),
     "number": (_is_number, float),
     "radius": (lambda v: v in ("auto", "inf") or _is_number(v), _radius),
@@ -172,6 +179,8 @@ def _validate(spec: _Group, data, path: str = ""):
             accepts, convert = _KINDS[item.kind]
             if not accepts(data[key]):
                 raise ConfigError(f"{at}: expected {item.kind}")
+            if not _finite(data[key]):
+                raise ConfigError(f"{at}: must be finite")
             value = convert(data[key])
             if item.check is not None and not item.check[0](value):
                 raise ConfigError(f"{at}: {item.check[1]}")
@@ -284,6 +293,17 @@ def _nlkg_beta(model: dict, built):
     return None
 
 
+def _distinct(key: str, what: str = "cutoff"):
+    """Rule: no entry of the list `key` repeats (each cutoff is drawn once)."""
+    def rule(exp: dict, built):
+        entries = exp[key]
+        for i, entry in enumerate(entries):
+            if entry in entries[:i]:
+                return key, f"{what} {entry} is repeated"
+        return None
+    return rule
+
+
 def _below(reference: str):
     """Rule: every lower cutoff in M_list is below the reference cutoff."""
     def rule(exp: dict, built):
@@ -387,7 +407,7 @@ _EVOLVE = _Group({
     "integrator": _Group({
         "scheme": _Key("str", "strang_splitting", _one_of(SCHEMES)),
         "dt": _Key("number", 1e-3, _gt(0)),
-        "t_final": _Key("number", check=(math.isfinite, "must be finite")),
+        "t_final": _Key("number"),
     }, finish=lambda integ, built: IntegratorSpec(scheme=integ["scheme"], dt=integ["dt"])),
     "trajectory": _Group({"stride": _Key("int", 1, _ge(1)),
                           "sigma": _Key("number", 1.0),
@@ -413,11 +433,12 @@ def _run_evolve(cfg, built, workers):
     with np.errstate(over="ignore", invalid="ignore"):
         for t, st in trajectory(built["state"], cfg["integrator"]["t_final"], flow,
                                 built["integrator"], stride=cfg["trajectory"]["stride"]):
+            factors = _Factors(st, s, cutoff, equation, beta)  # u_N to the grid once
             rows.append([
                 t,
                 hamiltonian(st, equation, beta),
-                truncated_energy(st, cutoff, equation, beta),
-                renormalized_energy(st, s, cutoff, equation, beta),
+                factors.truncated_energy,
+                factors.renormalized_energy,
                 sobolev_norm(st, sigma),
             ])
     return {"trajectory.csv": (columns, rows)}
@@ -456,7 +477,7 @@ _MC_LP = _Group({
         "functional": _Key("str", "energy_rate_total", _one_of(
             _PARAMETERLESS, " (mc-lp supplies no functional parameters)")),
         "r": _Key("radius", "auto", _R),
-    }),
+    }, rules=(_distinct("N_list"),)),
     "output": _OUTPUT,
 })
 
@@ -493,7 +514,7 @@ _MC_CONVERGE = _Group({
         "p": _Key("number", 2.0, _P_RANGE),
         "samples": _SAMPLES,
         "components": _Key("bool", False),
-    }, rules=(_below("N_ref"),)),
+    }, rules=(_distinct("M_list"), _below("N_ref"))),
     "output": _OUTPUT,
 })
 
@@ -583,7 +604,7 @@ _MC_KIN = _Group({
                                           _KIN_BLOCKS), then=sorted),
         "p": _Key("number", 4.0, _P_RANGE),
         "samples": _SAMPLES,
-    }, rules=(_blocks_within_cutoff,)),
+    }, rules=(_distinct("M_list", "block"), _blocks_within_cutoff)),
     "output": _OUTPUT,
 }, rules=(_admissible_order,))
 
@@ -610,7 +631,7 @@ _MC_TAIL = _Group({
         "alpha_list": _Key("number_list", check=(lambda v: all(a >= 0 for a in v),
                                                  "thresholds must be >= 0")),
         "samples": _SAMPLES,
-    }, rules=(_below("N"),)),
+    }, rules=(_distinct("M_list"), _below("N"))),
     "output": _OUTPUT,
 })
 

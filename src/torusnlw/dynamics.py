@@ -11,13 +11,19 @@ the alias-free truncated cube.  strang_splitting alternates exact linear
 half-steps with momentum kicks v -> v - dt * Pi_N((Pi_N u)^3) and is
 symplectic; rk4 is the classical fourth-order scheme on the full vector
 field.  Both accept negative integration times.
+
+Both schemes step the n2 >= 0 half blocks of u and v, shape (2K + 1, K + 1).
+Every operation of a step maps Hermitian blocks to Hermitian blocks, so the
+halves are the state; a PhaseState is built from them (by conjugate mirror)
+only where trajectory yields one or evolve returns.  linear_propagator,
+vector_field and spectral.truncated_cube wrap the same half-block routines.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator
 
 import numpy as np
@@ -25,12 +31,12 @@ import numpy as np
 from .spectral import (
     PhaseState,
     SpectralField,
+    _cube_half,
+    _from_half,
     _frozen,
     _sq_bracket,
     _sq_modulus,
-    embed_window,
     sobolev_norm,
-    truncated_cube,
 )
 
 EQUATIONS = ("nlkg", "nlw", "nlkg_beta")
@@ -79,32 +85,83 @@ def _dispersion(equation: str, beta: float, max_mode: int) -> np.ndarray:
     return _frozen(w)
 
 
+def _half_symbol(symbol: np.ndarray) -> np.ndarray:
+    """The n2 >= 0 half of a real symbol, cast to complex128 once (a
+    product with a complex block casts it so anyway)."""
+    K = symbol.shape[1] // 2
+    return _frozen(symbol[:, K:].astype(np.complex128))
+
+
 @lru_cache(maxsize=256)
 def _rotation(equation: str, beta: float, max_mode: int, t: float):
-    """cos(t w), sin(t w)/w, -w sin(t w) on the block; the w = 0 entry of
-    the middle factor is its limit t (the nlw zero mode shears linearly)."""
+    """cos(t w), sin(t w)/w, -w sin(t w) on the n2 >= 0 half block; the
+    w = 0 entry of the middle factor is its limit t (the nlw zero mode
+    shears linearly)."""
     w = _dispersion(equation, beta, max_mode)
     tw = t * w
     cos = np.cos(tw)
     with np.errstate(invalid="ignore", divide="ignore"):
         sinc = np.where(w > 0, np.sin(tw) / np.where(w > 0, w, 1.0), t)
-    return _frozen(cos), _frozen(sinc), _frozen(-w * np.sin(tw))
-
-
-def linear_propagator(p: PhaseState, t: float, model: ModelSpec) -> PhaseState:
-    """Exact flow of the linearized equation for time t (any sign)."""
-    cos, sinc, msin = _rotation(model.equation, model.beta, p.max_mode, float(t))
-    u, v = p.u.coeffs, p.v.coeffs
-    return PhaseState(
-        SpectralField(p.max_mode, cos * u + sinc * v, _trusted=True),
-        SpectralField(p.max_mode, msin * u + cos * v, _trusted=True),
-    )
+    return _half_symbol(cos), _half_symbol(sinc), _half_symbol(-w * np.sin(tw))
 
 
 @lru_cache(maxsize=128)
 def _linear_symbol(equation: str, beta: float, max_mode: int) -> np.ndarray:
-    # symbol of L: the negated squared dispersion
-    return _frozen(-_dispersion(equation, beta, max_mode) ** 2)
+    # symbol of L on the half block: the negated squared dispersion
+    return _half_symbol(-_dispersion(equation, beta, max_mode) ** 2)
+
+
+# -- the flow on half blocks (see the module docstring) ------------------------
+
+
+def _half(f: SpectralField) -> np.ndarray:
+    return f.coeffs[:, f.max_mode:]
+
+
+def _field(half: np.ndarray) -> SpectralField:
+    return SpectralField(half.shape[1] - 1, _from_half(half), _trusted=True)
+
+
+def _state(u: np.ndarray, v: np.ndarray) -> PhaseState:
+    return PhaseState(_field(u), _field(v))
+
+
+def _rotate(u: np.ndarray, v: np.ndarray, t: float, model: ModelSpec) -> tuple:
+    cos, sinc, msin = _rotation(model.equation, model.beta, u.shape[1] - 1, float(t))
+    return cos * u + sinc * v, msin * u + cos * v
+
+
+def _cube(u: np.ndarray, model: ModelSpec) -> np.ndarray:
+    """Pi_N((Pi_N u)^3) on u's half block: the kick and the vector field's
+    cubic term."""
+    return _cube_half(u, model.truncation_N, u.shape[1] - 1)
+
+
+def _rhs(u: np.ndarray, v: np.ndarray, model: ModelSpec) -> tuple:
+    """(v, L u - Pi_N((Pi_N u)^3))."""
+    return v, _linear_symbol(model.equation, model.beta, u.shape[1] - 1) * u - _cube(u, model)
+
+
+def _strang_step(u: np.ndarray, v: np.ndarray, dt: float, model: ModelSpec) -> tuple:
+    u, v = _rotate(u, v, 0.5 * dt, model)
+    v = v - dt * _cube(u, model)
+    return _rotate(u, v, 0.5 * dt, model)
+
+
+def _rk4_step(u: np.ndarray, v: np.ndarray, dt: float, model: ModelSpec) -> tuple:
+    def rhs_at(a: float, k: tuple) -> tuple:
+        return _rhs(u + a * k[0], v + a * k[1], model)
+
+    k1 = _rhs(u, v, model)
+    k2 = rhs_at(0.5 * dt, k1)
+    k3 = rhs_at(0.5 * dt, k2)
+    k4 = rhs_at(dt, k3)
+    du = (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+    dv = (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    return u + du, v + dv
+
+
+_SCHEME_STEPS = {"strang_splitting": _strang_step, "rk4": _rk4_step}
 
 
 def _check_window(p: PhaseState, model: ModelSpec) -> None:
@@ -115,50 +172,15 @@ def _check_window(p: PhaseState, model: ModelSpec) -> None:
         )
 
 
+def linear_propagator(p: PhaseState, t: float, model: ModelSpec) -> PhaseState:
+    """Exact flow of the linearized equation for time t (any sign)."""
+    return _state(*_rotate(_half(p.u), _half(p.v), t, model))
+
+
 def vector_field(p: PhaseState, model: ModelSpec) -> PhaseState:
     """Right-hand side (v, L u - Pi_N((Pi_N u)^3)) on the state's window."""
     _check_window(p, model)
-    K = p.max_mode
-    cube = embed_window(truncated_cube(p.u, model.truncation_N), K)
-    dv = _linear_symbol(model.equation, model.beta, K) * p.u.coeffs - cube.coeffs
-    return PhaseState(p.v, SpectralField(K, dv, _trusted=True))
-
-
-def _kick(p: PhaseState, dt: float, model: ModelSpec) -> PhaseState:
-    cube = embed_window(truncated_cube(p.u, model.truncation_N), p.max_mode)
-    v = SpectralField(p.max_mode, p.v.coeffs - dt * cube.coeffs, _trusted=True)
-    return PhaseState(p.u, v)
-
-
-def _strang_step(p: PhaseState, dt: float, model: ModelSpec) -> PhaseState:
-    p = linear_propagator(p, 0.5 * dt, model)
-    p = _kick(p, dt, model)
-    return linear_propagator(p, 0.5 * dt, model)
-
-
-def _rk4_step(p: PhaseState, dt: float, model: ModelSpec) -> PhaseState:
-    def axpy(a: float, q: PhaseState) -> PhaseState:
-        return PhaseState(
-            SpectralField(p.max_mode, p.u.coeffs + a * q.u.coeffs, _trusted=True),
-            SpectralField(p.max_mode, p.v.coeffs + a * q.v.coeffs, _trusted=True),
-        )
-
-    k1 = vector_field(p, model)
-    k2 = vector_field(axpy(0.5 * dt, k1), model)
-    k3 = vector_field(axpy(0.5 * dt, k2), model)
-    k4 = vector_field(axpy(dt, k3), model)
-    du = (dt / 6.0) * (k1.u.coeffs + 2 * k2.u.coeffs + 2 * k3.u.coeffs + k4.u.coeffs)
-    dv = (dt / 6.0) * (k1.v.coeffs + 2 * k2.v.coeffs + 2 * k3.v.coeffs + k4.v.coeffs)
-    return PhaseState(
-        SpectralField(p.max_mode, p.u.coeffs + du, _trusted=True),
-        SpectralField(p.max_mode, p.v.coeffs + dv, _trusted=True),
-    )
-
-
-def _advance(p: PhaseState, dt: float, model: ModelSpec, scheme: str) -> PhaseState:
-    if scheme == "strang_splitting":
-        return _strang_step(p, dt, model)
-    return _rk4_step(p, dt, model)
+    return PhaseState(p.v, _field(_rhs(_half(p.u), _half(p.v), model)[1]))
 
 
 def _steps(t_final: float, dt: float):
@@ -177,7 +199,7 @@ def evolve(p: PhaseState, t_final: float, model: ModelSpec,
     """Flow the state for time t_final (negative runs backwards)."""
     for _, state in _trajectory(p, t_final, model, integ):
         pass
-    return state
+    return state()
 
 
 def trajectory(p: PhaseState, t_final: float, model: ModelSpec,
@@ -187,37 +209,40 @@ def trajectory(p: PhaseState, t_final: float, model: ModelSpec,
         raise ValueError("stride must be >= 1")
     for k, (t, state) in enumerate(_trajectory(p, t_final, model, integ)):
         if k % stride == 0 or t == t_final:
-            yield t, state
+            yield t, state()
 
 
 def _trajectory(p: PhaseState, t_final: float, model: ModelSpec,
                 integ: IntegratorSpec) -> Iterator[tuple]:
+    """Yield (t, state) at t = 0 and after each step, where state() builds
+    the PhaseState at t from the half blocks the step left."""
     _check_window(p, model)
+    step = _SCHEME_STEPS[integ.scheme]
     sign, n_full, remainder = _steps(t_final, integ.dt)
-    state, t = p, 0.0
-    yield t, state
+    u, v, t = _half(p.u), _half(p.v), 0.0
+    yield t, lambda: p
     for k in range(n_full):
-        state = _checked_advance(state, sign * integ.dt, model, integ,
-                                 f"after step {k + 1} (t = {t + sign * integ.dt:g})")
+        u, v = _checked_step(step, u, v, sign * integ.dt, model,
+                             f"after step {k + 1} (t = {t + sign * integ.dt:g})")
         t = sign * (k + 1) * integ.dt
         if k + 1 == n_full and remainder == 0.0:
             t = t_final  # not (k + 1) * dt, which can be a rounding error off it
-        yield t, state
+        yield t, partial(_state, u, v)
     if remainder > 0.0:
-        state = _checked_advance(state, sign * remainder, model, integ,
-                                 f"in the remainder step (t = {t_final:g})")
-        yield t_final, state
+        u, v = _checked_step(step, u, v, sign * remainder, model,
+                             f"in the remainder step (t = {t_final:g})")
+        yield t_final, partial(_state, u, v)
 
 
-def _checked_advance(state: PhaseState, dt: float, model: ModelSpec,
-                     integ: IntegratorSpec, where: str) -> PhaseState:
+def _checked_step(step, u: np.ndarray, v: np.ndarray, dt: float, model: ModelSpec,
+                  where: str) -> tuple:
     # blow-up shows as inf/nan and is reported as IntegrationError, so the
     # intermediate overflow warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        state = _advance(state, dt, model, integ.scheme)
-    if not np.isfinite(state.v.coeffs).all():
+        u, v = step(u, v, dt, model)
+    if not np.isfinite(v).all():
         raise IntegrationError(f"non-finite values {where}")
-    return state
+    return u, v
 
 
 def truncation_error(p: PhaseState, t: float, N_small: int, N_large: int,

@@ -345,10 +345,16 @@ def grid_stack(fields, grid: int) -> np.ndarray:
                             f"{sorted({f.max_mode for f in fields})}")
     if grid < 2 * K + 1:
         raise SpectralError(f"grid {grid} cannot hold window {K}")
-    spec = np.zeros((len(fields), grid, K + 1), np.complex128)
+    return _halves_to_grid([f.coeffs[:, K:] for f in fields], grid)
+
+
+def _halves_to_grid(halves, grid: int) -> np.ndarray:
+    """grid_stack from the n2 >= 0 half blocks of one window."""
+    K = halves[0].shape[1] - 1
+    spec = np.zeros((len(halves), grid, K + 1), np.complex128)
     rows = _mode_axis(K) % grid
-    for i, f in enumerate(fields):
-        spec[i, rows] = f.coeffs[:, K:]
+    for i, half in enumerate(halves):
+        spec[i, rows] = half
     spec = ifft(spec, axis=1, norm="forward", overwrite_x=True)
     return irfft(spec, n=grid, axis=-1, norm="forward")
 
@@ -391,19 +397,43 @@ def pointwise_product(f: SpectralField, g: SpectralField,
 
 
 def truncated_cube(u: SpectralField, cutoff: int) -> SpectralField:
-    """low_pass(cutoff) of (low_pass(cutoff) u)^3, evaluated alias-free.
+    """low_pass(cutoff) of (low_pass(cutoff) u)^3, evaluated alias-free on
+    the window min(cutoff, 3 min(max_mode, cutoff)); see _cube_half."""
+    c = _cube_half(u.coeffs[:, u.max_mode:], cutoff)
+    return SpectralField(c.shape[1] - 1, _from_half(c), _trusted=True)
+
+
+@lru_cache(maxsize=128)
+def _ball_half(max_mode: int, cutoff: int) -> np.ndarray:
+    """The n2 >= 0 half of the low_pass(cutoff) mask on the window block,
+    as complex128 (a product with coefficients casts it so anyway)."""
+    K = max_mode
+    return _frozen((_sq_modulus(K) <= cutoff**2)[:, K:].astype(np.complex128))
+
+
+def _cube_half(half: np.ndarray, cutoff: int, window: int | None = None) -> np.ndarray:
+    """n2 >= 0 half of truncated_cube from the n2 >= 0 half of u, zero-padded
+    to `window` (default: the cube's own window K_out <= window).
 
     The working grid has at least 4 * cutoff + 2 points per direction
     (rounded up to an FFT-friendly size): folding from the cube's support
-    then cannot reach any retained mode.
+    then cannot reach any retained mode.  Column n2 = 0 is made Hermitian
+    as _from_half makes it, so the half evolves like the full block.
     """
-    w = project_ball(u, cutoff)
-    Kw = w.max_mode
+    K = half.shape[1] - 1
+    Kw = min(K, cutoff)
     K_out = min(cutoff, 3 * Kw)
     grid = next_fast_len(max(4 * cutoff + 2, 3 * Kw + K_out + 2), real=True)
-    vals = grid_values(w, grid)
-    c = _from_grid(vals * vals * vals, K_out) * (_sq_modulus(K_out) <= cutoff**2)
-    return SpectralField(K_out, c, _trusted=True)
+    w = half[K - Kw:K + Kw + 1, :Kw + 1] * _ball_half(Kw, cutoff)
+    vals = _halves_to_grid((w,), grid)[0]
+    cube = vals * vals
+    cube *= vals
+    c = rfft2(cube, norm="forward")[_mode_axis(K_out) % grid, :K_out + 1]
+    c[:K_out, 0] = np.conj(c[:K_out:-1, 0])
+    c[K_out, 0] = c[K_out, 0].real
+    c *= _ball_half(K_out, cutoff)
+    pad = 0 if window is None else window - K_out
+    return np.pad(c, ((pad, pad), (0, pad))) if pad else c
 
 
 def integrate(f: SpectralField) -> float:

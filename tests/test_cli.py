@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from torusnlw import cli
+from torusnlw import cli, energy
 from torusnlw.cli import COMMANDS, OUTPUT_DIR_ENV, main
 from torusnlw.energy import energy_report
 from torusnlw.montecarlo import FUNCTIONALS
@@ -155,6 +155,22 @@ class TestEvolve:
         rows = read_csv(out / "trajectory.csv")
         e_n = [float(r[2]) for r in rows[1:]]
         assert max(e_n) - min(e_n) < 1e-8 * abs(e_n[0])
+
+    def test_each_row_sends_u_N_to_the_grid_once(self, tmp_path, monkeypatch):
+        # one energy._Factors per row: u_N for the truncated energy, then
+        # J^s u_N for the renormalized one (u_N went twice before)
+        stacks = []
+        real = energy.grid_stack
+        monkeypatch.setattr(energy, "grid_stack",
+                            lambda fields, grid: stacks.append(len(fields))
+                            or real(fields, grid))
+        code, out = run(tmp_path, "evolve", {
+            "model": {"equation": "nlkg", "N": 3},
+            "state": {"sample": {"ensemble": ENSEMBLE, "index": 0}},
+            "integrator": {"dt": 0.01, "t_final": 0.05}})
+        assert code == 0
+        assert len(read_csv(out / "trajectory.csv")) == 7
+        assert stacks == [1, 1] * 6
 
     def test_window_smaller_than_cutoff_is_config_error(self, tmp_path, capsys):
         code, _ = run(
@@ -507,6 +523,8 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("sample", "ensemble.s", DROP, "ensemble.s: missing required key"),
     ("sample", "ensemble.s", 1.0, "ensemble.s: must be > 1"),
     ("sample", "ensemble.s", "2", "ensemble.s: expected number"),
+    ("sample", "ensemble.s", float("inf"), "ensemble.s: must be finite"),
+    ("sample", "ensemble.beta", float("nan"), "ensemble.beta: must be finite"),
     ("sample", "ensemble.beta", "x", "ensemble.beta: expected number"),
     ("sample", "ensemble.seed", -1, "ensemble.seed: must be >= 0"),
     ("sample", "ensemble.seed", 1.5, "ensemble.seed: expected int"),
@@ -560,12 +578,14 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("evolve", "integrator.scheme", "euler",
      "integrator.scheme: one of ('strang_splitting', 'rk4')"),
     ("evolve", "integrator.dt", 0, "integrator.dt: must be > 0"),
-    ("evolve", "integrator.dt", float("inf"),
-     "integrator: dt must be a positive finite step, got inf"),
+    ("evolve", "integrator.dt", float("inf"), "integrator.dt: must be finite"),
     ("evolve", "integrator.t_final", DROP, "integrator.t_final: missing required key"),
     ("evolve", "integrator.t_final", float("inf"), "integrator.t_final: must be finite"),
+    ("evolve", "integrator.t_final", float("nan"), "integrator.t_final: must be finite"),
     ("evolve", "trajectory.stride", 0, "trajectory.stride: must be >= 1"),
     ("evolve", "trajectory.sigma", "x", "trajectory.sigma: expected number"),
+    ("evolve", "trajectory.sigma", float("nan"), "trajectory.sigma: must be finite"),
+    ("evolve", "model.beta", -float("inf"), "model.beta: must be finite"),
     ("evolve", "trajectory.s", 1, "trajectory.s: must be > 1"),
     ("evolve", "model.N", 5, "state: window 2 is smaller than model.N = 5"),
     ("diagnose", "model.s", DROP, "model.s: missing required key"),
@@ -583,6 +603,8 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("mc-lp", "experiment.N_list", [0, 2], "experiment.N_list: cutoffs must be >= 1"),
     ("mc-lp", "experiment.N_list", [], "experiment.N_list: expected int_list"),
     ("mc-lp", "experiment.N_list", [2.5], "experiment.N_list: expected int_list"),
+    ("mc-lp", "experiment.N_list", [4, 4, 8], "experiment.N_list: cutoff 4 is repeated"),
+    ("mc-lp", "experiment.p_list", [2.0, float("nan")], "experiment.p_list: must be finite"),
     ("mc-lp", "experiment.p_list", [4.0],
      "experiment.p_list: needs >= 2 distinct entries, each in [1, 16.0] (the "
      "growth fit in p needs two points)"),
@@ -605,6 +627,7 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("mc-lp", "experiment.r", -1.5,
      'experiment.r: must be > 0, "auto" or "inf"'),
     ("mc-lp", "experiment.r", "big", "experiment.r: expected radius"),
+    ("mc-lp", "experiment.r", float("inf"), "experiment.r: must be finite"),
     ("mc-lp", "ensemble", dict(_MC_ENSEMBLE, **BETA),
      "ensemble: mu_s_beta needs beta > 1, got 0.5"),
     ("mc-lp", "ensemble.sample_max_mode", 4, "ensemble: unknown keys ['sample_max_mode']"),
@@ -615,6 +638,8 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("mc-converge", "experiment.M_list", [2, 2],
      "experiment.M_list: needs >= 2 distinct cutoffs, each >= 1 (the decay fit "
      "needs two points)"),
+    ("mc-converge", "experiment.M_list", [4, 2, 4],
+     "experiment.M_list: cutoff 4 is repeated"),
     ("mc-converge", "experiment.M_list", [0, 2],
      "experiment.M_list: needs >= 2 distinct cutoffs, each >= 1 (the decay fit "
      "needs two points)"),
@@ -661,6 +686,7 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("mc-kin", "experiment.M_list", [2, 2],
      "experiment.M_list: needs >= 2 distinct blocks, each in [1, N] (the "
      "moment-growth fit needs two points; a block M > N is empty in |n| <= N)"),
+    ("mc-kin", "experiment.M_list", [1, 2, 2], "experiment.M_list: block 2 is repeated"),
     ("mc-kin", "experiment.p", 17, "experiment.p: must lie in [1, 16.0]"),
     ("mc-kin", "experiment.samples", 99, "experiment.samples: must be >= 100"),
     ("mc-kin", "ensemble", dict(_MC_ENSEMBLE, **BETA),
@@ -668,6 +694,9 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("mc-tail", "experiment.N", 1, "experiment.N: must be >= 2"),
     ("mc-tail", "experiment.M_list", [0, 2], "experiment.M_list: cutoffs must be >= 1"),
     ("mc-tail", "experiment.M_list", [2, 8], "experiment.M_list: every M must be < N"),
+    ("mc-tail", "experiment.M_list", [2, 2], "experiment.M_list: cutoff 2 is repeated"),
+    ("mc-tail", "experiment.alpha_list", [0.1, float("inf")],
+     "experiment.alpha_list: must be finite"),
     ("mc-tail", "experiment.alpha_list", [-1.0],
      "experiment.alpha_list: thresholds must be >= 0"),
     ("mc-tail", "experiment.samples", 99, "experiment.samples: must be >= 100"),

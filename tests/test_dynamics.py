@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.integrate import solve_ivp
 
 from conftest import random_state
@@ -17,6 +18,8 @@ from torusnlw.dynamics import (
     IntegrationError,
     IntegratorSpec,
     ModelSpec,
+    _dispersion,
+    _steps,
     evolve,
     linear_propagator,
     trajectory,
@@ -27,10 +30,16 @@ from torusnlw.sampling import EnsembleSpec, sample
 from torusnlw.spectral import (
     PhaseState,
     SpectralField,
+    _from_grid,
+    _hermitian_defect,
+    _sq_modulus,
     constant_field,
     field_from_modes,
+    grid_values,
     integrate,
+    project_ball,
     sobolev_norm,
+    truncated_cube,
     zero_field,
 )
 from torusnlw.energy import truncated_energy
@@ -288,3 +297,130 @@ class TestTruncationError:
     def test_order_validation(self):
         with pytest.raises(ValueError, match="N_small"):
             truncation_error(gaussian_state(), 0.1, 4, 2, NLKG4, IntegratorSpec())
+
+
+# -- the full-block flow, as it was before the half-block stepping ----------
+# The flow now advances the n2 >= 0 half blocks of u and v.  These copies of
+# the full-block steps pin it: on exactly Hermitian states every state it
+# yields must equal theirs bit for bit (np.array_equal, so up to the sign
+# of zeros).
+
+
+def full_block_cube(u: np.ndarray, cutoff: int) -> np.ndarray:
+    """truncated_cube on the full block: project_ball, the cube on the
+    grid, rfft2 back through _from_grid, then the ball mask."""
+    w = project_ball(SpectralField(u.shape[0] // 2, u), cutoff)
+    Kw = w.max_mode
+    K_out = min(cutoff, 3 * Kw)
+    grid = next_fast_len(max(4 * cutoff + 2, 3 * Kw + K_out + 2), real=True)
+    vals = grid_values(w, grid)
+    return _from_grid(vals * vals * vals, K_out) * (_sq_modulus(K_out) <= cutoff**2)
+
+
+def full_block_kick_term(u: np.ndarray, cutoff: int) -> np.ndarray:
+    c = full_block_cube(u, cutoff)
+    return np.pad(c, (u.shape[0] - c.shape[0]) // 2)
+
+
+def full_block_rotation(model: ModelSpec, K: int, t: float) -> tuple:
+    w = _dispersion(model.equation, model.beta, K)
+    tw = t * w
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sinc = np.where(w > 0, np.sin(tw) / np.where(w > 0, w, 1.0), t)
+    return np.cos(tw), sinc, -w * np.sin(tw)
+
+
+def full_block_rotate(u, v, t, model) -> tuple:
+    cos, sinc, msin = full_block_rotation(model, u.shape[0] // 2, float(t))
+    return cos * u + sinc * v, msin * u + cos * v
+
+
+def full_block_rhs(u, v, model) -> tuple:
+    symbol = -_dispersion(model.equation, model.beta, u.shape[0] // 2) ** 2
+    return v, symbol * u - full_block_kick_term(u, model.truncation_N)
+
+
+def full_block_strang(u, v, dt, model) -> tuple:
+    u, v = full_block_rotate(u, v, 0.5 * dt, model)
+    v = v - dt * full_block_kick_term(u, model.truncation_N)
+    return full_block_rotate(u, v, 0.5 * dt, model)
+
+
+def full_block_rk4(u, v, dt, model) -> tuple:
+    k1 = full_block_rhs(u, v, model)
+    k2 = full_block_rhs(u + 0.5 * dt * k1[0], v + 0.5 * dt * k1[1], model)
+    k3 = full_block_rhs(u + 0.5 * dt * k2[0], v + 0.5 * dt * k2[1], model)
+    k4 = full_block_rhs(u + dt * k3[0], v + dt * k3[1], model)
+    du = (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+    dv = (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    return u + du, v + dv
+
+
+def full_block_flow(p: PhaseState, t_final: float, model: ModelSpec,
+                    integ: IntegratorSpec) -> list:
+    """(u, v) blocks at t = 0 and after every step."""
+    step = full_block_strang if integ.scheme == "strang_splitting" else full_block_rk4
+    sign, n_full, remainder = _steps(t_final, integ.dt)
+    states = [(p.u.coeffs, p.v.coeffs)]
+    for dt in [sign * integ.dt] * n_full + ([sign * remainder] if remainder else []):
+        states.append(step(*states[-1], dt, model))
+    return states
+
+
+FLOW_CASES = [  # equation, beta, N, window, t_final, dt
+    ("nlkg", 0.0, 4, 4, 0.05, 0.01),
+    ("nlw", 0.0, 4, 4, 0.05, 0.01),
+    ("nlkg_beta", 2.0, 4, 4, 0.05, 0.01),
+    ("nlkg", 0.0, 4, 6, 0.05, 0.01),          # window wider than the cutoff
+    ("nlw", 0.0, 4, 6, -0.035, 0.01),          # backwards, with a remainder step
+    ("nlkg_beta", 3.0, 2, 6, 0.027, 0.01),     # remainder step, cube window 2 < 6
+]
+
+
+class TestHalfBlockFlowMatchesFullBlock:
+    @pytest.mark.parametrize("scheme", ["strang_splitting", "rk4"])
+    @pytest.mark.parametrize("equation, beta, N, K, t_final, dt", FLOW_CASES)
+    def test_every_yielded_state_is_bitwise_the_full_block_one(
+            self, scheme, equation, beta, N, K, t_final, dt):
+        p = gaussian_state(index=2, K=K)
+        model, integ = ModelSpec(equation, N, beta), IntegratorSpec(scheme, dt)
+        expected = full_block_flow(p, t_final, model, integ)
+        got = list(trajectory(p, t_final, model, integ))
+        assert len(got) == len(expected)
+        for (_, state), (u, v) in zip(got, expected):
+            assert np.array_equal(state.u.coeffs, u)
+            assert np.array_equal(state.v.coeffs, v)
+        end = evolve(p, t_final, model, integ)
+        assert np.array_equal(end.u.coeffs, expected[-1][0])
+        assert np.array_equal(end.v.coeffs, expected[-1][1])
+
+    @pytest.mark.parametrize("equation, beta, N, K, t_final, dt", FLOW_CASES)
+    def test_public_wrappers_match_the_full_block_formulas(
+            self, rng, equation, beta, N, K, t_final, dt):
+        p = random_state(rng, K)
+        model = ModelSpec(equation, N, beta)
+        moved = linear_propagator(p, t_final, model)
+        u, v = full_block_rotate(p.u.coeffs, p.v.coeffs, t_final, model)
+        assert np.array_equal(moved.u.coeffs, u) and np.array_equal(moved.v.coeffs, v)
+        rhs = vector_field(p, model)
+        assert rhs.u is p.v
+        assert np.array_equal(rhs.v.coeffs, full_block_rhs(p.u.coeffs, p.v.coeffs, model)[1])
+        for cutoff in (0, 1, N, K, 2 * K + 3):
+            assert np.array_equal(truncated_cube(p.u, cutoff).coeffs,
+                                  full_block_cube(p.u.coeffs, cutoff))
+
+    def test_first_state_is_the_start_state(self):
+        p = gaussian_state()
+        (_, first), *_ = trajectory(p, 0.02, NLKG4, IntegratorSpec(dt=0.01))
+        assert first is p
+        assert evolve(p, 0.0, NLKG4, IntegratorSpec(dt=0.01)) is p
+
+    def test_states_within_the_hermitian_tolerance_come_out_exact(self):
+        p = gaussian_state()
+        u = np.array(p.u.coeffs)
+        u[4 + 1, 4 - 2] += 1e-14  # the mirror of (-1, 2), on the n2 < 0 side
+        q = PhaseState(SpectralField(4, u), p.v)
+        assert _hermitian_defect(q.u.coeffs) > 0
+        end = evolve(q, 0.01, NLKG4, IntegratorSpec(dt=0.01))
+        assert _hermitian_defect(end.u.coeffs) == 0.0
+        assert _hermitian_defect(end.v.coeffs) == 0.0
