@@ -124,14 +124,12 @@ def _finite(v) -> bool:
     return not isinstance(v, float) or math.isfinite(v)
 
 
-def _radius(v):  # a number, "auto", or "inf"
-    return v if v == "auto" else math.inf if v == "inf" else float(v)
-
-
 _KINDS = {  # kind -> (accepts the JSON value, converts it); numbers must be _finite
     "int": (_is_int, int),
     "number": (_is_number, float),
-    "radius": (lambda v: v in ("auto", "inf") or _is_number(v), _radius),
+    # "auto" and "inf" stay strings: the resolved config must be valid JSON
+    "radius": (lambda v: v in ("auto", "inf") or _is_number(v),
+               lambda v: v if isinstance(v, str) else float(v)),
     "str": (lambda v: isinstance(v, str), str),
     "bool": (lambda v: isinstance(v, bool), bool),
     "int_list": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_int, v)), list),
@@ -463,7 +461,13 @@ def _run_diagnose(cfg, built, workers):
 _PARAMETERLESS = sorted(name for name, f in FUNCTIONALS.items() if not f.requires)
 _CHAOS_FUNCTIONALS = [name for name in _PARAMETERLESS
                       if FUNCTIONALS[name].degree is not None]
-_R = (lambda r: r == "auto" or r > 0, 'must be > 0, "auto" or "inf"')
+_R = (lambda r: isinstance(r, str) or r > 0, 'must be > 0, "auto" or "inf"')
+
+
+def _json_radius(r: float):
+    """A resolved radius as metadata.json writes it, "inf" for no conditioning."""
+    return "inf" if math.isinf(r) else r
+
 
 _MC_LP = _Group({
     "ensemble": _ENSEMBLE,
@@ -499,7 +503,7 @@ def _run_mc_lp(cfg, built, workers):
     fit_rows += [["spread", "", p, "", "", "", ratio] for p, ratio in result.spread_by_p]
     return {"estimates.csv": (est_columns, est_rows),
             "fits.csv": (fit_columns, fit_rows),
-            "_meta": {"resolved_radii": [[c, r] for c, r in result.radii]},
+            "_meta": {"resolved_radii": [[c, _json_radius(r)] for c, r in result.radii]},
             "_raw": result.raw}
 
 
@@ -545,7 +549,7 @@ _MC_CHAOS = _Group({
         "p_list": _Key("number_list", check=(
             lambda v: all(1 <= p <= MAX_P for p in v), f"each p must lie in [1, {MAX_P}]")),
         "samples": _SAMPLES,
-        "r": _Key("radius", math.inf, _R),
+        "r": _Key("radius", "inf", _R),
     }),
     "output": _OUTPUT,
 })
@@ -554,11 +558,9 @@ _MC_CHAOS = _Group({
 def _run_mc_chaos(cfg, built, workers):
     exp = cfg["experiment"]
     spec = built["ensemble"]
-    radius = resolve_radius(exp["r"], spec)
-    if not math.isinf(radius):
-        spec = replace(spec, energy_cutoff_r=radius)
-    result = chaos_growth_check(exp["functional"], spec, exp["p_list"], exp["samples"],
-                                workers=workers)
+    radius = resolve_radius(exp["r"], spec, workers=workers)
+    result = chaos_growth_check(exp["functional"], replace(spec, energy_cutoff_r=radius),
+                                exp["p_list"], exp["samples"], workers=workers)
     columns = [
         ("p", "moment order"),
         ("norm", "empirical L^p norm"),
@@ -571,7 +573,7 @@ def _run_mc_chaos(cfg, built, workers):
             for r in result.rows]
     return {"estimates.csv": (columns, rows),
             "_meta": {"degree": result.degree, "base_norm": result.base_norm,
-                      "resolved_radius": radius},
+                      "resolved_radius": _json_radius(radius)},
             "_raw": result.raw}
 
 

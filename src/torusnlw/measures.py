@@ -69,36 +69,21 @@ def _density(f: _Factors, radius: float) -> DensityValue:
 # -- mode-by-mode Gaussian comparison -----------------------------------------
 
 
-def _variance_pair(sq_mod, s: float, marginal: str, scale_power: float = 0.0):
-    """Per-mode variances of the two reference Gaussians, both multiplied
-    by the common factor (1+|n|^2)^scale_power (which must cancel in the
-    comparison statistic)."""
+def _variance_pair(sq_mod, s: float, marginal: str):
+    """Per-mode variances of the two reference Gaussians."""
     sq_mod = np.asarray(sq_mod, dtype=float)
-    common = (1.0 + sq_mod) ** scale_power
     if marginal == "position":
-        lam = (1.0 + sq_mod) ** (-(s + 1.0))
-        lam_t = 1.0 / (1.0 + sq_mod + sq_mod ** (s + 1.0))
-    elif marginal == "velocity":
-        lam = (1.0 + sq_mod) ** (-s)
-        lam_t = 1.0 / (1.0 + sq_mod ** s)
-    else:
-        raise ValueError(f"marginal must be one of {MARGINALS}, got {marginal!r}")
-    return common * lam, common * lam_t
+        return (1.0 + sq_mod) ** (-(s + 1.0)), 1.0 / (1.0 + sq_mod + sq_mod ** (s + 1.0))
+    if marginal == "velocity":
+        return (1.0 + sq_mod) ** (-s), 1.0 / (1.0 + sq_mod ** s)
+    raise ValueError(f"marginal must be one of {MARGINALS}, got {marginal!r}")
 
 
 def comparison_statistic(sq_mod, s: float, marginal: str = "position"):
-    """S = ((lam - lam_t)/(lam + lam_t))^2 for squared modulus |n|^2.
-
-    Scale-free: computed at two unrelated common-factor powers and checked
-    to agree to 1e-14 before returning (the factor must cancel exactly).
-    """
+    """S = ((lam - lam_t)/(lam + lam_t))^2 for squared modulus |n|^2;
+    scale-free, so a factor common to both variances cancels."""
     lam, lam_t = _variance_pair(sq_mod, s, marginal)
-    stat = ((lam - lam_t) / (lam + lam_t)) ** 2
-    lam2, lam_t2 = _variance_pair(sq_mod, s, marginal, scale_power=1.7)
-    stat2 = ((lam2 - lam_t2) / (lam2 + lam_t2)) ** 2
-    if not np.allclose(stat, stat2, rtol=1e-14, atol=1e-14):
-        raise AssertionError("common scale factor failed to cancel in the statistic")
-    return stat
+    return ((lam - lam_t) / (lam + lam_t)) ** 2
 
 
 @dataclass(frozen=True)

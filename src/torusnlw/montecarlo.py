@@ -23,10 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .energy import (UnsupportedParameterError, _Factors, truncated_energy,
-                     wick_renormalized_mass)
+from .energy import UnsupportedParameterError, _Factors, wick_renormalized_mass
 from .measures import _density
-from .sampling import EnsembleSpec, _Draw, sample
+from .sampling import EnsembleSpec, _Draw
 from .spectral import (
     apply_multiplier,
     derivative,
@@ -198,6 +197,8 @@ FUNCTIONALS: dict = {
         ev.state.u, ev.ens.s, ev.cutoff(params), ev.ens.equation)),
     "block_sup_norm": Functional(None, ("block",), _block_sup_norm),
     "density_weight": Functional(None, ("radius",), _density_weight),
+    "truncated_energy": Functional(
+        None, (), lambda ev, params: ev.factors(ev.cutoff(params)).truncated_energy),
     "scalar_gaussian": Functional(1, (), lambda ev, params: integrate(ev.state.u)),
 }
 
@@ -325,12 +326,13 @@ def estimate_lp(functional: str, ens: EnsembleSpec, p: float, samples: int, *,
 
 
 def resolve_radius(radius, ens: EnsembleSpec, *, pilot_samples: int = 1000,
-                   quantile: float = 0.9) -> float:
+                   workers: int = 1) -> float:
     """Turn a configured radius into a number.
 
-    Numbers pass through; "auto" draws a pilot ensemble from a seed
-    derived from the master seed (so it never reuses the estimate
-    indices) and returns the requested quantile of the truncated energy.
+    Numbers and "inf" pass through; "auto" draws a pilot ensemble from a
+    seed derived from the master seed (so it never reuses the estimate
+    indices) on `workers` processes and returns the 0.9 quantile of the
+    truncated energy.
     """
     if radius != "auto":
         r = float(radius)
@@ -339,11 +341,9 @@ def resolve_radius(radius, ens: EnsembleSpec, *, pilot_samples: int = 1000,
         return r
     pilot = replace(ens, master_seed=_tag64(f"pilot-radius:{ens.master_seed}"),
                     energy_cutoff_r=math.inf)
-    energies = [
-        truncated_energy(sample(pilot, i), pilot.truncation_N, pilot.equation, pilot.beta)
-        for i in range(pilot_samples)
-    ]
-    return float(np.quantile(energies, quantile))
+    energies, _ = collect_values(pilot, [("truncated_energy", {})], pilot_samples,
+                                 workers=workers)
+    return float(np.quantile(energies[:, 0], 0.9))
 
 
 # -- experiments ---------------------------------------------------------------
@@ -390,7 +390,7 @@ def lp_growth_experiment(s: float, cutoff_list, p_list, radius, samples: int, *,
     for cutoff in cutoff_list:
         ens = EnsembleSpec(variant=variant, s=s, sample_max_mode=cutoff,
                            truncation_N=cutoff, master_seed=master_seed, beta=beta)
-        r = resolve_radius(radius, ens)
+        r = resolve_radius(radius, ens, workers=workers)
         ens = replace(ens, energy_cutoff_r=r)
         radii.append((cutoff, r))
         series = _draw(ens, [(f"{functional}:N={cutoff}", functional, None)],

@@ -27,7 +27,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .spectral import PhaseState, SpectralField, _frozen, _sq_bracket, _sq_modulus
+from .spectral import (PhaseState, SpectralField, _frozen, _half_lattice, _sq_bracket,
+                       _sq_modulus)
 
 VARIANTS = ("mu_s", "mu_tilde_s", "mu_s_beta")
 
@@ -82,23 +83,6 @@ class EnsembleSpec:
 
 
 @lru_cache(maxsize=64)
-def _half_lattice_index(max_mode: int):
-    """Flat indices of the stored half-lattice in lexicographic (n1, n2)
-    order, their mirrors, and the position of n = 0 within the order."""
-    K = max_mode
-    side = 2 * K + 1
-    n1, n2 = np.meshgrid(np.arange(-K, K + 1), np.arange(-K, K + 1), indexing="ij")
-    keep = (n2 > 0) | ((n2 == 0) & (n1 >= 0))
-    n1, n2 = n1[keep], n2[keep]
-    order = np.lexsort((n2, n1))  # primary key n1, secondary n2
-    n1, n2 = n1[order], n2[order]
-    flat = (n1 + K) * side + (n2 + K)
-    mirror = (-n1 + K) * side + (-n2 + K)
-    zero_pos = int(np.nonzero((n1 == 0) & (n2 == 0))[0][0])
-    return _frozen(flat), _frozen(mirror), zero_pos
-
-
-@lru_cache(maxsize=64)
 def _weights(variant: str, s: float, beta: float, max_mode: int):
     br = _sq_bracket(max_mode)  # 1 + |n|^2
     if variant == "mu_s":
@@ -123,9 +107,10 @@ def _stream(master_seed: int, index: int) -> np.random.Generator:
 
 
 def _assemble(raw: np.ndarray, weight: np.ndarray, max_mode: int) -> SpectralField:
-    flat, mirror, zero_pos = _half_lattice_index(max_mode)
+    flat, mirror = _half_lattice(max_mode)
     g = (raw[:, 0] + 1j * raw[:, 1]) * np.sqrt(0.5)
-    g[zero_pos] = raw[zero_pos, 0]  # zero mode: real, variance 1
+    zero = max_mode**2  # n = 0's place in the stored order: real, variance 1
+    g[zero] = raw[zero, 0]
     side = 2 * max_mode + 1
     box = np.zeros(side * side, np.complex128)
     box[flat] = g

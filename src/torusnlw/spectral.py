@@ -472,23 +472,25 @@ def grid_sup_norm(f: SpectralField, oversample: int = 4) -> float:
 # -- serialization ----------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def _half_lattice(max_mode: int):
-    """Lexicographic (n1, n2) over the stored half: n2 > 0, or n2 = 0 and
-    n1 >= 0.  The mirror coefficients are implied by Hermitian symmetry."""
-    K = max_mode
-    for n1 in range(-K, K + 1):
-        for n2 in range(-K, K + 1):
-            if n2 > 0 or (n2 == 0 and n1 >= 0):
-                yield n1, n2
+    """Flat block indices of the stored half (n2 > 0, or n2 = 0 and
+    n1 >= 0) in lexicographic (n1, n2) order, and of their mirrors -n,
+    whose coefficients Hermitian symmetry implies.  n = 0 is at position
+    K^2 of the order."""
+    ax = _mode_axis(max_mode)
+    n1, n2 = ax[:, None], ax[None, :]
+    flat = np.flatnonzero((n2 > 0) | ((n2 == 0) & (n1 >= 0)))  # C order is lexicographic
+    return _frozen(flat), _frozen((2 * max_mode + 1) ** 2 - 1 - flat)
 
 
 def field_to_dict(f: SpectralField) -> dict:
     K = f.max_mode
-    rows = []
-    for n1, n2 in _half_lattice(K):
-        c = f.coeffs[n1 + K, n2 + K]
-        rows.append([n1, n2, float(c.real), float(c.imag)])
-    return {"max_mode": K, "coeffs": rows}
+    flat, _ = _half_lattice(K)
+    n1, n2 = np.divmod(flat, 2 * K + 1)
+    c = f.coeffs.ravel()[flat]
+    rows = zip((n1 - K).tolist(), (n2 - K).tolist(), c.real.tolist(), c.imag.tolist())
+    return {"max_mode": K, "coeffs": [list(row) for row in rows]}
 
 
 def field_from_dict(d: dict) -> SpectralField:

@@ -293,6 +293,19 @@ class TestMonteCarloCommands:
         for name in ("estimates.csv", "fits.csv", "raw_values.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_mc_lp_auto_radius_deterministic_across_workers(self, tmp_path):
+        # the pilot that resolves "auto" is split across the workers too
+        cfg = json.loads(json.dumps(MC_LP_CONFIG))
+        cfg["experiment"]["r"] = "auto"
+        cfg["output"] = {"emit_raw": True}
+        outs = [run(tmp_path, "mc-lp", cfg, workers=w, name=f"w{w}")[1] for w in (1, 4)]
+        for name in ("estimates.csv", "fits.csv", "raw_values.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        radii = [json.loads((out / "metadata.json").read_text())["resolved_radii"]
+                 for out in outs]
+        assert radii[0] == radii[1]
+        assert all(0 < r < math.inf for _, r in radii[0])
+
     def test_mc_lp_single_p_rejected(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(MC_LP_CONFIG))
         cfg["experiment"]["p_list"] = [4.0]
@@ -620,8 +633,8 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("mc-lp", "experiment.functional", "nope",
      "experiment.functional: one of ['energy_rate_highlow', "
      "'energy_rate_leibniz', 'energy_rate_mass', 'energy_rate_total', "
-     "'quartic_correction', 'scalar_gaussian', 'wick_mass'] (mc-lp supplies no "
-     "functional parameters)"),
+     "'quartic_correction', 'scalar_gaussian', 'truncated_energy', 'wick_mass'] "
+     "(mc-lp supplies no functional parameters)"),
     ("mc-lp", "experiment.r", 0,
      'experiment.r: must be > 0, "auto" or "inf"'),
     ("mc-lp", "experiment.r", -1.5,
@@ -837,6 +850,35 @@ def test_resolved_config_in_metadata(tmp_path, command):
     assert stored["output"]["directory"] == str(out)
     stored["output"]["directory"] = OUT
     assert stored == resolved
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("command, experiment, radii", [
+    ("mc-lp", {"N_list": [2, 3], "p_list": [2.0, 4.0], "samples": 100, "r": "inf"},
+     {"resolved_radii": [[2, "inf"], [3, "inf"]]}),
+    ("mc-lp", {"N_list": [2, 3], "p_list": [2.0, 4.0], "samples": 100, "r": "auto"}, {}),
+    ("mc-chaos", {"p_list": [4.0], "samples": 100}, {"resolved_radius": "inf"}),
+])
+def test_metadata_is_json_and_its_config_reruns(tmp_path, command, experiment, radii):
+    ensemble = dict(_MC_ENSEMBLE, sample_max_mode=3) if command == "mc-chaos" else _MC_ENSEMBLE
+    code, out = run(tmp_path, command, {"ensemble": ensemble, "experiment": experiment})
+    assert code == 0
+    meta = json.loads((out / "metadata.json").read_text(), parse_constant=_reject_constant)
+    assert radii.items() <= meta.items()
+    code, again = run(tmp_path, command, meta["config"], name="again")
+    assert code == 0
+    csvs = sorted(p.name for p in out.glob("*.csv"))
+    assert csvs == sorted(p.name for p in again.glob("*.csv")) and csvs
+    for name in csvs:
+        assert (out / name).read_bytes() == (again / name).read_bytes()
+    meta_again = json.loads((again / "metadata.json").read_text(),
+                            parse_constant=_reject_constant)
+    for m in (meta, meta_again):
+        del m["wall_time_s"], m["config"]["output"]["directory"]
+    assert meta == meta_again
 
 
 def test_readme_mc_lp_example_is_valid(monkeypatch):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from torusnlw.energy import UnsupportedParameterError
 from torusnlw.measures import (
+    MARGINALS,
+    _variance_pair,
     comparison_statistic,
     kakutani_terms,
     weighted_density,
@@ -115,6 +117,17 @@ class TestComparisonStatistic:
     def test_marginal_validation(self):
         with pytest.raises(ValueError, match="marginal"):
             comparison_statistic(1.0, 2.0, marginal="momentum")
+
+    @pytest.mark.parametrize("marginal", MARGINALS)
+    @pytest.mark.parametrize("s", [0.4, 2.0])
+    def test_common_factor_cancels(self, s, marginal):
+        # on the squared-modulus classes that kakutani_terms sums over
+        classes = np.asarray(kakutani_terms(s, 512, marginal).class_sq_modulus, float)
+        common = (1.0 + classes) ** 1.7
+        lam, lam_t = (common * lam for lam in _variance_pair(classes, s, marginal))
+        np.testing.assert_allclose(((lam - lam_t) / (lam + lam_t)) ** 2,
+                                   comparison_statistic(classes, s, marginal),
+                                   rtol=1e-14, atol=1e-14)
 
 
 class TestKakutaniTerms:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from torusnlw.montecarlo import (
     DegenerateEnsembleError,
     FUNCTIONALS,
     _estimate_from_values,
+    _tag64,
     chaos_growth_check,
     collect_values,
     convergence_rate_study,
@@ -193,7 +195,8 @@ class TestSharedFactors:
                  ("energy_rate_highlow", {}), ("energy_rate_mass", {}),
                  ("energy_rate_leibniz", {}), ("energy_rate_total", {}),
                  ("density_weight", {"radius": radius}),
-                 ("density_weight", {"radius": radius, "cutoff": M})]
+                 ("density_weight", {"radius": radius, "cutoff": M}),
+                 ("truncated_energy", {}), ("truncated_energy", {"cutoff": M})]
         values, weights = collect_values(
             EnsembleSpec(variant=variant, s=s, sample_max_mode=N, truncation_N=N,
                          master_seed=31, beta=beta, energy_cutoff_r=radius), funcs, n)
@@ -205,7 +208,8 @@ class TestSharedFactors:
                       *[getattr(hi, c) - getattr(lo, c)
                         for c in ("double_pair_renorm", "single_pair", "no_pair")],
                       rate.highlow, rate.mass, rate.leibniz, rate.total,
-                      *[weighted_density(p, s, c, radius, eq, beta).weight for c in (N, M)]]
+                      *[weighted_density(p, s, c, radius, eq, beta).weight for c in (N, M)],
+                      *[truncated_energy(p, c, eq, beta) for c in (N, M)]]
             assert row.tolist() == expect
             assert weight == float(truncated_energy(p, N, eq, beta) <= radius)
         assert 0 < weights.sum() < n
@@ -319,6 +323,16 @@ class TestResolveRadius:
         r2 = resolve_radius("auto", ens, pilot_samples=300)
         assert r1 == r2
         assert 0.0 < r1 < 100.0
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_auto_equals_a_serial_pilot_loop(self, workers):
+        # the oracle: the pilot's draws one by one through the public functions
+        ens = make_ens(K=6, N=4, seed=601)
+        pilot = replace(ens, master_seed=_tag64(f"pilot-radius:{ens.master_seed}"))
+        energies = [truncated_energy(sample(pilot, i), 4, ens.equation, ens.beta)
+                    for i in range(200)]
+        radius = resolve_radius("auto", ens, pilot_samples=200, workers=workers)
+        assert radius == float(np.quantile(energies, 0.9))
 
     def test_auto_accepts_most_samples_at_default_quantile(self):
         ens = make_ens(K=4, seed=21)
