@@ -10,26 +10,19 @@ from .spectral import (  # noqa: F401
     SpectralField,
     apply_multiplier,
     bessel_power,
-    constant_field,
     derivative,
     dyadic_block,
-    embed_window,
     field_from_dict,
-    field_from_modes,
     field_to_dict,
     grid_sup_norm,
-    high_pass,
     inner_product,
     integrate,
-    low_pass,
     pointwise_product,
     project_ball,
-    remove_mean,
     riesz_power,
     sobolev_norm,
     state_from_dict,
     state_to_dict,
-    truncated_cube,
     zero_field,
 )
 from .sampling import (  # noqa: F401
@@ -43,10 +36,7 @@ from .dynamics import (  # noqa: F401
     IntegratorSpec,
     ModelSpec,
     evolve,
-    linear_propagator,
     trajectory,
-    truncation_error,
-    vector_field,
 )
 from .energy import (  # noqa: F401
     ChaosComponents,
@@ -67,7 +57,6 @@ from .measures import (  # noqa: F401
     KakutaniSummary,
     comparison_statistic,
     kakutani_terms,
-    weighted_density,
 )
 from .montecarlo import (  # noqa: F401
     DegenerateEnsembleError,

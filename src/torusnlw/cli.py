@@ -453,8 +453,13 @@ _DIAGNOSE = _Group({
 
 def _run_diagnose(cfg, built, workers):
     m = cfg["model"]
-    report = energy_report(built["state"], m["s"], m["N"], m["equation"], m["beta"])
-    return {"report.json": report.to_dict()}
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        report = energy_report(built["state"], m["s"], m["N"], m["equation"],
+                               m["beta"]).to_dict()
+    bad = [k for k, v in report.items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise FloatingPointError(f"diagnose: non-finite values of {', '.join(bad)}")
+    return {"report.json": report}
 
 
 # mc-lp and mc-chaos name one registry functional and supply no parameters

@@ -15,8 +15,7 @@ field.  Both accept negative integration times.
 Both schemes step the n2 >= 0 half blocks of u and v, shape (2K + 1, K + 1).
 Every operation of a step maps Hermitian blocks to Hermitian blocks, so the
 halves are the state; a PhaseState is built from them (by conjugate mirror)
-only where trajectory yields one or evolve returns.  linear_propagator,
-vector_field and spectral.truncated_cube wrap the same half-block routines.
+only where trajectory yields one or evolve returns.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .spectral import (
     _frozen,
     _sq_bracket,
     _sq_modulus,
-    sobolev_norm,
 )
 
 EQUATIONS = ("nlkg", "nlw", "nlkg_beta")
@@ -172,17 +170,6 @@ def _check_window(p: PhaseState, model: ModelSpec) -> None:
         )
 
 
-def linear_propagator(p: PhaseState, t: float, model: ModelSpec) -> PhaseState:
-    """Exact flow of the linearized equation for time t (any sign)."""
-    return _state(*_rotate(_half(p.u), _half(p.v), t, model))
-
-
-def vector_field(p: PhaseState, model: ModelSpec) -> PhaseState:
-    """Right-hand side (v, L u - Pi_N((Pi_N u)^3)) on the state's window."""
-    _check_window(p, model)
-    return PhaseState(p.v, _field(_rhs(_half(p.u), _half(p.v), model)[1]))
-
-
 def _steps(t_final: float, dt: float):
     """Split |t_final| into full steps of dt plus one short remainder."""
     sign = 1.0 if t_final >= 0 else -1.0
@@ -244,15 +231,3 @@ def _checked_step(step, u: np.ndarray, v: np.ndarray, dt: float, model: ModelSpe
         raise IntegrationError(f"non-finite values {where}")
     return u, v
 
-
-def truncation_error(p: PhaseState, t: float, N_small: int, N_large: int,
-                     model: ModelSpec, integ: IntegratorSpec,
-                     sigma: float = 1.0) -> float:
-    """Sobolev distance at time t between the N_small and N_large flows
-    started from the same state."""
-    if N_small > N_large:
-        raise ValueError("N_small must not exceed N_large")
-    small = evolve(p, t, ModelSpec(model.equation, N_small, model.beta), integ)
-    large = evolve(p, t, ModelSpec(model.equation, N_large, model.beta), integ)
-    diff = PhaseState(small.u - large.u, small.v - large.v)
-    return sobolev_norm(diff, sigma)

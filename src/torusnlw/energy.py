@@ -27,6 +27,7 @@ asked for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -244,7 +245,10 @@ class _Factors:
         pair4 = t2w - float(w[K, K] ** 2 * a[K, K] ** 2)  # excludes n = 0
 
         double_pair = 1.5 * t1 * t0
-        single_pair = 3.0 * (tw**2 - t2w) - 1.5 * pair4
+        try:
+            single_pair = 3.0 * (tw**2 - t2w) - 1.5 * pair4
+        except OverflowError:  # a Python float's ** raises where NumPy gives inf
+            single_pair = math.inf
         no_pair = self.smoothed_quartic - double_pair - single_pair
         renorm = double_pair - 1.5 * _sigma_const(self.equation, self.cutoff, s) * t0
         return ChaosComponents(double_pair, single_pair, no_pair, renorm)
@@ -291,10 +295,11 @@ def quartic_correction(u: SpectralField, s: float, cutoff: int,
                        equation: str = "nlkg") -> float:
     """Renormalized quartic correction
 
-        3/2 int (base^s low_pass u)^2 (low_pass u)^2  -  3/2 sigma int (low_pass u)^2
+        3/2 int (base^s Pi_N u)^2 (Pi_N u)^2  -  3/2 sigma int (Pi_N u)^2
 
-    with base/sigma set by the equation family (no subtraction for
-    nlkg_beta).  This is the log-density of the weighted measure.
+    with Pi_N the projection onto |n| <= N = cutoff and base/sigma set by
+    the equation family (no subtraction for nlkg_beta).  This is the
+    log-density of the weighted measure.
     """
     _check_equation(equation)
     return _Factors(_UOnly(u), s, cutoff, equation).quartic_correction
@@ -316,7 +321,7 @@ def renormalized_energy(p: PhaseState, s: float, cutoff: int,
 
 def wick_renormalized_mass(u: SpectralField, s: float, cutoff: int,
                            equation: str = "nlkg") -> float:
-    """int (base^s low_pass u)^2 minus the matching counterterm; mean zero
+    """int (base^s Pi_N u)^2 minus the matching counterterm; mean zero
     under the reference Gaussian ensemble, a degree-2 polynomial in it."""
     _check_equation(equation)
     uN = project_ball(u, cutoff)
@@ -344,7 +349,7 @@ class ChaosComponents:
 
 def chaos_components(u: SpectralField, s: float, cutoff: int,
                      equation: str = "nlkg") -> ChaosComponents:
-    """Pair/no-pair components of 3/2 int (base^s low_pass u)^2 (low_pass u)^2.
+    """Pair/no-pair components of 3/2 int (base^s Pi_N u)^2 (Pi_N u)^2.
 
     double_pair collects frequency quadruples with two conjugate pairs,
     single_pair those with exactly one, no_pair the rest; they sum to the
@@ -360,7 +365,7 @@ def chaos_components(u: SpectralField, s: float, cutoff: int,
 
 @dataclass(frozen=True)
 class EnergyRateTerms:
-    """d/dt renormalized_energy(low_pass state) along the truncated flow,
+    """d/dt renormalized_energy(Pi_N state) along the truncated flow,
     split into the three probabilistically bounded pieces."""
 
     highlow: float   # 3 int P!=0[(base^s u)^2] P!=0[v u]
@@ -381,7 +386,7 @@ def energy_rate_terms(p: PhaseState, s: float, cutoff: int,
     identity 3 int (base^s v_N)(base^s u_N) u_N^2 - int (base^2s v_N) u_N^3.
     The rate identity
 
-        d/dt renormalized_energy(low_pass Phi(t) p) |_{t=0} = total
+        d/dt renormalized_energy(Pi_N Phi(t) p) |_{t=0} = total
 
     holds for every state; see the finite-difference tests.
     """

@@ -5,7 +5,9 @@ to a reference Gaussian: an energy cutoff indicator times the exponential
 of minus the quartic correction (for the wave family the plain quartic
 rides along too).  Everything here is unnormalized; downstream statistics
 are ratios of weighted Monte Carlo sums, so normalization constants
-cancel and are never computed.
+cancel and are never computed.  The density is read per drawn state
+through the Monte Carlo registry's density_weight functional, on the
+factors (energy._Factors) that state shares with every other functional.
 
 The mode-by-mode equivalence diagnostic compares the two candidate
 reference Gaussians for one marginal.  For each frequency the two
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _check_equation, _Factors
-from .spectral import PhaseState
 
 MARGINALS = ("position", "velocity")
 
@@ -39,21 +40,15 @@ class DensityValue:
     log_weight: float  # always finite; meaningful when indicator is true
 
 
-def weighted_density(p: PhaseState, s: float, cutoff: int, radius: float,
-                     equation: str = "nlkg", beta: float = 0.0) -> DensityValue:
-    """Density of the cutoff weighted measure against the reference Gaussian.
+def _density(f: _Factors, radius: float) -> DensityValue:
+    """Density of the cutoff weighted measure against the reference
+    Gaussian, from one state's factors at the cutoff.
 
     indicator = (truncated energy <= radius); log_weight = minus the
     quartic correction, with the plain low-pass quartic included as well
     for the wave equation (its conserved energy is carried inside the
     modified one, bringing the extra factor along).
     """
-    _check_equation(equation)
-    return _density(_Factors(p, s, cutoff, equation, beta), radius)
-
-
-def _density(f: _Factors, radius: float) -> DensityValue:
-    """weighted_density from one state's factors at the cutoff."""
     if not radius > 0:
         raise ValueError(f"cutoff radius must be positive (or inf), got {radius}")
     _check_equation(f.equation, f.beta)

@@ -14,9 +14,17 @@ window-K fields has modes up to 4K, so its plain mean on quadrature_grid(K)
 >= 4K + 1 points per direction is its exact integral.  The direct product
 convolves coefficient arrays and is kept as an independent oracle.
 
-Fields are immutable after construction and every operation is a pure
-function of its inputs, so values can be shared freely across threads and
-worker processes.
+A field built from outside (SpectralField(max_mode, coeffs)) has its
+block checked for shape, finite entries and Hermitian symmetry; the
+package's own operations build their results unchecked.  Fields are
+immutable after construction and every operation is a pure function of
+its inputs, so values can be shared freely across threads and worker
+processes.
+
+Fourier multipliers (Bessel and Riesz powers, dyadic blocks, derivatives)
+act on coefficients; project_ball is the projection Pi_N onto the ball
+|n| <= N, and _cube_half the truncated cube Pi_N((Pi_N u)^3) that the
+flow steps with.
 """
 
 from __future__ import annotations
@@ -98,44 +106,12 @@ class SpectralField:
             raise SpectralError(
                 f"coefficient block must have shape {(side, side)}, got {c.shape}"
             )
+        if not np.isfinite(c).all():
+            raise SpectralError("coefficients must be finite")
         scale = max(float(np.abs(c).max()), 1.0)
         if _hermitian_defect(c) > _HERMITIAN_TOL * scale:
             raise SpectralError("coefficients are not Hermitian-symmetric")
         object.__setattr__(self, "coeffs", _frozen(c))
-
-    # -- small algebra, mainly for tests and integrators ------------------
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        if not isinstance(other, SpectralField):
-            return NotImplemented
-        a, b = self, other
-        if a.max_mode < b.max_mode:
-            a = embed_window(a, b.max_mode)
-        elif b.max_mode < a.max_mode:
-            b = embed_window(b, a.max_mode)
-        return SpectralField(a.max_mode, a.coeffs + b.coeffs, _trusted=True)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        if not isinstance(other, SpectralField):
-            return NotImplemented
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        if not isinstance(scalar, (int, float)):
-            return NotImplemented
-        return SpectralField(self.max_mode, self.coeffs * float(scalar), _trusted=True)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return (-1.0) * self
-
-    def mode(self, n1: int, n2: int) -> complex:
-        """Coefficient of e^{i n.x}; zero outside the stored block."""
-        K = self.max_mode
-        if abs(n1) > K or abs(n2) > K:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[n1 + K, n2 + K])
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,39 +139,6 @@ class PhaseState:
 def zero_field(max_mode: int) -> SpectralField:
     return SpectralField(max_mode, np.zeros((2 * max_mode + 1,) * 2, np.complex128),
                          _trusted=True)
-
-
-def constant_field(value: float, max_mode: int = 0) -> SpectralField:
-    c = np.zeros((2 * max_mode + 1,) * 2, np.complex128)
-    c[max_mode, max_mode] = value
-    return SpectralField(max_mode, c, _trusted=True)
-
-
-def field_from_modes(max_mode: int, modes: dict) -> SpectralField:
-    """Build a field from {(n1, n2): coefficient}, filling conjugates.
-
-    Each listed mode also sets its mirror -n to the conjugate value, so
-    passing {(1, 0): 0.5} yields cos(x_1).
-    """
-    K = max_mode
-    c = np.zeros((2 * K + 1, 2 * K + 1), np.complex128)
-    for (n1, n2), val in modes.items():
-        if abs(n1) > K or abs(n2) > K:
-            raise SpectralError(f"mode {(n1, n2)} outside window {K}")
-        c[n1 + K, n2 + K] = val
-        c[-n1 + K, -n2 + K] = np.conj(val)
-    return SpectralField(K, c)
-
-
-def embed_window(f: SpectralField, max_mode: int) -> SpectralField:
-    """Same field on a wider coefficient block."""
-    if max_mode < f.max_mode:
-        raise SpectralError("embed_window cannot shrink the block")
-    if max_mode == f.max_mode:
-        return f
-    pad = max_mode - f.max_mode
-    c = np.pad(f.coeffs, pad)
-    return SpectralField(max_mode, c, _trusted=True)
 
 
 # -- Fourier multipliers ----------------------------------------------------
@@ -229,30 +172,11 @@ def riesz_power(sigma: float) -> Multiplier:
     return Multiplier("riesz_power", exponent=float(sigma))
 
 
-def low_pass(cutoff: int) -> Multiplier:
-    """Sharp projection onto the Euclidean ball |n| <= cutoff."""
-    if cutoff < 0:
-        raise SpectralError("low_pass cutoff must be >= 0")
-    return Multiplier("low_pass", cutoff=int(cutoff))
-
-
-def high_pass(cutoff: int) -> Multiplier:
-    """Complement of low_pass: keeps |n| > cutoff."""
-    if cutoff < 0:
-        raise SpectralError("high_pass cutoff must be >= 0")
-    return Multiplier("high_pass", cutoff=int(cutoff))
-
-
 def dyadic_block(block: int) -> Multiplier:
     """Keeps the shell block <= (1 + |n|^2)^(1/2) < 2 * block."""
     if block < 0:
         raise SpectralError("dyadic_block parameter must be >= 0")
     return Multiplier("dyadic_block", cutoff=int(block))
-
-
-def remove_mean() -> Multiplier:
-    """Zeroes the n = 0 coefficient."""
-    return Multiplier("remove_mean")
 
 
 def derivative(order1: int, order2: int) -> Multiplier:
@@ -276,16 +200,9 @@ def _symbol(m: Multiplier, max_mode: int) -> np.ndarray:
             # |0|^sigma = 0 for sigma > 0; the sigma < 0 mean check happens
             # in apply_multiplier before this symbol is used.
             sym[max_mode, max_mode] = 0.0
-    elif m.kind == "low_pass":
-        sym = (sq_mod <= m.cutoff**2).astype(float)
-    elif m.kind == "high_pass":
-        sym = (sq_mod > m.cutoff**2).astype(float)
     elif m.kind == "dyadic_block":
         br = _sq_bracket(max_mode)
         sym = ((br >= m.cutoff**2) & (br < 4 * m.cutoff**2)).astype(float)
-    elif m.kind == "remove_mean":
-        sym = np.ones_like(sq_mod)
-        sym[max_mode, max_mode] = 0.0
     elif m.kind == "derivative":
         ax = _mode_axis(max_mode).astype(float)
         a1, a2 = m.order
@@ -307,11 +224,9 @@ def apply_multiplier(f: SpectralField, m: Multiplier) -> SpectralField:
 
 
 def project_ball(f: SpectralField, cutoff: int) -> SpectralField:
-    """low_pass(cutoff) with the block shrunk to min(max_mode, cutoff).
-
-    Same operator as apply_multiplier(f, low_pass(cutoff)); the smaller
-    block keeps downstream product grids tight.
-    """
+    """Pi_N f for N = cutoff: the sharp projection onto the Euclidean ball
+    |n| <= cutoff, on the block shrunk to min(max_mode, cutoff), which
+    keeps downstream product grids tight."""
     K = min(f.max_mode, cutoff)
     c = _crop(f.coeffs, f.max_mode, K) * (_sq_modulus(K) <= cutoff**2)
     return SpectralField(K, c, _trusted=True)
@@ -396,24 +311,18 @@ def pointwise_product(f: SpectralField, g: SpectralField,
     return SpectralField(K_out, c, _trusted=True)
 
 
-def truncated_cube(u: SpectralField, cutoff: int) -> SpectralField:
-    """low_pass(cutoff) of (low_pass(cutoff) u)^3, evaluated alias-free on
-    the window min(cutoff, 3 min(max_mode, cutoff)); see _cube_half."""
-    c = _cube_half(u.coeffs[:, u.max_mode:], cutoff)
-    return SpectralField(c.shape[1] - 1, _from_half(c), _trusted=True)
-
-
 @lru_cache(maxsize=128)
 def _ball_half(max_mode: int, cutoff: int) -> np.ndarray:
-    """The n2 >= 0 half of the low_pass(cutoff) mask on the window block,
+    """The n2 >= 0 half of the mask |n| <= cutoff on the window block,
     as complex128 (a product with coefficients casts it so anyway)."""
     K = max_mode
     return _frozen((_sq_modulus(K) <= cutoff**2)[:, K:].astype(np.complex128))
 
 
-def _cube_half(half: np.ndarray, cutoff: int, window: int | None = None) -> np.ndarray:
-    """n2 >= 0 half of truncated_cube from the n2 >= 0 half of u, zero-padded
-    to `window` (default: the cube's own window K_out <= window).
+def _cube_half(half: np.ndarray, cutoff: int, window: int) -> np.ndarray:
+    """n2 >= 0 half of the truncated cube Pi_N((Pi_N u)^3), N = cutoff, from
+    the n2 >= 0 half of u.  The cube is formed alias-free on its own window
+    K_out = min(cutoff, 3 min(K, cutoff)) and zero-padded to `window`.
 
     The working grid has at least 4 * cutoff + 2 points per direction
     (rounded up to an FFT-friendly size): folding from the cube's support
@@ -432,7 +341,7 @@ def _cube_half(half: np.ndarray, cutoff: int, window: int | None = None) -> np.n
     c[:K_out, 0] = np.conj(c[:K_out:-1, 0])
     c[K_out, 0] = c[K_out, 0].real
     c *= _ball_half(K_out, cutoff)
-    pad = 0 if window is None else window - K_out
+    pad = window - K_out
     return np.pad(c, ((pad, pad), (0, pad))) if pad else c
 
 

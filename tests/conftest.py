@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from torusnlw.spectral import PhaseState, SpectralField
+from torusnlw.spectral import PhaseState, SpectralError, SpectralField, sobolev_norm
 
 settings.register_profile(
     "default",
@@ -29,6 +29,33 @@ def random_hermitian_block(rng: np.random.Generator, max_mode: int) -> np.ndarra
 
 def random_field(rng: np.random.Generator, max_mode: int, scale: float = 1.0) -> SpectralField:
     return SpectralField(max_mode, scale * random_hermitian_block(rng, max_mode))
+
+
+def field_from_modes(max_mode: int, modes: dict) -> SpectralField:
+    """Build a field from {(n1, n2): coefficient}, filling conjugates.
+
+    Each listed mode also sets its mirror -n to the conjugate value, so
+    passing {(1, 0): 0.5} yields cos(x_1).
+    """
+    K = max_mode
+    c = np.zeros((2 * K + 1, 2 * K + 1), np.complex128)
+    for (n1, n2), val in modes.items():
+        if abs(n1) > K or abs(n2) > K:
+            raise SpectralError(f"mode {(n1, n2)} outside window {K}")
+        c[n1 + K, n2 + K] = val
+        c[-n1 + K, -n2 + K] = np.conj(val)
+    return SpectralField(K, c)
+
+
+def constant_field(value: float, max_mode: int = 0) -> SpectralField:
+    return field_from_modes(max_mode, {(0, 0): value})
+
+
+def state_distance(a: PhaseState, b: PhaseState, sigma: float = 1.0) -> float:
+    """H^sigma x H^(sigma-1) distance of two states on one window."""
+    K = a.max_mode
+    return sobolev_norm(PhaseState(SpectralField(K, a.u.coeffs - b.u.coeffs),
+                                   SpectralField(K, a.v.coeffs - b.v.coeffs)), sigma)
 
 
 def random_state(rng: np.random.Generator, max_mode: int, scale: float = 1.0) -> PhaseState:

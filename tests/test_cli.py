@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import field_from_modes
 from torusnlw import cli, energy
 from torusnlw.cli import COMMANDS, OUTPUT_DIR_ENV, main
 from torusnlw.energy import energy_report
 from torusnlw.montecarlo import FUNCTIONALS
 from torusnlw.sampling import EnsembleSpec, sample
-from torusnlw.spectral import PhaseState, field_from_modes, state_to_dict
+from torusnlw.spectral import PhaseState, state_to_dict
 
 
 def run(tmp_path, command, config, workers=None, name="run"):
@@ -103,6 +104,26 @@ class TestDiagnose:
         assert report["rate_highlow"] == pytest.approx(1.5)
         assert report["rate_mass"] == pytest.approx(-1.5)
         assert report["rate_leibniz"] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("amplitude, exit_code", [(1e76, 0), (1e77, 2)])
+    def test_overflow_is_a_runtime_error_without_output(self, tmp_path, capsys,
+                                                        amplitude, exit_code):
+        # at 1e77 every diagnostic overflows, and the chaos split's square
+        # of a Python float raises where NumPy would give inf
+        big = field_from_modes(1, {(1, 0): amplitude})
+        state_file = tmp_path / "big.json"
+        state_file.write_text(json.dumps(state_to_dict(PhaseState(big, big))))
+        code, out = run(tmp_path, "diagnose", {"model": {"equation": "nlkg", "s": 2.0, "N": 1},
+                                               "state": {"file": str(state_file)}})
+        err = capsys.readouterr().err
+        assert code == exit_code
+        if exit_code == 0:
+            assert err == ""
+            json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+        else:
+            assert not out.exists()
+            assert err.startswith("runtime error: diagnose: non-finite values of energy, ")
+            assert "chaos_single_pair" in err and err.count("\n") == 1
 
     def test_unsupported_order_reports_null_rates(self, tmp_path):
         code, out = run(
@@ -573,6 +594,8 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
      "state.file: No such file or directory: {tmp}/absent.json"),
     ("evolve", "state", {"file": "{tmp}/bad-state.json"},
      "state.file: not a valid state file ('int' object is not subscriptable)"),
+    ("evolve", "state", {"file": "{tmp}/nan-state.json"},
+     "state.file: not a valid state file (coefficients must be finite)"),
     ("evolve", "state", {"file": 3}, "state.file: expected str"),
     ("evolve", "state.zero.max_mode", -1, "state.zero.max_mode: must be >= 0"),
     ("evolve", "state.zero.extra", 1, "state.zero: unknown keys ['extra']"),
@@ -609,6 +632,8 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("diagnose", "model", {"equation": "nlkg_beta", "s": 2.0, "N": 2, "beta": 0.5},
      "model.beta: nlkg_beta needs beta > 1"),
     ("diagnose", "state", {}, "state: exactly one of file/sample/zero required"),
+    ("diagnose", "state", {"file": "{tmp}/inf-state.json"},
+     "state.file: not a valid state file (coefficients must be finite)"),
     ("diagnose", "state", {"sample": {"ensemble": dict(ENSEMBLE, **BETA)}},
      "state.sample.ensemble: mu_s_beta needs beta > 1, got 0.5"),
     ("diagnose", "extra", 1, "config: unknown keys ['extra']"),
@@ -745,6 +770,10 @@ def test_rejected_at_validation_with_key_path(tmp_path, capsys, monkeypatch,
     # "{tmp}" stands for the test's directory in state file paths
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad-state.json").write_text('{"u": 1}')
+    for name, token in (("nan-state.json", "NaN"), ("inf-state.json", "-Infinity")):
+        (tmp_path / name).write_text(  # Python's JSON parser reads both tokens
+            f'{{"u": {{"max_mode": 0, "coeffs": [[0, 0, {token}, 0]]}}, '
+            '"v": {"max_mode": 0, "coeffs": [[0, 0, 0, 0]]}}')
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(edit(command, path, value)).replace("{tmp}", str(tmp_path)))
     code = main([command, str(cfg)])
@@ -752,7 +781,8 @@ def test_rejected_at_validation_with_key_path(tmp_path, capsys, monkeypatch,
     assert code == 1
     assert "Traceback" not in err
     assert err == f"config error: {message.replace('{tmp}', str(tmp_path))}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad-state.json", "config.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bad-state.json", "config.json", "inf-state.json", "nan-state.json"]
 
 
 def test_top_level_must_be_an_object(tmp_path, capsys):

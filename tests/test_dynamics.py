@@ -13,33 +13,32 @@ import pytest
 from scipy.fft import next_fast_len
 from scipy.integrate import solve_ivp
 
-from conftest import random_state
+from conftest import constant_field, field_from_modes, random_state, state_distance
 from torusnlw.dynamics import (
     IntegrationError,
     IntegratorSpec,
     ModelSpec,
     _dispersion,
+    _half,
+    _rhs,
+    _rotate,
+    _state,
     _steps,
     evolve,
-    linear_propagator,
     trajectory,
-    truncation_error,
-    vector_field,
 )
 from torusnlw.sampling import EnsembleSpec, sample
 from torusnlw.spectral import (
     PhaseState,
     SpectralField,
+    _cube_half,
     _from_grid,
+    _from_half,
     _hermitian_defect,
     _sq_modulus,
-    constant_field,
-    field_from_modes,
     grid_values,
     integrate,
     project_ball,
-    sobolev_norm,
-    truncated_cube,
     zero_field,
 )
 from torusnlw.energy import truncated_energy
@@ -53,8 +52,14 @@ def gaussian_state(index=1, K=4, seed=3) -> PhaseState:
     return sample(spec, index)
 
 
-def state_distance(a: PhaseState, b: PhaseState) -> float:
-    return sobolev_norm(PhaseState(a.u - b.u, a.v - b.v), 1.0)
+def linear_flow(p: PhaseState, t: float, model: ModelSpec) -> PhaseState:
+    """The exact linear flow for time t, as the steps rotate half blocks."""
+    return _state(*_rotate(_half(p.u), _half(p.v), t, model))
+
+
+def vector_field(p: PhaseState, model: ModelSpec) -> PhaseState:
+    """(v, L u - Pi_N((Pi_N u)^3)), as RK4 evaluates it on half blocks."""
+    return _state(*_rhs(_half(p.u), _half(p.v), model))
 
 
 class TestSpecValidation:
@@ -112,36 +117,36 @@ class TestVectorField:
         assert rhs.v.coeffs[4 + 3, 4] == 0.0
 
 
-class TestLinearPropagator:
+class TestLinearFlow:
     def test_mode_rotation_closed_form(self):
         # mode (1, 0) of nlkg rotates at frequency sqrt(2)
         u0 = field_from_modes(1, {(1, 0): 0.5})
-        p = linear_propagator(PhaseState(u0, zero_field(1)), 0.7, ModelSpec("nlkg", 1))
+        p = linear_flow(PhaseState(u0, zero_field(1)), 0.7, ModelSpec("nlkg", 1))
         w = math.sqrt(2.0)
         assert p.u.coeffs[2, 1] == pytest.approx(0.5 * math.cos(0.7 * w), abs=1e-15)
         assert p.v.coeffs[2, 1] == pytest.approx(-0.5 * w * math.sin(0.7 * w), abs=1e-15)
 
     def test_velocity_seeds_sine_response(self):
         v0 = field_from_modes(1, {(1, 0): 0.5})
-        p = linear_propagator(PhaseState(zero_field(1), v0), 0.7, ModelSpec("nlkg", 1))
+        p = linear_flow(PhaseState(zero_field(1), v0), 0.7, ModelSpec("nlkg", 1))
         w = math.sqrt(2.0)
         assert p.u.coeffs[2, 1] == pytest.approx(0.5 * math.sin(0.7 * w) / w, abs=1e-15)
 
     def test_nlw_zero_mode_shears(self):
         p0 = PhaseState(constant_field(2.0), constant_field(-1.0))
-        p = linear_propagator(p0, 3.0, ModelSpec("nlw", 0))
+        p = linear_flow(p0, 3.0, ModelSpec("nlw", 0))
         assert integrate(p.u) == pytest.approx(2.0 - 3.0, abs=1e-15)
         assert integrate(p.v) == pytest.approx(-1.0, abs=1e-15)
 
     def test_group_property(self, rng):
         p = random_state(rng, 3)
-        one = linear_propagator(p, 0.9, NLKG4)
-        two = linear_propagator(linear_propagator(p, 0.4, NLKG4), 0.5, NLKG4)
+        one = linear_flow(p, 0.9, NLKG4)
+        two = linear_flow(linear_flow(p, 0.4, NLKG4), 0.5, NLKG4)
         assert state_distance(one, two) < 1e-13
 
     def test_inverse(self, rng):
         p = random_state(rng, 3)
-        back = linear_propagator(linear_propagator(p, 1.3, NLKG4), -1.3, NLKG4)
+        back = linear_flow(linear_flow(p, 1.3, NLKG4), -1.3, NLKG4)
         assert state_distance(back, p) < 1e-13
 
 
@@ -279,26 +284,6 @@ class TestBlowUp:
             evolve(big, 1.0, NLKG4, IntegratorSpec(dt=1e-2))
 
 
-class TestTruncationError:
-    def test_same_cutoffs_give_zero(self):
-        p = gaussian_state()
-        err = truncation_error(p, 0.3, 4, 4, NLKG4, IntegratorSpec(dt=1e-2))
-        assert err == 0.0
-
-    def test_matches_direct_two_flow_distance(self):
-        p = gaussian_state()
-        integ = IntegratorSpec(dt=1e-2)
-        err = truncation_error(p, 0.3, 2, 4, NLKG4, integ)
-        a = evolve(p, 0.3, ModelSpec("nlkg", 2), integ)
-        b = evolve(p, 0.3, ModelSpec("nlkg", 4), integ)
-        assert err == pytest.approx(state_distance(a, b), rel=1e-12)
-        assert err > 0.0
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError, match="N_small"):
-            truncation_error(gaussian_state(), 0.1, 4, 2, NLKG4, IntegratorSpec())
-
-
 # -- the full-block flow, as it was before the half-block stepping ----------
 # The flow now advances the n2 >= 0 half blocks of u and v.  These copies of
 # the full-block steps pin it: on exactly Hermitian states every state it
@@ -307,7 +292,7 @@ class TestTruncationError:
 
 
 def full_block_cube(u: np.ndarray, cutoff: int) -> np.ndarray:
-    """truncated_cube on the full block: project_ball, the cube on the
+    """The truncated cube on the full block: project_ball, the cube on the
     grid, rfft2 back through _from_grid, then the ball mask."""
     w = project_ball(SpectralField(u.shape[0] // 2, u), cutoff)
     Kw = w.max_mode
@@ -395,18 +380,21 @@ class TestHalfBlockFlowMatchesFullBlock:
         assert np.array_equal(end.v.coeffs, expected[-1][1])
 
     @pytest.mark.parametrize("equation, beta, N, K, t_final, dt", FLOW_CASES)
-    def test_public_wrappers_match_the_full_block_formulas(
+    def test_half_block_routines_match_the_full_block_formulas(
             self, rng, equation, beta, N, K, t_final, dt):
         p = random_state(rng, K)
         model = ModelSpec(equation, N, beta)
-        moved = linear_propagator(p, t_final, model)
+        moved = linear_flow(p, t_final, model)
         u, v = full_block_rotate(p.u.coeffs, p.v.coeffs, t_final, model)
         assert np.array_equal(moved.u.coeffs, u) and np.array_equal(moved.v.coeffs, v)
-        rhs = vector_field(p, model)
-        assert rhs.u is p.v
-        assert np.array_equal(rhs.v.coeffs, full_block_rhs(p.u.coeffs, p.v.coeffs, model)[1])
+        du, dv = _rhs(_half(p.u), _half(p.v), model)
+        assert np.array_equal(du, _half(p.v))
+        assert np.array_equal(_from_half(dv),
+                              full_block_rhs(p.u.coeffs, p.v.coeffs, model)[1])
         for cutoff in (0, 1, N, K, 2 * K + 3):
-            assert np.array_equal(truncated_cube(p.u, cutoff).coeffs,
+            # the cube on its own window, which exceeds K when cutoff > K
+            window = min(cutoff, 3 * min(K, cutoff))
+            assert np.array_equal(_from_half(_cube_half(_half(p.u), cutoff, window)),
                                   full_block_cube(p.u.coeffs, cutoff))
 
     def test_first_state_is_the_start_state(self):

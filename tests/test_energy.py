@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_field, random_state
+from conftest import constant_field, field_from_modes, random_field, random_state
 from torusnlw.dynamics import IntegratorSpec, ModelSpec, evolve
 from torusnlw.energy import (
     EQUATIONS,
@@ -32,13 +32,12 @@ from torusnlw.energy import (
     _quartic_integral,
     _sigma_const,
 )
-from torusnlw.measures import weighted_density
+from torusnlw.montecarlo import collect_values
 from torusnlw.sampling import EnsembleSpec, counterterm, sample, wave_counterterm
 from torusnlw.spectral import (
     PhaseState,
-    constant_field,
-    field_from_modes,
-    high_pass,
+    SpectralField,
+    _sq_modulus,
     apply_multiplier,
     derivative,
     inner_product,
@@ -97,9 +96,9 @@ class TestTruncatedEnergy:
         p = random_state(rng, 5, scale=0.3)
         N = 2
         lo = PhaseState(project_ball(p.u, N), project_ball(p.v, N))
-        hi = PhaseState(
-            apply_multiplier(p.u, high_pass(N)), apply_multiplier(p.v, high_pass(N))
-        )
+        outside = _sq_modulus(5) > N**2
+        hi = PhaseState(SpectralField(5, p.u.coeffs * outside),
+                        SpectralField(5, p.v.coeffs * outside))
         expect = hamiltonian(lo) + 0.5 * sobolev_norm(hi, 1.0) ** 2
         assert truncated_energy(p, N) == pytest.approx(expect, rel=1e-12)
 
@@ -318,8 +317,10 @@ class TestQuarticGridMeansAgainstDirectProducts:
         p, s, uN, *_ = self.case(K, "nlw")
         sq = _direct(uN, uN)
         expect = -quartic_correction(p.u, s, K, "nlw") - 0.25 * inner_product(sq, sq)
-        got = weighted_density(p, s, K, math.inf, "nlw").log_weight
-        assert got == pytest.approx(expect, rel=1e-12)
+        ens = EnsembleSpec("mu_tilde_s", s, K, K, 0)  # the nlw ensemble
+        weight = collect_values(ens, [("density_weight", {"radius": math.inf})], 1,
+                                sampler=lambda index: p)[0][0, 0]
+        assert math.log(weight) == pytest.approx(expect, rel=1e-12)
 
 
 def brute_force_chaos(u, s: float, cutoff: int) -> ChaosComponents:

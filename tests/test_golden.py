@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import platform
 import shutil
@@ -28,9 +27,8 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from torusnlw.cli import OUTPUT_DIR_ENV, main
-
 from test_acceptance import MC_RUNS, SEED
+from torusnlw.cli import OUTPUT_DIR_ENV, main
 
 GOLDEN = Path(__file__).parent / "golden"
 VERSIONS = "versions.json"
@@ -129,19 +127,18 @@ def _cells(name: str, data: bytes) -> list:
     return out
 
 
-def _relative(a: str, b: str) -> float:
+def _relative(a: str, b: str) -> float | None:
+    """|a - b| / max(|a|, |b|) for two numeric cells, else None."""
     try:
         x, y = float(a), float(b)
     except ValueError:
-        return 0.0 if a == b else math.nan
-    if x == y:
-        return 0.0
-    return abs(x - y) / max(abs(x), abs(y))
+        return None
+    return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
 
 
 def describe(name: str, pinned: bytes, got: bytes) -> str:
     """The first differing cell of one file and the largest relative
-    difference over all its cells."""
+    difference over its differing numeric cells."""
     old, new = _cells(name, pinned), _cells(name, got)
     if [at for at, _ in old] != [at for at, _ in new]:
         return f"{name}: cells differ in layout ({len(old)} pinned, {len(new)} now)"
@@ -149,9 +146,10 @@ def describe(name: str, pinned: bytes, got: bytes) -> str:
     if not diffs:
         return f"{name}: same cells, different bytes (line endings or formatting)"
     at, a, b = diffs[0]
-    largest = max(_relative(a, b) for _, a, b in diffs)
+    numeric = [r for r in (_relative(a, b) for _, a, b in diffs) if r is not None]
+    largest = f"{max(numeric):.3g}" if numeric else "none (no numeric cell differs)"
     return (f"{name}: first difference at {at}: pinned {a}, now {b}; "
-            f"{len(diffs)} cells differ, largest relative difference {largest:.3g}")
+            f"{len(diffs)} cells differ, largest relative difference {largest}")
 
 
 def test_outputs_match_the_pins(tmp_path, monkeypatch):

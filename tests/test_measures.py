@@ -1,4 +1,4 @@
-"""Measure machinery: density values, mode-comparison statistic, lattice sums."""
+"""Measure machinery: density weights, mode-comparison statistic, lattice sums."""
 
 from __future__ import annotations
 
@@ -10,82 +10,81 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from torusnlw.energy import UnsupportedParameterError
+from conftest import constant_field, field_from_modes
+from torusnlw.energy import quartic_correction, truncated_energy
 from torusnlw.measures import (
     MARGINALS,
     _variance_pair,
     comparison_statistic,
     kakutani_terms,
-    weighted_density,
 )
+from torusnlw.montecarlo import collect_values
 from torusnlw.sampling import EnsembleSpec, sample
-from torusnlw.spectral import PhaseState, constant_field, field_from_modes, zero_field
+from torusnlw.spectral import PhaseState, zero_field
 
 COS = field_from_modes(1, {(1, 0): 0.5})
 
 
-class TestWeightedDensity:
+def density_weight(p: PhaseState, radius: float, variant: str = "mu_s") -> float:
+    """The registry's density_weight of state p, at s = 2 and the cutoff
+    N = p's window, read through collect_values."""
+    K = p.max_mode
+    ens = EnsembleSpec(variant, 2.0, K, K, 0)
+    values, _ = collect_values(ens, [("density_weight", {"radius": radius})], 1,
+                               sampler=lambda index: p)
+    return float(values[0, 0])
+
+
+class TestDensityWeight:
     def test_constant_state_closed_form(self):
         # quartic correction of the unit constant at N = 1 is -3
         p = PhaseState(constant_field(1.0, 1), zero_field(1))
-        d = weighted_density(p, 2.0, 1, radius=10.0)
-        assert d.indicator is True
-        assert d.log_weight == pytest.approx(3.0, abs=1e-13)
-        assert d.weight == pytest.approx(math.e**3, rel=1e-12)
+        assert density_weight(p, radius=10.0) == pytest.approx(math.e**3, rel=1e-12)
 
     def test_tight_radius_rejects(self):
         # truncated energy of the constant state is 1/2 + 1/4
         p = PhaseState(constant_field(1.0, 1), zero_field(1))
-        d = weighted_density(p, 2.0, 1, radius=0.5)
-        assert d.indicator is False
-        assert d.weight == 0.0
-        assert d.log_weight == pytest.approx(3.0, abs=1e-13)  # still reported
+        assert density_weight(p, radius=0.5) == 0.0
 
     def test_single_cosine_neutral_weight(self):
-        d = weighted_density(PhaseState(COS, zero_field(1)), 2.0, 1, radius=10.0)
-        assert d.log_weight == pytest.approx(0.0, abs=1e-13)
-        assert d.weight == pytest.approx(1.0, rel=1e-12)
+        p = PhaseState(COS, zero_field(1))
+        assert density_weight(p, radius=10.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_wave_variant_carries_plain_quartic(self):
         # |n|^s smoothing kills the constant, so F-tilde = -(3/2) sigma-t
         # = -2 and log weight = -(F-tilde + (1/4) int u_N^4) = 2 - 1/4
         p = PhaseState(constant_field(1.0, 1), zero_field(1))
-        d = weighted_density(p, 2.0, 1, radius=10.0, equation="nlw")
-        assert d.log_weight == pytest.approx(1.75, abs=1e-13)
-        assert d.indicator is True  # wave truncated energy is 1/4
+        got = density_weight(p, radius=10.0, variant="mu_tilde_s")
+        assert got == pytest.approx(math.exp(1.75), rel=1e-12)
 
     def test_wave_indicator_uses_wave_energy(self):
         # massless truncated energy 1/4 sits below 0.3; the Klein-Gordon
         # one (3/4) would not
         p = PhaseState(constant_field(1.0, 1), zero_field(1))
-        d = weighted_density(p, 2.0, 1, radius=0.3, equation="nlw")
-        assert d.indicator is True
+        assert density_weight(p, radius=0.3, variant="mu_tilde_s") > 0.0
+        assert density_weight(p, radius=0.3) == 0.0
 
     def test_radius_validation(self):
         with pytest.raises(ValueError, match="radius"):
-            weighted_density(PhaseState(COS, zero_field(1)), 2.0, 1, radius=0.0)
-
-    def test_equation_validation(self):
-        with pytest.raises(UnsupportedParameterError):
-            weighted_density(PhaseState(COS, zero_field(1)), 2.0, 1, 1.0,
-                             equation="kdv")
+            density_weight(PhaseState(COS, zero_field(1)), radius=0.0)
 
     @given(st.integers(0, 200), st.sampled_from([0.5, 2.0, math.inf]))
-    def test_weight_indicator_consistency(self, index, radius):
+    def test_weight_is_the_cutoff_indicator_times_exp_minus_correction(self, index, radius):
         spec = EnsembleSpec(variant="mu_s", s=2.0, sample_max_mode=3,
                             truncation_N=3, master_seed=5)
-        d = weighted_density(sample(spec, index), 2.0, 3, radius=radius)
-        assert d.weight >= 0.0
-        if d.indicator:
-            assert d.weight == pytest.approx(math.exp(d.log_weight), rel=1e-12)
+        p = sample(spec, index)
+        weight = density_weight(p, radius)
+        if truncated_energy(p, 3) <= radius:
+            assert weight == pytest.approx(math.exp(-quartic_correction(p.u, 2.0, 3)),
+                                           rel=1e-12)
         else:
-            assert d.weight == 0.0
+            assert weight == 0.0
 
     def test_infinite_radius_always_accepts(self):
         spec = EnsembleSpec(variant="mu_s", s=2.0, sample_max_mode=3,
                             truncation_N=3, master_seed=5)
-        for i in range(20):
-            assert weighted_density(sample(spec, i), 2.0, 3, math.inf).indicator
+        values, _ = collect_values(spec, [("density_weight", {"radius": math.inf})], 20)
+        assert (values > 0).all()
 
 
 class TestComparisonStatistic:

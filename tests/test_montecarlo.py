@@ -8,17 +8,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import field_from_modes
 import torusnlw.energy as energy
 import torusnlw.montecarlo as montecarlo
 import torusnlw.sampling as sampling
 from torusnlw.energy import (
     UnsupportedParameterError,
+    _quartic_integral,
     chaos_components,
     energy_rate_terms,
     quartic_correction,
     truncated_energy,
 )
-from torusnlw.measures import weighted_density
 from torusnlw.montecarlo import (
     DegenerateEnsembleError,
     FUNCTIONALS,
@@ -35,7 +36,7 @@ from torusnlw.montecarlo import (
     tail_estimate_study,
 )
 from torusnlw.sampling import EnsembleSpec, sample
-from torusnlw.spectral import PhaseState, field_from_modes, zero_field
+from torusnlw.spectral import PhaseState, project_ball
 
 COS = field_from_modes(1, {(1, 0): 0.5})
 
@@ -200,6 +201,14 @@ class TestSharedFactors:
         values, weights = collect_values(
             EnsembleSpec(variant=variant, s=s, sample_max_mode=N, truncation_N=N,
                          master_seed=31, beta=beta, energy_cutoff_r=radius), funcs, n)
+        def density(p, c):
+            # the cutoff indicator times exp(-correction), and for nlw
+            # exp(-1/4 int u_N^4) as well
+            log_weight = -quartic_correction(p.u, s, c, eq)
+            if eq == "nlw":
+                log_weight -= 0.25 * _quartic_integral(project_ball(p.u, c))
+            return float(np.exp(log_weight)) if truncated_energy(p, c, eq, beta) <= radius else 0.0
+
         for p, row, weight in zip(states, values, weights):
             q, q_lo = (quartic_correction(p.u, s, c, eq) for c in (N, M))
             hi, lo = (chaos_components(p.u, s, c, eq) for c in (N, M))
@@ -208,7 +217,7 @@ class TestSharedFactors:
                       *[getattr(hi, c) - getattr(lo, c)
                         for c in ("double_pair_renorm", "single_pair", "no_pair")],
                       rate.highlow, rate.mass, rate.leibniz, rate.total,
-                      *[weighted_density(p, s, c, radius, eq, beta).weight for c in (N, M)],
+                      *[density(p, c) for c in (N, M)],
                       *[truncated_energy(p, c, eq, beta) for c in (N, M)]]
             assert row.tolist() == expect
             assert weight == float(truncated_energy(p, N, eq, beta) <= radius)

@@ -19,36 +19,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.fft import irfft2
 
-from conftest import random_field, random_state
+from conftest import constant_field, field_from_modes, random_field, random_state
 from torusnlw.spectral import (
     PhaseState,
     SpectralError,
     SpectralField,
+    _cube_half,
+    _from_half,
     apply_multiplier,
     bessel_power,
-    constant_field,
     derivative,
     dyadic_block,
-    embed_window,
     field_from_dict,
-    field_from_modes,
     field_to_dict,
     grid_stack,
     grid_sup_norm,
     grid_values,
-    high_pass,
     inner_product,
     integrate,
-    low_pass,
     pointwise_product,
     project_ball,
     quadrature_grid,
-    remove_mean,
     riesz_power,
     sobolev_norm,
     state_from_dict,
     state_to_dict,
-    truncated_cube,
     zero_field,
 )
 
@@ -78,6 +73,14 @@ class TestFieldValidation:
     def test_rejects_wrong_shape(self):
         with pytest.raises(SpectralError, match="shape"):
             SpectralField(2, np.zeros((3, 3), np.complex128))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_rejects_non_finite_coefficients(self, bad):
+        c = np.zeros((3, 3), np.complex128)
+        c[2, 1] = bad
+        c[0, 1] = np.conj(bad)
+        with pytest.raises(SpectralError, match="finite"):
+            SpectralField(1, c)
 
     def test_rejects_negative_window(self):
         with pytest.raises(SpectralError, match="max_mode"):
@@ -178,9 +181,11 @@ class TestGridTransport:
             grid_stack([random_field(rng, 3), random_field(rng, 2)], 15)
 
     def test_products_are_exactly_hermitian(self, rng):
-        for c in (pointwise_product(random_field(rng, 3), random_field(rng, 2)).coeffs,
-                  truncated_cube(random_field(rng, 4), 3).coeffs):
-            np.testing.assert_array_equal(c, np.conj(c[::-1, ::-1]))
+        c = pointwise_product(random_field(rng, 3), random_field(rng, 2)).coeffs
+        np.testing.assert_array_equal(c, np.conj(c[::-1, ::-1]))
+        # the cube's half block: its n2 = 0 column mirrors itself
+        col = _cube_half(random_field(rng, 4).coeffs[:, 4:], 3, 4)[:, 0]
+        np.testing.assert_array_equal(col, np.conj(col[::-1]))
 
     def test_quadrature_grid_sizes(self):
         assert [quadrature_grid(K) for K in (0, 3, 8, 16, 64)] == [1, 15, 36, 72, 270]
@@ -225,7 +230,7 @@ class TestQuadrature:
         # modes of the wider factor beyond the narrow window pair with zeros
         f = random_field(rng, 4)
         g = random_field(rng, 2)
-        wide = inner_product(embed_window(g, 4), f)
+        wide = inner_product(SpectralField(4, np.pad(g.coeffs, 2)), f)
         assert inner_product(f, g) == pytest.approx(wide, abs=1e-13)
 
     def test_inner_product_matches_vdot_pairing(self, rng):
@@ -306,15 +311,6 @@ class TestMultipliers:
         n1 = np.arange(-2, 3).reshape(-1, 1)
         np.testing.assert_allclose(dxx.coeffs, -(n1**2) * f.coeffs, atol=1e-14)
 
-    def test_low_high_partition(self, rng):
-        f = random_field(rng, 4)
-        lo = apply_multiplier(f, low_pass(2))
-        hi = apply_multiplier(f, high_pass(2))
-        np.testing.assert_allclose(lo.coeffs + hi.coeffs, f.coeffs, atol=0)
-        # boundary mode n = (2, 0) with |n| = 2 belongs to the low piece
-        assert lo.coeffs[4 + 2, 4] == f.coeffs[4 + 2, 4]
-        assert hi.coeffs[4 + 2, 4] == 0.0
-
     def test_dyadic_blocks_partition_ball(self, rng):
         f = random_field(rng, 7)
         total = np.zeros_like(f.coeffs)
@@ -332,20 +328,13 @@ class TestMultipliers:
         assert b2.coeffs[3 + 2, 3 + 2] == 1.0  # <(2,2)> = 3 in [2, 4)
         assert b1.coeffs[3 + 2, 3 + 2] == 0.0
 
-    def test_remove_mean(self):
-        f = field_from_modes(1, {(0, 0): 4.0, (1, 1): 1.0})
-        g = apply_multiplier(f, remove_mean())
-        assert integrate(g) == 0.0
-        assert g.coeffs[2, 2] == 1.0
-
     def test_project_ball_masks_corners(self, rng):
         f = random_field(rng, 4)
         g = project_ball(f, 4)
         assert g.max_mode == 4
         assert g.coeffs[0, 0] == 0.0  # |(-4, -4)| > 4
         assert g.coeffs[8, 4] == f.coeffs[8, 4]  # |(4, 0)| = 4 kept
-        ref = apply_multiplier(f, low_pass(4))
-        np.testing.assert_allclose(g.coeffs, ref.coeffs, atol=0)
+        np.testing.assert_array_equal(g.coeffs, f.coeffs * _ball_mask(4))
 
     def test_project_ball_shrinks_window(self, rng):
         f = random_field(rng, 6)
@@ -354,8 +343,6 @@ class TestMultipliers:
         np.testing.assert_allclose(g.coeffs, f.coeffs[4:9, 4:9] * (_ball_mask(2)), atol=0)
 
     def test_invalid_multiplier_parameters(self):
-        with pytest.raises(SpectralError):
-            low_pass(-1)
         with pytest.raises(SpectralError):
             dyadic_block(-2)
         with pytest.raises(SpectralError):
@@ -371,7 +358,9 @@ def _ball_mask(K: int) -> np.ndarray:
 
 class TestTruncatedCube:
     def test_matches_projected_triple_product(self, rng):
-        for cutoff in (2, 3, 5):
+        # the flow's cube of a window-6 half block, padded back to window 6,
+        # against two direct convolutions
+        for cutoff in (2, 3, 5, 6):
             f = random_field(rng, 6)
             w = project_ball(f, cutoff)
             ref = project_ball(
@@ -379,27 +368,16 @@ class TestTruncatedCube:
                                   method="direct"),
                 cutoff,
             )
-            got = truncated_cube(f, cutoff)
-            assert got.max_mode == ref.max_mode
-            np.testing.assert_allclose(got.coeffs, ref.coeffs, atol=1e-11)
+            got = _from_half(_cube_half(f.coeffs[:, 6:], cutoff, 6))
+            np.testing.assert_allclose(got, np.pad(ref.coeffs, 6 - ref.max_mode), atol=1e-11)
 
     def test_constant_cube(self):
-        f = constant_field(2.0)
-        got = truncated_cube(f, 3)
-        assert integrate(got) == pytest.approx(8.0)
+        got = _cube_half(constant_field(2.0).coeffs, 3, 0)
+        assert got[0, 0] == pytest.approx(8.0)
 
 
 class TestWindowsAndSerialization:
-    def test_embed_window_preserves_values(self, rng):
-        f = random_field(rng, 2)
-        g = embed_window(f, 5)
-        assert g.max_mode == 5
-        assert inner_product(f, g) == pytest.approx(inner_product(f, f), abs=1e-13)
-        with pytest.raises(SpectralError, match="shrink"):
-            embed_window(g, 1)
-
-    def test_constant_and_zero_fields(self):
-        assert integrate(constant_field(3.5)) == 3.5
+    def test_zero_field(self):
         z = zero_field(2)
         assert z.max_mode == 2 and not z.coeffs.any()
 
@@ -422,6 +400,3 @@ class TestWindowsAndSerialization:
         q = state_from_dict(json.loads(json.dumps(state_to_dict(p))))
         np.testing.assert_array_equal(q.u.coeffs, p.u.coeffs)
 
-    def test_field_from_modes_rejects_outside_window(self):
-        with pytest.raises(SpectralError, match="outside"):
-            field_from_modes(1, {(2, 0): 1.0})
