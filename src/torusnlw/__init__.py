@@ -53,7 +53,6 @@ from .energy import (  # noqa: F401
     wick_renormalized_mass,
 )
 from .measures import (  # noqa: F401
-    DensityValue,
     KakutaniSummary,
     comparison_statistic,
     kakutani_terms,

@@ -48,7 +48,7 @@ from .dynamics import (
     ModelSpec,
     trajectory,
 )
-from .energy import UnsupportedParameterError, _Factors, energy_report, hamiltonian
+from .energy import UnsupportedParameterError, _one, energy_report, hamiltonian
 from .measures import MARGINALS, kakutani_terms
 from .montecarlo import (
     FUNCTIONALS,
@@ -426,19 +426,24 @@ def _run_evolve(cfg, built, workers):
         ("sobolev_norm", "H^sigma x H^(sigma-1) norm of the state"),
     ]
     rows = []
-    # a diverging flow ends in IntegrationError; the diagnostics of the
-    # last finite-but-huge states may overflow to inf on the way there
+    # a diverging flow ends in IntegrationError; the diagnostics of a
+    # finite-but-huge state may overflow, which is reported below instead
     with np.errstate(over="ignore", invalid="ignore"):
         for t, st in trajectory(built["state"], cfg["integrator"]["t_final"], flow,
                                 built["integrator"], stride=cfg["trajectory"]["stride"]):
-            factors = _Factors(st, s, cutoff, equation, beta)  # u_N to the grid once
-            rows.append([
+            factors = _one(st.u, st.v, s, cutoff, equation, beta)  # u_N to the grid once
+            row = [
                 t,
                 hamiltonian(st, equation, beta),
-                factors.truncated_energy,
-                factors.renormalized_energy,
+                float(factors.truncated_energy[0]),
+                float(factors.renormalized_energy[0]),
                 sobolev_norm(st, sigma),
-            ])
+            ]
+            bad = [name for (name, _), x in zip(columns[1:], row[1:]) if not math.isfinite(x)]
+            if bad:
+                raise FloatingPointError(
+                    f"evolve: non-finite values of {', '.join(bad)} at t = {t:g}")
+            rows.append(row)
     return {"trajectory.csv": (columns, rows)}
 
 

@@ -22,15 +22,18 @@ The renormalized functionals of one state at one cutoff share their
 factors: u_N, v_N and their smoothings are each built and sent to the
 grid once per state and cutoff (_Factors), however many of the
 correction, its chaos split, the rate terms and the truncated energy are
-asked for.
+asked for.  _Factors holds a block of states, as coefficient stacks with
+a leading block axis: Monte Carlo evaluates many draws at once, and the
+public functions here are blocks of one.  Each state's grid means and
+lattice sums reduce over that state's own flattened row, so a value does
+not depend on the block it was evaluated in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,15 +42,16 @@ from .spectral import (
     Multiplier,
     PhaseState,
     SpectralField,
+    _ball,
     _frozen,
+    _multiply,
+    _pairing,
+    _row_sum,
     _sq_bracket,
     _sq_modulus,
-    apply_multiplier,
     bessel_power,
     grid_stack,
     grid_values,
-    inner_product,
-    project_ball,
     quadrature_grid,
     riesz_power,
 )
@@ -90,15 +94,17 @@ def _sigma_const(equation: str, cutoff: int, s: float) -> float:
     return 0.0  # nlkg_beta: no subtraction needed for beta > 1
 
 
-def _product_mean(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
-    """Mean of a * b * c * d, multiplied left to right in one temporary."""
+def _product_mean(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Mean of a * b * c * d over each row of (B, grid, grid) stacks,
+    multiplied left to right in one temporary; the sum over the count, as
+    ndarray.mean takes it."""
     prod = a * b
     prod *= c
     prod *= d
-    return float(prod.mean())
+    return _row_sum(prod) / prod[0].size
 
 
-# -- one state's factors at one cutoff ---------------------------------------
+# -- a block of states' factors at one cutoff ---------------------------------
 
 
 @lru_cache(maxsize=256)
@@ -110,23 +116,23 @@ def _weight(K: int, base: str, sigma: float) -> np.ndarray:
     return _frozen(w)
 
 
-def _weighted_mass(f: SpectralField, base: str, sigma: float) -> float:
-    """int (base^sigma f)^2 as a lattice sum."""
-    return float((_weight(f.max_mode, base, sigma) * np.abs(f.coeffs) ** 2).sum())
+def _weighted_mass(c: np.ndarray, base: str, sigma: float) -> np.ndarray:
+    """int (base^sigma f)^2 as a lattice sum, for each block of a stack."""
+    return _row_sum(_weight(c.shape[-1] // 2, base, sigma) * np.abs(c) ** 2)
 
 
 def _quartic_integral(f: SpectralField) -> float:
-    vals = grid_values(f, quadrature_grid(f.max_mode))
-    return _product_mean(vals, vals, vals, vals)
+    vals = grid_values(f, quadrature_grid(f.max_mode))[None]
+    return float(_product_mean(vals, vals, vals, vals)[0])
 
 
-def _energy(u: SpectralField, v: SpectralField, equation: str, beta: float,
-            quartic: float) -> float:
+def _energy(u: np.ndarray, v: np.ndarray, equation: str, beta: float,
+            quartic: np.ndarray) -> np.ndarray:
     """Quadratic part of the conserved energy (lattice sums of the whole
-    fields) plus 1/4 the given quartic integral."""
-    au = np.abs(u.coeffs) ** 2
-    mass, grad = float(au.sum()), float((_sq_modulus(u.max_mode) * au).sum())
-    kinetic = float((np.abs(v.coeffs) ** 2).sum())
+    fields' coefficient stacks) plus 1/4 the given quartic integrals."""
+    au = np.abs(u) ** 2
+    mass, grad = _row_sum(au), _row_sum(_sq_modulus(u.shape[-1] // 2) * au)
+    kinetic = _row_sum(np.abs(v) ** 2)
     if equation == "nlkg":
         quad = mass + grad + kinetic
     elif equation == "nlw":
@@ -136,94 +142,100 @@ def _energy(u: SpectralField, v: SpectralField, equation: str, beta: float,
     return 0.5 * quad + 0.25 * quartic
 
 
-class _UOnly(NamedTuple):
-    """The state of a functional of u alone."""
-
-    u: SpectralField
-    v: None = None
+def _single_pair(tw: float, t2w: float, pair4: float) -> float:
+    """The single-pair chaos term of one state; pair4 is t2w without n = 0.
+    Python floats and NumPy scalars square through C pow, NumPy arrays by
+    multiplying, and the two can differ in the last bit, so the caller
+    keeps these few squares in scalar arithmetic."""
+    try:
+        return 3.0 * (tw**2 - t2w) - 1.5 * pair4
+    except OverflowError:  # a Python float's ** raises where NumPy gives inf
+        return math.inf
 
 
 class _Factors:
-    """One state's factors at one cutoff and the functionals built on them.
+    """A block of states' factors at one cutoff and the functionals built
+    on them, one value per state.
 
-    u_N, v_N, base^s u_N, base^s v_N and base^2s v_N are each built
-    once, on first use, and sent to quadrature_grid once; the factors one
+    u and v are (B, 2K + 1, 2K + 1) coefficient stacks of the states'
+    window; v may be None when no functional asked for reads it.  u_N,
+    v_N, base^s u_N, base^s v_N and base^2s v_N are each built once, on
+    first use, and sent to quadrature_grid once; the factors one
     functional asks for go in one grid_stack call, and every quartic
     functional that needs a factor shares its grid values, the Leibniz
     rate term included (two grid means, of sv su uN uN and s2v uN uN uN).
-    The public functions below build a throwaway one per call; a Monte
-    Carlo state keeps one per cutoff while it is evaluated.  `state` has
-    fields u and v, and v is read only by the functionals that need it
-    (a Monte Carlo draw makes it on that first read); `s` may be None for
-    the truncated energy.
+    A Monte Carlo block keeps one per cutoff while it is evaluated; the
+    public functions below build a block of one (_one).  `s` may be None
+    for the truncated energy.
     """
 
-    def __init__(self, state, s: float | None, cutoff: int, equation: str,
-                 beta: float = 0.0):
-        self.state, self.u, self.s = state, state.u, s
+    def __init__(self, u: np.ndarray, v: np.ndarray | None, s: float | None,
+                 cutoff: int, equation: str, beta: float = 0.0):
+        self.u, self.v, self.s = u, v, s
         self.cutoff, self.equation, self.beta = cutoff, equation, beta
         self.base = _BASE_FOR[equation]
-        self.uN = project_ball(self.u, cutoff)
+        self.uN = _ball(u, cutoff)
         # v shares u's window, so every factor fits this grid
-        self.grid = quadrature_grid(self.uN.max_mode)
+        self.grid = quadrature_grid(self.uN.shape[-1] // 2)
         self._values: dict = {}
 
-    @property
-    def v(self) -> SpectralField:
-        return self.state.v
+    @cached_property
+    def vN(self) -> np.ndarray:
+        return _ball(self.v, self.cutoff)
 
     @cached_property
-    def vN(self) -> SpectralField:
-        return project_ball(self.v, self.cutoff)
+    def su(self) -> np.ndarray:
+        return _multiply(self.uN, _power(self.base, self.s))
 
     @cached_property
-    def su(self) -> SpectralField:
-        return apply_multiplier(self.uN, _power(self.base, self.s))
+    def sv(self) -> np.ndarray:
+        return _multiply(self.vN, _power(self.base, self.s))
 
     @cached_property
-    def sv(self) -> SpectralField:
-        return apply_multiplier(self.vN, _power(self.base, self.s))
-
-    @cached_property
-    def s2v(self) -> SpectralField:
-        return apply_multiplier(self.vN, _power(self.base, 2 * self.s))
+    def s2v(self) -> np.ndarray:
+        return _multiply(self.vN, _power(self.base, 2 * self.s))
 
     def values(self, *keys: str) -> dict:
-        """Grid values of the factors named `keys`; those not on the grid
-        yet go there in one transform."""
+        """Grid values of the factors named `keys`, (B, grid, grid) each;
+        those not on the grid yet go there in one transform."""
         new = [key for key in dict.fromkeys(keys) if key not in self._values]
         if new:
             stack = grid_stack([getattr(self, key) for key in new], self.grid)
             self._values.update(zip(new, stack))
         return self._values
 
-    def _mean(self, a, b, c, d) -> float:
-        """int of the product of four factors, one grid mean."""
+    def _mean(self, a, b, c, d) -> np.ndarray:
+        """int of the product of four factors, one grid mean per state."""
         vals = self.values(a, b, c, d)
         return _product_mean(vals[a], vals[b], vals[c], vals[d])
 
     @cached_property
-    def smoothed_quartic(self) -> float:
+    def smoothed_quartic(self) -> np.ndarray:
         """3/2 int (base^s u_N)^2 u_N^2: the quartic of the correction and
         the total of its chaos split."""
         return 1.5 * self._mean("su", "su", "uN", "uN")
 
     @cached_property
-    def low_quartic(self) -> float:
+    def low_quartic(self) -> np.ndarray:
         """int u_N^4."""
         return self._mean("uN", "uN", "uN", "uN")
 
     @cached_property
-    def quartic_correction(self) -> float:
+    def quartic_correction(self) -> np.ndarray:
         sigma = _sigma_const(self.equation, self.cutoff, self.s)
-        return self.smoothed_quartic - 1.5 * sigma * inner_product(self.uN, self.uN)
+        return self.smoothed_quartic - 1.5 * sigma * _pairing(self.uN, self.uN)
+
+    @property
+    def wick_mass(self) -> np.ndarray:
+        smoothed = _weighted_mass(self.uN, self.base, self.s)
+        return smoothed - _sigma_const(self.equation, self.cutoff, self.s)
 
     @cached_property
-    def truncated_energy(self) -> float:
+    def truncated_energy(self) -> np.ndarray:
         return _energy(self.u, self.v, self.equation, self.beta, self.low_quartic)
 
     @property
-    def renormalized_energy(self) -> float:
+    def renormalized_energy(self) -> np.ndarray:
         u, v, s, beta = self.u, self.v, self.s, self.beta
         order = s + (beta if self.equation == "nlkg_beta" else 1)
         quad = _weighted_mass(v, self.base, s) + _weighted_mass(u, self.base, order)
@@ -235,20 +247,18 @@ class _Factors:
     @cached_property
     def chaos(self) -> ChaosComponents:
         uN, s = self.uN, self.s
-        K = uN.max_mode
-        a = np.abs(uN.coeffs) ** 2
+        K = uN.shape[-1] // 2
+        a = np.abs(uN) ** 2
         w = _weight(K, self.base, s / 2.0)
-        t0 = float(a.sum())                # int u^2
-        t1 = float((w**2 * a).sum())       # int (base^s u)^2
-        tw = float((w * a).sum())
-        t2w = float((w**2 * a**2).sum())
-        pair4 = t2w - float(w[K, K] ** 2 * a[K, K] ** 2)  # excludes n = 0
+        t0 = _row_sum(a)                   # int u^2
+        t1 = _row_sum(w**2 * a)            # int (base^s u)^2
+        tw = _row_sum(w * a)
+        t2w = _row_sum(w**2 * a**2)
 
         double_pair = 1.5 * t1 * t0
-        try:
-            single_pair = 3.0 * (tw**2 - t2w) - 1.5 * pair4
-        except OverflowError:  # a Python float's ** raises where NumPy gives inf
-            single_pair = math.inf
+        w0 = w[K, K] ** 2
+        single_pair = np.array([_single_pair(x, y, y - float(w0 * z**2))
+                                for x, y, z in zip(tw.tolist(), t2w.tolist(), a[:, K, K])])
         no_pair = self.smoothed_quartic - double_pair - single_pair
         renorm = double_pair - 1.5 * _sigma_const(self.equation, self.cutoff, s) * t0
         return ChaosComponents(double_pair, single_pair, no_pair, renorm)
@@ -258,8 +268,8 @@ class _Factors:
         s_int = _even_order(self.s)
         self.values("uN", "vN", "su", "sv", "s2v")  # every factor read below, in one transform
         uN, vN, su = self.uN, self.vN, self.su
-        smoothed_mass = inner_product(su, su)
-        cross = inner_product(vN, uN)
+        smoothed_mass = _pairing(su, su)
+        cross = _pairing(vN, uN)
         highlow = 3.0 * (self._mean("su", "su", "vN", "uN") - smoothed_mass * cross)
 
         sigma = _sigma_const(self.equation, self.cutoff, s_int)
@@ -274,13 +284,27 @@ class _Factors:
         return EnergyRateTerms(highlow, mass, leibniz)
 
 
+def _one(u: SpectralField, v: SpectralField | None, s: float | None, cutoff: int,
+         equation: str, beta: float = 0.0) -> _Factors:
+    """The factors of one state, as a block of one."""
+    return _Factors(u.coeffs[None], None if v is None else v.coeffs[None], s, cutoff,
+                    equation, beta)
+
+
+def _first(block_result):
+    """Row 0 of a block's ChaosComponents or EnergyRateTerms, as floats."""
+    return type(block_result)(*(float(getattr(block_result, f.name)[0])
+                                for f in fields(block_result)))
+
+
 # -- energies ----------------------------------------------------------------
 
 
 def hamiltonian(p: PhaseState, equation: str = "nlkg", beta: float = 0.0) -> float:
     """Conserved energy of the untruncated equation at the given state."""
     _check_equation(equation, beta)
-    return _energy(p.u, p.v, equation, beta, _quartic_integral(p.u))
+    return float(_energy(p.u.coeffs[None], p.v.coeffs[None], equation, beta,
+                         _quartic_integral(p.u))[0])
 
 
 def truncated_energy(p: PhaseState, cutoff: int, equation: str = "nlkg",
@@ -288,7 +312,7 @@ def truncated_energy(p: PhaseState, cutoff: int, equation: str = "nlkg",
     """Energy conserved by the truncated flow: full-field quadratic part,
     quartic part on the low-pass field only."""
     _check_equation(equation, beta)
-    return _Factors(p, None, cutoff, equation, beta).truncated_energy
+    return float(_one(p.u, p.v, None, cutoff, equation, beta).truncated_energy[0])
 
 
 def quartic_correction(u: SpectralField, s: float, cutoff: int,
@@ -302,7 +326,7 @@ def quartic_correction(u: SpectralField, s: float, cutoff: int,
     log-density of the weighted measure.
     """
     _check_equation(equation)
-    return _Factors(_UOnly(u), s, cutoff, equation).quartic_correction
+    return float(_one(u, None, s, cutoff, equation).quartic_correction[0])
 
 
 def renormalized_energy(p: PhaseState, s: float, cutoff: int,
@@ -316,7 +340,7 @@ def renormalized_energy(p: PhaseState, s: float, cutoff: int,
     nlkg_beta:  1/2 int (J^s v)^2 + 1/2 int (J^(s+beta) u)^2 + correction
     """
     _check_equation(equation, beta)
-    return _Factors(p, s, cutoff, equation, beta).renormalized_energy
+    return float(_one(p.u, p.v, s, cutoff, equation, beta).renormalized_energy[0])
 
 
 def wick_renormalized_mass(u: SpectralField, s: float, cutoff: int,
@@ -324,9 +348,7 @@ def wick_renormalized_mass(u: SpectralField, s: float, cutoff: int,
     """int (base^s Pi_N u)^2 minus the matching counterterm; mean zero
     under the reference Gaussian ensemble, a degree-2 polynomial in it."""
     _check_equation(equation)
-    uN = project_ball(u, cutoff)
-    smoothed = _weighted_mass(uN, _BASE_FOR[equation], s)
-    return smoothed - _sigma_const(equation, cutoff, s)
+    return float(_one(u, None, s, cutoff, equation).wick_mass[0])
 
 
 # -- chaos decomposition of the smoothed quartic ------------------------------
@@ -357,7 +379,7 @@ def chaos_components(u: SpectralField, s: float, cutoff: int,
     double_pair_renorm + single_pair + no_pair is the quartic correction.
     """
     _check_equation(equation)
-    return _Factors(_UOnly(u), s, cutoff, equation).chaos
+    return _first(_one(u, None, s, cutoff, equation).chaos)
 
 
 # -- time derivative of the renormalized energy -------------------------------
@@ -392,7 +414,7 @@ def energy_rate_terms(p: PhaseState, s: float, cutoff: int,
     """
     _even_order(s)
     _check_equation(equation, beta)
-    return _Factors(p, s, cutoff, equation, beta).rate
+    return _first(_one(p.u, p.v, s, cutoff, equation, beta).rate)
 
 
 # -- combined report ----------------------------------------------------------
@@ -433,22 +455,22 @@ def energy_report(p: PhaseState, s: float, cutoff: int,
     """Assemble all diagnostics; the rate terms are filled only when s is
     an even integer >= 2 (the paper's scope for the rate)."""
     _check_equation(equation, beta)
-    f = _Factors(p, s, cutoff, equation, beta)
+    f = _one(p.u, p.v, s, cutoff, equation, beta)
     try:
-        rate = f.rate
+        rate = _first(f.rate)
         highlow, mass, leib = rate.highlow, rate.mass, rate.leibniz
     except UnsupportedParameterError:
         highlow = mass = leib = None
-    chaos = f.chaos
+    chaos = _first(f.chaos)
     return EnergyReport(
         equation=equation,
         s=s,
         cutoff=cutoff,
         beta=beta,
         energy=hamiltonian(p, equation, beta),
-        truncated=f.truncated_energy,
-        renormalized=f.renormalized_energy,
-        quartic_corr=f.quartic_correction,
+        truncated=float(f.truncated_energy[0]),
+        renormalized=float(f.renormalized_energy[0]),
+        quartic_corr=float(f.quartic_correction[0]),
         rate_highlow=highlow,
         rate_mass=mass,
         rate_leibniz=leib,

@@ -5,9 +5,10 @@ to a reference Gaussian: an energy cutoff indicator times the exponential
 of minus the quartic correction (for the wave family the plain quartic
 rides along too).  Everything here is unnormalized; downstream statistics
 are ratios of weighted Monte Carlo sums, so normalization constants
-cancel and are never computed.  The density is read per drawn state
-through the Monte Carlo registry's density_weight functional, on the
-factors (energy._Factors) that state shares with every other functional.
+cancel and are never computed.  The density is read through the Monte
+Carlo registry's density_weight functional, one weight per drawn state,
+on the factors (energy._Factors) a block of draws shares with every other
+functional.
 
 The mode-by-mode equivalence diagnostic compares the two candidate
 reference Gaussians for one marginal.  For each frequency the two
@@ -31,23 +32,15 @@ from .energy import _check_equation, _Factors
 MARGINALS = ("position", "velocity")
 
 
-@dataclass(frozen=True)
-class DensityValue:
-    """Unnormalized density of the weighted measure at one state."""
-
-    weight: float      # indicator * exp(log_weight), 0 when rejected
-    indicator: bool    # energy cutoff passed
-    log_weight: float  # always finite; meaningful when indicator is true
-
-
-def _density(f: _Factors, radius: float) -> DensityValue:
+def _density(f: _Factors, radius: float) -> np.ndarray:
     """Density of the cutoff weighted measure against the reference
-    Gaussian, from one state's factors at the cutoff.
+    Gaussian, for each state of a block from its factors at the cutoff:
+    the indicator of (truncated energy <= radius) times exp(log weight).
 
-    indicator = (truncated energy <= radius); log_weight = minus the
-    quartic correction, with the plain low-pass quartic included as well
-    for the wave equation (its conserved energy is carried inside the
-    modified one, bringing the extra factor along).
+    The log weight is minus the quartic correction, with the plain
+    low-pass quartic included as well for the wave equation (its conserved
+    energy is carried inside the modified one, bringing the extra factor
+    along).
     """
     if not radius > 0:
         raise ValueError(f"cutoff radius must be positive (or inf), got {radius}")
@@ -55,10 +48,8 @@ def _density(f: _Factors, radius: float) -> DensityValue:
     log_weight = -f.quartic_correction
     if f.equation == "nlw":
         log_weight -= 0.25 * f.low_quartic
-    indicator = f.truncated_energy <= radius
     with np.errstate(over="ignore"):
-        weight = float(np.exp(log_weight)) if indicator else 0.0
-    return DensityValue(weight=weight, indicator=indicator, log_weight=log_weight)
+        return np.where(f.truncated_energy <= radius, np.exp(log_weight), 0.0)
 
 
 # -- mode-by-mode Gaussian comparison -----------------------------------------

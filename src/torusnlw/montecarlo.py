@@ -4,10 +4,12 @@ Every experiment reduces to the same primitive: draw states by counter
 index, evaluate one or more named scalar functionals on each, and form
 weighted empirical L^p norms (the weights are the energy-cutoff
 indicators, so a cutoff radius of infinity reproduces plain averages).
-Per-sample values are pure functions of (master seed, index), the
+States are drawn and evaluated in blocks of consecutive indices, whose
+size follows from the sampling window alone.  Per-sample values are pure
+functions of (master seed, index), bitwise the same in any block, the
 reduction runs over index-ordered arrays, and bootstrap resampling draws
-from its own tagged stream, so results are bitwise independent of how
-the index range is split across workers.
+from its own tagged stream, so results are bitwise independent of the
+block size and of how the index range is split across workers.
 
 Functionals are addressed by name (plus a small parameter dict) so they
 can cross process boundaries; see FUNCTIONALS for the registry.
@@ -23,17 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .energy import UnsupportedParameterError, _Factors, wick_renormalized_mass
+from .energy import UnsupportedParameterError, _Factors
 from .measures import _density
-from .sampling import EnsembleSpec, _Draw
-from .spectral import (
-    apply_multiplier,
-    derivative,
-    dyadic_block,
-    grid_sup_norm,
-    integrate,
-    project_ball,
-)
+from .sampling import EnsembleSpec, _draw_block
+from .spectral import _ball, _multiply, _sup_norms, derivative, dyadic_block, quadrature_grid
 
 MAX_P = 16.0  # empirical L^p beyond this is extreme-value dominated
 BOOTSTRAP_RESAMPLES = 200
@@ -109,16 +104,14 @@ def fit_rate(abscissae, ordinates) -> RateFit:
 # -- functional registry -------------------------------------------------------
 
 
-class _StateEvaluator:
-    """One drawn state and its factors at each cutoff (energy._Factors),
-    shared by every functional evaluated on it and dropped with it.
+class _Block:
+    """A block of drawn states, as coefficient stacks u and v (v is None
+    when nothing evaluated on the block reads it), and their factors at
+    each cutoff (energy._Factors), shared by every functional evaluated
+    on the block and dropped with it."""
 
-    `state` is a PhaseState or a sampling._Draw, whose v is drawn on its
-    first read: studies that read only u never draw it."""
-
-    def __init__(self, state, ens: EnsembleSpec):
-        self.state = state
-        self.ens = ens
+    def __init__(self, u: np.ndarray, v: np.ndarray | None, ens: EnsembleSpec):
+        self.u, self.v, self.ens = u, v, ens
         self._factors: dict = {}
 
     def cutoff(self, params: dict) -> int:
@@ -127,15 +120,23 @@ class _StateEvaluator:
     def factors(self, cutoff: int) -> _Factors:
         if cutoff not in self._factors:
             e = self.ens
-            self._factors[cutoff] = _Factors(self.state, e.s, cutoff, e.equation, e.beta)
+            self._factors[cutoff] = _Factors(self.u, self.v, e.s, cutoff, e.equation, e.beta)
         return self._factors[cutoff]
 
-    def cutoff_indicator(self) -> float:
+    def cutoff_indicator(self) -> np.ndarray:
         e = self.ens
         if math.isinf(e.energy_cutoff_r):
-            return 1.0
+            return np.ones(len(self.u))
         energy = self.factors(e.truncation_N).truncated_energy
-        return 1.0 if energy <= e.energy_cutoff_r else 0.0
+        return (energy <= e.energy_cutoff_r).astype(float)
+
+
+def _reads_u_only(params: dict) -> bool:
+    return False
+
+
+def _reads_v(params: dict) -> bool:
+    return True
 
 
 @dataclass(frozen=True)
@@ -143,39 +144,44 @@ class Functional:
     """One registry entry.  `degree` is the polynomial chaos degree in the
     Gaussian coordinates (needed by chaos_growth_check; None when the
     functional is not homogeneous), `requires` the parameters with no
-    default, and `evaluate(ev, params)` the value on the state of the
-    _StateEvaluator ev."""
+    default, `evaluate(block, params)` the values on the states of the
+    _Block, one per state, and `reads_v(params)` whether those read the
+    velocity (a block draws v only when something evaluated on it does)."""
 
     degree: int | None
     requires: tuple
     evaluate: Callable
+    reads_v: Callable = _reads_u_only
 
 
 def _rate_term(term: str) -> Functional:
-    return Functional(4, (), lambda ev, params: getattr(
-        ev.factors(ev.ens.truncation_N).rate, term))
+    return Functional(4, (), lambda block, params: getattr(
+        block.factors(block.ens.truncation_N).rate, term), _reads_v)
 
 
 def _chaos_gap(component: str) -> Functional:
-    def gap(ev, params):
-        hi = ev.factors(ev.cutoff(params)).chaos
-        lo = ev.factors(int(params["lower_cutoff"])).chaos
+    def gap(block, params):
+        hi = block.factors(block.cutoff(params)).chaos
+        lo = block.factors(int(params["lower_cutoff"])).chaos
         return getattr(hi, component) - getattr(lo, component)
     return Functional(4, ("lower_cutoff",), gap)
 
 
-def _block_sup_norm(ev, params) -> float:
-    field = ev.state.u if params.get("field", "u") == "u" else ev.state.v
-    g = project_ball(field, ev.cutoff(params))
-    g = apply_multiplier(g, dyadic_block(int(params["block"])))
+def _sup_field(params: dict) -> str:
+    return params.get("field", "u")
+
+
+def _block_sup_norm(block, params) -> np.ndarray:
+    g = _ball(block.u if _sup_field(params) == "u" else block.v, block.cutoff(params))
+    g = _multiply(g, dyadic_block(int(params["block"])))
     o1, o2 = params.get("order", (0, 0))
     if (o1, o2) != (0, 0):
-        g = apply_multiplier(g, derivative(int(o1), int(o2)))
-    return grid_sup_norm(g)
+        g = _multiply(g, derivative(int(o1), int(o2)))
+    return _sup_norms(g)
 
 
-def _density_weight(ev, params) -> float:
-    return _density(ev.factors(ev.cutoff(params)), float(params["radius"])).weight
+def _density_weight(block, params) -> np.ndarray:
+    return _density(block.factors(block.cutoff(params)), float(params["radius"]))
 
 
 # name -> Functional; `cutoff` defaults to the ensemble's truncation_N
@@ -185,35 +191,59 @@ FUNCTIONALS: dict = {
     "energy_rate_mass": _rate_term("mass"),
     "energy_rate_leibniz": _rate_term("leibniz"),
     "quartic_correction": Functional(
-        4, (), lambda ev, params: ev.factors(ev.cutoff(params)).quartic_correction),
+        4, (), lambda block, params: block.factors(block.cutoff(params)).quartic_correction),
     "quartic_correction_gap": Functional(
-        4, ("lower_cutoff",), lambda ev, params: (
-            ev.factors(ev.cutoff(params)).quartic_correction
-            - ev.factors(int(params["lower_cutoff"])).quartic_correction)),
+        4, ("lower_cutoff",), lambda block, params: (
+            block.factors(block.cutoff(params)).quartic_correction
+            - block.factors(int(params["lower_cutoff"])).quartic_correction)),
     "chaos_double_pair_renorm_gap": _chaos_gap("double_pair_renorm"),
     "chaos_single_pair_gap": _chaos_gap("single_pair"),
     "chaos_no_pair_gap": _chaos_gap("no_pair"),
-    "wick_mass": Functional(2, (), lambda ev, params: wick_renormalized_mass(
-        ev.state.u, ev.ens.s, ev.cutoff(params), ev.ens.equation)),
-    "block_sup_norm": Functional(None, ("block",), _block_sup_norm),
-    "density_weight": Functional(None, ("radius",), _density_weight),
+    "wick_mass": Functional(
+        2, (), lambda block, params: block.factors(block.cutoff(params)).wick_mass),
+    "block_sup_norm": Functional(None, ("block",), _block_sup_norm,
+                                 lambda params: _sup_field(params) == "v"),
+    "density_weight": Functional(None, ("radius",), _density_weight, _reads_v),
     "truncated_energy": Functional(
-        None, (), lambda ev, params: ev.factors(ev.cutoff(params)).truncated_energy),
-    "scalar_gaussian": Functional(1, (), lambda ev, params: integrate(ev.state.u)),
+        None, (), lambda block, params: block.factors(block.cutoff(params)).truncated_energy,
+        _reads_v),
+    "scalar_gaussian": Functional(1, (), lambda block, params: (
+        block.u[:, block.ens.sample_max_mode, block.ens.sample_max_mode].real)),
 }
+
+# Bytes of grid values a block may hold: five factors' quadrature grids per
+# state.  It sets the block size from the sampling window alone.
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_size(window: int) -> int:
+    return max(1, _BLOCK_BYTES // (5 * quadrature_grid(window) ** 2 * 8))
 
 
 def _eval_block(ens: EnsembleSpec, funcs: tuple, start: int, stop: int,
                 sampler: Callable | None = None) -> np.ndarray:
     """Evaluate every functional plus the cutoff weight on indices
-    [start, stop); module-level so worker processes can import it."""
+    [start, stop), a block of consecutive indices at a time; module-level
+    so worker processes can import it.  v is drawn only when the cutoff
+    or a functional reads it."""
     entries = [(FUNCTIONALS[name].evaluate, params) for name, params in funcs]
+    with_v = (not math.isinf(ens.energy_cutoff_r)
+              or any(FUNCTIONALS[name].reads_v(params) for name, params in funcs))
+    size = _block_size(ens.sample_max_mode)
     out = np.empty((stop - start, len(funcs) + 1))
-    for row, index in enumerate(range(start, stop)):
-        ev = _StateEvaluator(_Draw(ens, index) if sampler is None else sampler(index), ens)
+    for lo in range(start, stop, size):
+        hi = min(lo + size, stop)
+        if sampler is None:
+            u, v = _draw_block(ens, lo, hi, with_v)
+        else:
+            states = [sampler(index) for index in range(lo, hi)]
+            u = np.stack([p.u.coeffs for p in states])
+            v = np.stack([p.v.coeffs for p in states])
+        block = _Block(u, v, ens)
+        rows = out[lo - start:hi - start]
         for col, (evaluate, params) in enumerate(entries):
-            out[row, col] = evaluate(ev, params)
-        out[row, len(funcs)] = ev.cutoff_indicator()
+            rows[:, col] = evaluate(block, params)
+        rows[:, -1] = block.cutoff_indicator()
     return out
 
 

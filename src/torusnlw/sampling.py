@@ -16,19 +16,19 @@ Draws are counter-based: sample(spec, index) keys a Philox stream by
 (master_seed, index), so any worker partition of the index range produces
 the identical ensemble, with no shared RNG state.  The stream holds u's
 normals first and v's after them, so a draw can stop after u when only u
-is read (_Draw).
+is read.  Monte Carlo draws a block of consecutive indices at a time
+(_draw_block), re-keying one Philox per index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (PhaseState, SpectralField, _frozen, _half_lattice, _sq_bracket,
-                       _sq_modulus)
+from .spectral import PhaseState, SpectralField, _frozen, _sq_bracket, _sq_modulus
 
 VARIANTS = ("mu_s", "mu_tilde_s", "mu_s_beta")
 
@@ -100,50 +100,54 @@ def _weights(variant: str, s: float, beta: float, max_mode: int):
     return _frozen(w_u), _frozen(w_v)
 
 
-def _stream(master_seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream: a pure function of (master_seed, index)."""
-    key = np.array([master_seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _assemble(raw: np.ndarray, weight: np.ndarray, max_mode: int) -> np.ndarray:
+    """Coefficient stack (B, 2K + 1, 2K + 1) of one component from its
+    (B, n_half, 2) normals.  The stored half-lattice is in lexicographic
+    (n1, n2) order: the rows n1 < 0 hold n2 = 1..K, the rows n1 >= 0 hold
+    n2 = 0..K, so each fills its rows of the n2 >= 0 half block by a
+    reshape; the n2 < 0 half and the n1 < 0 part of column n2 = 0 are the
+    conjugate mirror.  n = 0, its own mirror, holds conj(g_0), whose
+    imaginary part is -0.0."""
+    B, K = len(raw), max_mode
+    g = raw.view(np.complex128)[..., 0] * np.sqrt(0.5)
+    zero = K**2  # n = 0's place in the stored order: real, variance 1
+    g[:, zero] = raw[:, zero, 0]
+    side = 2 * K + 1
+    box = np.empty((B, side, side), np.complex128)
+    half = box[:, :, K:]
+    half[:, :K, 1:] = g[:, :zero].reshape(B, K, K)
+    half[:, K:] = g[:, zero:].reshape(B, K + 1, K + 1)
+    half[:, :K, 0] = np.conj(half[:, :K:-1, 0])
+    box[:, :, :K] = np.conj(half[:, ::-1, :0:-1])
+    box[:, K, K] = np.conj(box[:, K, K])
+    return box / weight
 
 
-def _assemble(raw: np.ndarray, weight: np.ndarray, max_mode: int) -> SpectralField:
-    flat, mirror = _half_lattice(max_mode)
-    g = (raw[:, 0] + 1j * raw[:, 1]) * np.sqrt(0.5)
-    zero = max_mode**2  # n = 0's place in the stored order: real, variance 1
-    g[zero] = raw[zero, 0]
-    side = 2 * max_mode + 1
-    box = np.zeros(side * side, np.complex128)
-    box[flat] = g
-    box[mirror] = np.conj(g)
-    coeffs = box.reshape(side, side) / weight
-    return SpectralField(max_mode, coeffs, _trusted=True)
+def _draw_block(spec: EnsembleSpec, start: int, stop: int, with_v: bool) -> tuple:
+    """Samples start, ..., stop - 1 as coefficient stacks (u, v) of shape
+    (B, 2K + 1, 2K + 1); v is None unless with_v.
 
-
-class _Draw:
-    """Sample `index` of the ensemble, one component at a time: u and v
-    are each drawn on first read, and reading v draws u first, so the
-    normals come off the stream in one order whatever is read."""
-
-    def __init__(self, spec: EnsembleSpec, index: int):
-        if index < 0:
-            raise ValueError(f"sample index must be >= 0, got {index}")
-        self.max_mode = K = spec.sample_max_mode
-        self._weights = _weights(spec.variant, spec.s, spec.beta, K)
-        self._n_half = (2 * K + 1) ** 2 // 2 + 1
-        self._rng = _stream(spec.master_seed, index)
-
-    def _next(self, weight: np.ndarray) -> SpectralField:
-        return _assemble(self._rng.standard_normal((self._n_half, 2)), weight,
-                         self.max_mode)
-
-    @cached_property
-    def u(self) -> SpectralField:
-        return self._next(self._weights[0])
-
-    @cached_property
-    def v(self) -> SpectralField:
-        self.u  # u's normals precede v's in the stream: draw them first
-        return self._next(self._weights[1])
+    One Philox is re-keyed for each index (key (master_seed, index),
+    counter 0, empty buffer), which is the state a new Philox of that key
+    starts in, and fills the index's row of one normal buffer: u's normals,
+    then v's.
+    """
+    if start < 0:
+        raise ValueError(f"sample index must be >= 0, got {start}")
+    K = spec.sample_max_mode
+    n_half = (2 * K + 1) ** 2 // 2 + 1
+    raw = np.empty((stop - start, 1 + with_v, n_half, 2))
+    bitgen = np.random.Philox(key=np.array([spec.master_seed & _MASK64, 0], np.uint64))
+    rng = np.random.Generator(bitgen)
+    keyed = bitgen.state
+    key = keyed["state"]["key"]
+    for row, index in enumerate(range(start, stop)):
+        key[1] = index & _MASK64
+        bitgen.state = keyed
+        rng.standard_normal(out=raw[row])
+    w_u, w_v = _weights(spec.variant, spec.s, spec.beta, K)
+    u = _assemble(raw[:, 0], w_u, K)
+    return u, _assemble(raw[:, 1], w_v, K) if with_v else None
 
 
 def sample(spec: EnsembleSpec, index: int) -> PhaseState:
@@ -152,8 +156,10 @@ def sample(spec: EnsembleSpec, index: int) -> PhaseState:
     Reproducible and order-independent: the result depends only on
     (spec.master_seed, index), never on which process draws it.
     """
-    d = _Draw(spec, index)
-    return PhaseState(d.u, d.v)
+    u, v = _draw_block(spec, index, index + 1, with_v=True)
+    K = spec.sample_max_mode
+    return PhaseState(SpectralField(K, u[0], _trusted=True),
+                      SpectralField(K, v[0], _trusted=True))
 
 
 # -- renormalization constants ----------------------------------------------

@@ -6,8 +6,9 @@ kept Hermitian (c_{-n} = conj(c_n)), so the field it represents is real.
 The torus is normalized to unit volume: integrate(f) returns c_0 and
 inner_product(f, g) = sum_n f_n g_{-n} is the L^2 pairing (Parseval).
 
-Fields reach the grid through grid_stack, which takes every field of one
-window to the grid in one pruned transform (an ifft down the K + 1
+Fields reach the grid through grid_stack, which takes every coefficient
+block of one window, a whole block of Monte Carlo states' factors
+included, to the grid in one pruned transform (an ifft down the K + 1
 columns of the n2 >= 0 half of each block, then an irfft along the rows),
 and come back through rfft2.  A product of four
 window-K fields has modes up to 4K, so its plain mean on quadrature_grid(K)
@@ -220,21 +221,31 @@ def apply_multiplier(f: SpectralField, m: Multiplier) -> SpectralField:
             "riesz_power with negative exponent needs a mean-zero field "
             "(the zero mode would divide by |0|)"
         )
-    return SpectralField(K, f.coeffs * _symbol(m, K), _trusted=True)
+    return SpectralField(K, _multiply(f.coeffs, m), _trusted=True)
+
+
+def _multiply(coeffs: np.ndarray, m: Multiplier) -> np.ndarray:
+    """apply_multiplier on a coefficient block or a stack of them."""
+    return coeffs * _symbol(m, coeffs.shape[-1] // 2)
 
 
 def project_ball(f: SpectralField, cutoff: int) -> SpectralField:
     """Pi_N f for N = cutoff: the sharp projection onto the Euclidean ball
     |n| <= cutoff, on the block shrunk to min(max_mode, cutoff), which
     keeps downstream product grids tight."""
-    K = min(f.max_mode, cutoff)
-    c = _crop(f.coeffs, f.max_mode, K) * (_sq_modulus(K) <= cutoff**2)
-    return SpectralField(K, c, _trusted=True)
+    return SpectralField(min(f.max_mode, cutoff), _ball(f.coeffs, cutoff), _trusted=True)
+
+
+def _ball(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
+    """project_ball on a coefficient block or a stack of them."""
+    K = coeffs.shape[-1] // 2
+    K_new = min(K, cutoff)
+    return _crop(coeffs, K, K_new) * (_sq_modulus(K_new) <= cutoff**2)
 
 
 def _crop(coeffs: np.ndarray, K: int, K_new: int) -> np.ndarray:
     lo, hi = K - K_new, K + K_new + 1
-    return coeffs[lo:hi, lo:hi]
+    return coeffs[..., lo:hi, lo:hi]
 
 
 # -- grid transport ---------------------------------------------------------
@@ -245,38 +256,45 @@ def quadrature_grid(max_mode: int) -> int:
     return next_fast_len(4 * max_mode + 1, real=True)
 
 
-def grid_stack(fields, grid: int) -> np.ndarray:
-    """Values of fields sharing one window on the grid x_j = 2 pi j / grid
-    in each direction, as an (n, grid, grid) array.
+def grid_stack(blocks, grid: int) -> np.ndarray:
+    """Values on the grid x_j = 2 pi j / grid in each direction of
+    coefficient blocks of one window: `blocks` is a sequence of arrays of
+    one shape (..., 2K + 1, 2K + 1), a block or a stack of them each, and
+    the result has shape (len(blocks), ..., grid, grid).
 
     The n2 >= 0 halves of the blocks are transformed together: one ifft
     along n1 over their K + 1 columns only (the other columns are zero),
     then one irfft along n2; bitwise the irfft2 of each zero-filled half.
     Requires grid >= 2 * max_mode + 1 so modes occupy distinct bins.
     """
-    K = fields[0].max_mode
-    if any(f.max_mode != K for f in fields):
-        raise SpectralError("grid_stack needs fields of one window, got "
-                            f"{sorted({f.max_mode for f in fields})}")
+    shapes = {b.shape for b in blocks}
+    if len(shapes) != 1:
+        raise SpectralError(f"grid_stack needs blocks of one shape, got {sorted(shapes)}")
+    K = blocks[0].shape[-1] // 2
     if grid < 2 * K + 1:
         raise SpectralError(f"grid {grid} cannot hold window {K}")
-    return _halves_to_grid([f.coeffs[:, K:] for f in fields], grid)
+    return _halves_to_grid([b[..., K:] for b in blocks], grid)
 
 
 def _halves_to_grid(halves, grid: int) -> np.ndarray:
-    """grid_stack from the n2 >= 0 half blocks of one window."""
-    K = halves[0].shape[1] - 1
-    spec = np.zeros((len(halves), grid, K + 1), np.complex128)
+    """grid_stack from the n2 >= 0 half blocks of one window.  The spectrum
+    is built with all grid // 2 + 1 columns irfft reads, so it pads none."""
+    K = halves[0].shape[-1] - 1
+    spec = np.zeros((len(halves), *halves[0].shape[:-2], grid, grid // 2 + 1),
+                    np.complex128)
     rows = _mode_axis(K) % grid
     for i, half in enumerate(halves):
-        spec[i, rows] = half
-    spec = ifft(spec, axis=1, norm="forward", overwrite_x=True)
+        spec[i][..., rows, :K + 1] = half
+    cols = spec[..., :K + 1]
+    out = ifft(cols, axis=-2, norm="forward", overwrite_x=True)
+    if not np.may_share_memory(out, spec):  # pocketfft wrote elsewhere, not in place
+        cols[...] = out
     return irfft(spec, n=grid, axis=-1, norm="forward")
 
 
 def grid_values(f: SpectralField, grid: int) -> np.ndarray:
     """Values of f on the grid x_j = 2 pi j / grid in each direction."""
-    return grid_stack((f,), grid)[0]
+    return grid_stack((f.coeffs,), grid)[0]
 
 
 def _from_grid(values: np.ndarray, max_mode: int) -> np.ndarray:
@@ -355,9 +373,7 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
     K = min(f.max_mode, g.max_mode)
     a = _crop(f.coeffs, f.max_mode, K)
     b = _crop(g.coeffs, g.max_mode, K)
-    # g_{-n} = conj(g_n), so the pairing is Re sum a conj(b); plain NumPy
-    # sums keep it off the threaded BLAS dot product.
-    return float((a.real * b.real).sum() + (a.imag * b.imag).sum())
+    return float(_pairing(a[None], b[None])[0])
 
 
 def sobolev_norm(p: PhaseState, sigma: float) -> float:
@@ -374,8 +390,27 @@ def grid_sup_norm(f: SpectralField, oversample: int = 4) -> float:
     per direction.  oversample must be at least 2."""
     if oversample < 2:
         raise SpectralError("oversample must be >= 2")
-    grid = oversample * (2 * f.max_mode + 1)
-    return float(np.abs(grid_values(f, grid)).max())
+    return float(_sup_norms(f.coeffs[None], oversample)[0])
+
+
+def _sup_norms(coeffs: np.ndarray, oversample: int = 4) -> np.ndarray:
+    """grid_sup_norm of each block of a (B, 2K + 1, 2K + 1) stack."""
+    grid = oversample * coeffs.shape[-1]
+    return np.abs(grid_stack((coeffs,), grid)[0]).reshape(len(coeffs), -1).max(axis=1)
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of each row of a stack over all its other axes: a row is
+    flattened and summed as the whole array of one state would be (the
+    reduction ndarray.sum calls, without its wrapper)."""
+    return np.add.reduce(x.reshape(len(x), -1), axis=1)
+
+
+def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """inner_product of each pair of rows of two stacks of one window.
+    g_{-n} = conj(g_n), so the pairing is Re sum a conj(b); plain NumPy
+    sums keep it off the threaded BLAS dot product."""
+    return _row_sum(a.real * b.real) + _row_sum(a.imag * b.imag)
 
 
 # -- serialization ----------------------------------------------------------

@@ -177,6 +177,22 @@ class TestEvolve:
         e_n = [float(r[2]) for r in rows[1:]]
         assert max(e_n) - min(e_n) < 1e-8 * abs(e_n[0])
 
+    def test_overflowing_diagnostic_is_a_runtime_error_without_output(self, tmp_path,
+                                                                        capsys):
+        # the flow stays finite for these two steps, but the energies of
+        # u = v = 6e76 cos(x1) overflow from the first row on
+        big = field_from_modes(1, {(1, 0): 6e76})
+        state_file = tmp_path / "big.json"
+        state_file.write_text(json.dumps(state_to_dict(PhaseState(big, big))))
+        code, out = run(tmp_path, "evolve", {
+            "model": {"equation": "nlkg", "N": 1}, "state": {"file": str(state_file)},
+            "integrator": {"dt": 1e-80, "t_final": 2e-80}})
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "runtime error: evolve: non-finite values of energy, truncated_energy, "
+            "renormalized_energy at t = 0\n")
+
     def test_each_row_sends_u_N_to_the_grid_once(self, tmp_path, monkeypatch):
         # one energy._Factors per row: u_N for the truncated energy, then
         # J^s u_N for the renormalized one (u_N went twice before)

@@ -253,12 +253,13 @@ class TestLazyVelocity:
 
     @staticmethod
     def assembled(monkeypatch, ens, funcs) -> int:
-        calls = []
+        """Fields assembled from normals for three states."""
+        rows = []
         real = sampling._assemble
         monkeypatch.setattr(sampling, "_assemble",
-                            lambda *args: calls.append(1) or real(*args))
+                            lambda raw, *args: rows.append(len(raw)) or real(raw, *args))
         collect_values(ens, funcs, 3)
-        return len(calls)
+        return sum(rows)
 
     def test_gap_study_draws_only_u(self, monkeypatch):
         funcs = [("quartic_correction_gap", {"lower_cutoff": 2}),
@@ -280,6 +281,54 @@ class TestLazyVelocity:
         full, full_w = collect_values(ens, funcs, 5, sampler=lambda i: sample(ens, i))
         np.testing.assert_array_equal(values, full)
         np.testing.assert_array_equal(weights, full_w)
+
+
+def every_functional(radius: float) -> list:
+    """A (name, params) column of every registry entry, some twice."""
+    return [("energy_rate_total", {}), ("energy_rate_highlow", {}),
+            ("energy_rate_mass", {}), ("energy_rate_leibniz", {}),
+            ("quartic_correction", {}), ("quartic_correction", {"cutoff": 2}),
+            ("quartic_correction_gap", {"lower_cutoff": 2}),
+            ("chaos_double_pair_renorm_gap", {"lower_cutoff": 1}),
+            ("chaos_single_pair_gap", {"lower_cutoff": 2}),
+            ("chaos_no_pair_gap", {"lower_cutoff": 2}), ("wick_mass", {}),
+            ("block_sup_norm", {"block": 2}),
+            ("block_sup_norm", {"block": 1, "field": "v", "order": (1, 0)}),
+            ("density_weight", {"radius": radius}), ("truncated_energy", {}),
+            ("scalar_gaussian", {})]
+
+
+class TestBlockSize:
+    """Values do not depend on how many states a block holds."""
+
+    @staticmethod
+    def at_block_size(monkeypatch, ens, size, **kwargs):
+        grid = montecarlo.quadrature_grid(ens.sample_max_mode)
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", size * 5 * grid**2 * 8)
+        assert montecarlo._block_size(ens.sample_max_mode) == size
+        return collect_values(ens, every_functional(12.0), 70, **kwargs)
+
+    def test_every_functional_covered(self):
+        assert {name for name, _ in every_functional(1.0)} == set(FUNCTIONALS)
+
+    @pytest.mark.parametrize("variant,beta", [("mu_s", 0.0), ("mu_tilde_s", 0.0),
+                                              ("mu_s_beta", 1.5)])
+    def test_bitwise_equal_across_block_sizes_and_workers(self, monkeypatch, variant, beta):
+        ens = make_ens(K=4, seed=77, variant=variant, beta=beta, energy_cutoff_r=12.0)
+        ref_values, ref_weights = self.at_block_size(monkeypatch, ens, 1)
+        assert 0 < ref_weights.sum() < 70
+        for size in (1, 7, 64):
+            for workers in (1, 2):
+                values, weights = self.at_block_size(monkeypatch, ens, size, workers=workers)
+                np.testing.assert_array_equal(values, ref_values)
+                np.testing.assert_array_equal(weights, ref_weights)
+            values, weights = self.at_block_size(monkeypatch, ens, size,
+                                                 sampler=lambda i: sample(ens, i))
+            np.testing.assert_array_equal(values, ref_values)
+            np.testing.assert_array_equal(weights, ref_weights)
+
+    def test_block_sizes_follow_the_window(self):
+        assert [montecarlo._block_size(K) for K in (1, 8, 16, 32, 64)] == [1048, 20, 5, 1, 1]
 
 
 class TestWorkerDeterminism:

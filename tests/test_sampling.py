@@ -14,14 +14,13 @@ from torusnlw.sampling import (
     VARIANTS,
     EnsembleSpec,
     _assemble,
-    _Draw,
-    _stream,
+    _draw_block,
     _weights,
     counterterm,
     sample,
     wave_counterterm,
 )
-from torusnlw.spectral import integrate
+from torusnlw.spectral import _half_lattice, integrate
 
 
 def make_spec(variant="mu_s", s=2.0, K=4, N=None, seed=0, **kw):
@@ -102,33 +101,62 @@ class TestDeterminism:
         np.testing.assert_array_equal(p.v.coeffs, np.conj(p.v.coeffs[::-1, ::-1]))
 
 
+def new_philox(seed: int, index: int) -> np.random.Generator:
+    # the key words as uint64: a tuple holding 2^63 + 1 goes through float
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], np.uint64)))
+
+
+def scattered(raw: np.ndarray, weight: np.ndarray, K: int) -> np.ndarray:
+    """One state's (n_half, 2) normals scattered onto the stored half-lattice
+    and its conjugate mirror: the reference for _assemble's layout."""
+    flat, mirror = _half_lattice(K)
+    g = (raw[:, 0] + 1j * raw[:, 1]) * np.sqrt(0.5)
+    g[K**2] = raw[K**2, 0]
+    box = np.zeros((2 * K + 1) ** 2, np.complex128)
+    box[flat] = g
+    box[mirror] = np.conj(g)
+    return box.reshape(2 * K + 1, 2 * K + 1) / weight
+
+
 class TestDrawByComponent:
     @pytest.mark.parametrize("n_half", [145, 2113, 8321])  # windows 8, 32, 64
     def test_normals_split_by_component(self, n_half):
         # (n, 2) normals twice from one stream are the (2, n, 2) block
-        whole = _stream(11, 5).standard_normal((2, n_half, 2))
-        rng = _stream(11, 5)
+        whole = new_philox(11, 5).standard_normal((2, n_half, 2))
+        rng = new_philox(11, 5)
         np.testing.assert_array_equal(whole[0], rng.standard_normal((n_half, 2)))
         np.testing.assert_array_equal(whole[1], rng.standard_normal((n_half, 2)))
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("v_first", [False, True])
-    def test_draw_matches_one_block_of_normals(self, variant, v_first):
-        # u from the first half of one (2, n, 2) block of normals, v from
-        # the second, whichever component is read first
+    @pytest.mark.parametrize("with_v", [False, True])
+    def test_block_draw_is_a_new_philox_per_index(self, variant, with_v):
+        # each row of a block re-keys one Philox; its normals are those of
+        # a new Philox keyed (seed, index): u's first, then v's
         spec = make_spec(variant=variant, K=5, seed=3,
                          beta=2.0 if variant == "mu_s_beta" else 0.0)
         w_u, w_v = _weights(variant, spec.s, spec.beta, 5)
-        for index in (0, 9):
-            raw = _stream(3, index).standard_normal((2, 61, 2))
-            d = _Draw(spec, index)
-            if v_first:
-                d.v  # takes u's normals off the stream first
-            np.testing.assert_array_equal(d.u.coeffs, _assemble(raw[0], w_u, 5).coeffs)
-            np.testing.assert_array_equal(d.v.coeffs, _assemble(raw[1], w_v, 5).coeffs)
-            full = sample(spec, index)
-            np.testing.assert_array_equal(d.u.coeffs, full.u.coeffs)
-            np.testing.assert_array_equal(d.v.coeffs, full.v.coeffs)
+        for start in (0, 9, 2**63 + 1):
+            u, v = _draw_block(spec, start, start + 3, with_v)
+            assert u.shape == (3, 11, 11)
+            assert (v is None) != with_v
+            for row, index in enumerate(range(start, start + 3)):
+                raw = new_philox(3, index).standard_normal((2, 61, 2))
+                # bytes, so that the signs of zero imaginary parts count too
+                assert u[row].tobytes() == scattered(raw[0], w_u, 5).tobytes()
+                full = sample(spec, index)
+                np.testing.assert_array_equal(u[row], full.u.coeffs)
+                if with_v:
+                    assert v[row].tobytes() == scattered(raw[1], w_v, 5).tobytes()
+                    np.testing.assert_array_equal(v[row], full.v.coeffs)
+
+    @pytest.mark.parametrize("K", [0, 1, 2, 8])
+    def test_assemble_is_the_half_lattice_scatter(self, K):
+        n_half = (2 * K + 1) ** 2 // 2 + 1
+        raw = new_philox(5, K).standard_normal((4, n_half, 2))
+        weight = _weights("mu_s", 2.0, 0.0, K)[1]
+        block = _assemble(raw, weight, K)
+        for row in range(4):
+            assert block[row].tobytes() == scattered(raw[row], weight, K).tobytes()
 
 
 def empirical_mode_power(spec, mode, n_samples=4000, which="u"):

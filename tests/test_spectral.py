@@ -162,23 +162,28 @@ class TestGridTransport:
     @pytest.mark.parametrize("K", [1, 8, 16, 32, 64])
     def test_grid_stack_is_irfft2_of_the_half_block(self, rng, K):
         # the pruned transform against irfft2 of the zero-filled n2 >= 0
-        # half, bit for bit, on the quadrature grid and grid_sup_norm's grid
-        fields = [random_field(rng, K) for _ in range(3)]
+        # half, bit for bit, on the quadrature grid and grid_sup_norm's grid,
+        # for blocks and for stacks of them (a block of states per factor)
+        fields = [random_field(rng, K) for _ in range(6)]
         for grid in (quadrature_grid(K), 4 * (2 * K + 1)):
-            stack = grid_stack(fields, grid)
-            assert stack.shape == (3, grid, grid)
-            for f, vals in zip(fields, stack):
+            stack = grid_stack([f.coeffs for f in fields], grid)
+            assert stack.shape == (6, grid, grid)
+            pairs = np.stack([f.coeffs for f in fields]).reshape(3, 2, 2 * K + 1, 2 * K + 1)
+            blocks = grid_stack(list(pairs), grid)
+            assert blocks.shape == (3, 2, grid, grid)
+            for f, vals, in_block in zip(fields, stack, blocks.reshape(6, grid, grid)):
                 spec = np.zeros((grid, grid // 2 + 1), np.complex128)
                 spec[np.arange(-K, K + 1) % grid, :K + 1] = f.coeffs[:, K:]
                 np.testing.assert_array_equal(
                     vals, irfft2(spec, s=(grid, grid), norm="forward"))
                 np.testing.assert_array_equal(vals, grid_values(f, grid))
+                np.testing.assert_array_equal(in_block, vals)
 
     def test_grid_stack_rejects_small_grids_and_mixed_windows(self, rng):
         with pytest.raises(SpectralError, match="grid 6 cannot hold window 3"):
-            grid_stack([random_field(rng, 3), random_field(rng, 3)], 6)
-        with pytest.raises(SpectralError, match="one window"):
-            grid_stack([random_field(rng, 3), random_field(rng, 2)], 15)
+            grid_stack([random_field(rng, 3).coeffs, random_field(rng, 3).coeffs], 6)
+        with pytest.raises(SpectralError, match="one shape"):
+            grid_stack([random_field(rng, 3).coeffs, random_field(rng, 2).coeffs], 15)
 
     def test_products_are_exactly_hermitian(self, rng):
         c = pointwise_product(random_field(rng, 3), random_field(rng, 2)).coeffs
