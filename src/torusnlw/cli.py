@@ -46,6 +46,7 @@ from .dynamics import (
     IntegrationError,
     IntegratorSpec,
     ModelSpec,
+    _steps,
     trajectory,
 )
 from .energy import UnsupportedParameterError, _one, energy_report, hamiltonian
@@ -216,8 +217,8 @@ def _load_config(path: str) -> dict:
 
 
 def _ensemble_spec(ens: dict, built) -> EnsembleSpec:
-    # without a window the studies draw one window per cutoff; the spec
-    # built here at window 0 only checks the variant's parameters
+    # without a window the spec is built at window 0, and each study sets
+    # the window of every cutoff it draws
     window = ens.get("sample_max_mode", 0)
     return EnsembleSpec(variant=ens["variant"], s=ens["s"], sample_max_mode=window,
                         truncation_N=ens.get("truncation_N", window),
@@ -317,12 +318,6 @@ def _seed(cfg: dict):
     return ens["seed"] if ens else None
 
 
-def _study_kwargs(cfg: dict, workers: int) -> dict:
-    ens = cfg["ensemble"]
-    return {"variant": ens["variant"], "beta": ens["beta"], "master_seed": ens["seed"],
-            "workers": workers}
-
-
 # -- CSV plumbing --------------------------------------------------------------
 
 
@@ -398,6 +393,11 @@ def _window_covers_cutoff(cfg, built):
     return None
 
 
+def _integrator(integ: dict, built) -> IntegratorSpec:
+    _steps(integ["t_final"], integ["dt"])  # a step count that overflows is a config error
+    return IntegratorSpec(scheme=integ["scheme"], dt=integ["dt"])
+
+
 _EVOLVE = _Group({
     "model": _Group({"equation": _EQUATION, "N": _CUTOFF, "beta": _Key("number", 0.0)},
                     rules=(_nlkg_beta,)),
@@ -406,7 +406,7 @@ _EVOLVE = _Group({
         "scheme": _Key("str", "strang_splitting", _one_of(SCHEMES)),
         "dt": _Key("number", 1e-3, _gt(0)),
         "t_final": _Key("number"),
-    }, finish=lambda integ, built: IntegratorSpec(scheme=integ["scheme"], dt=integ["dt"])),
+    }, finish=_integrator),
     "trajectory": _Group({"stride": _Key("int", 1, _ge(1)),
                           "sigma": _Key("number", 1.0),
                           "s": _Key("number", 2.0, _gt(1))}, default={}),
@@ -499,8 +499,8 @@ _MC_LP = _Group({
 def _run_mc_lp(cfg, built, workers):
     exp = cfg["experiment"]
     result = lp_growth_experiment(
-        cfg["ensemble"]["s"], exp["N_list"], exp["p_list"], exp["r"], exp["samples"],
-        functional=exp["functional"], **_study_kwargs(cfg, workers))
+        built["ensemble"], exp["N_list"], exp["p_list"], exp["r"], exp["samples"],
+        functional=exp["functional"], workers=workers)
     est_columns = [("cutoff", "frequency cutoff of the ensemble")] + _ESTIMATE_COLUMNS
     fit_columns = ([("kind", "p_slope: growth fit in p at one cutoff; "
                              "spread: max/min value ratio over cutoffs at one p"),
@@ -536,9 +536,8 @@ _MC_CONVERGE = _Group({
 def _run_mc_converge(cfg, built, workers):
     exp = cfg["experiment"]
     result = convergence_rate_study(
-        cfg["ensemble"]["s"], exp["M_list"], exp["p"], exp["samples"],
-        reference_cutoff=exp["N_ref"], components=exp["components"],
-        **_study_kwargs(cfg, workers))
+        built["ensemble"], exp["M_list"], exp["p"], exp["samples"],
+        reference_cutoff=exp["N_ref"], components=exp["components"], workers=workers)
     est_columns = [("lower_cutoff", "cutoff M of the subtracted correction")] + _ESTIMATE_COLUMNS
     fit_columns = [("component", "total, or one chaos component of the gap")] + _FIT_COLUMNS
     est_rows = [[row.cutoff] + _estimate_row(row.estimate) for row in result.rows]
@@ -624,8 +623,8 @@ _MC_KIN = _Group({
 def _run_mc_kin(cfg, built, workers):
     exp = cfg["experiment"]
     result = sup_norm_moment_study(
-        cfg["ensemble"]["s"], exp["order"], exp["M_list"], exp["N"], exp["p"],
-        exp["samples"], field=exp["field"], **_study_kwargs(cfg, workers))
+        built["ensemble"], exp["order"], exp["M_list"], exp["N"], exp["p"],
+        exp["samples"], field=exp["field"], workers=workers)
     est_columns = [("block", "dyadic block frequency M")] + _ESTIMATE_COLUMNS
     est_rows = [[row.cutoff] + _estimate_row(row.estimate) for row in result.rows]
     fit_rows = [[result.fit.slope, result.fit.intercept, result.fit.residual]]
@@ -651,8 +650,8 @@ _MC_TAIL = _Group({
 def _run_mc_tail(cfg, built, workers):
     exp = cfg["experiment"]
     result = tail_estimate_study(
-        cfg["ensemble"]["s"], exp["N"], exp["M_list"], exp["alpha_list"], exp["samples"],
-        **_study_kwargs(cfg, workers))
+        built["ensemble"], exp["N"], exp["M_list"], exp["alpha_list"], exp["samples"],
+        workers=workers)
     columns = [
         ("lower_cutoff", "cutoff M of the subtracted correction"),
         ("threshold", "exceedance threshold"),

@@ -174,6 +174,8 @@ def _steps(t_final: float, dt: float):
     """Split |t_final| into full steps of dt plus one short remainder."""
     sign = 1.0 if t_final >= 0 else -1.0
     total = abs(t_final)
+    if not math.isfinite(total / dt):
+        raise ValueError(f"|t_final| / dt overflows (t_final = {t_final:g}, dt = {dt:g})")
     n_full = int(math.floor(total / dt + 1e-9))
     remainder = total - n_full * dt
     if remainder < 1e-12 * max(total, dt):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _check_equation, _Factors
+from .energy import _Factors
 
 MARGINALS = ("position", "velocity")
 
@@ -44,7 +44,6 @@ def _density(f: _Factors, radius: float) -> np.ndarray:
     """
     if not radius > 0:
         raise ValueError(f"cutoff radius must be positive (or inf), got {radius}")
-    _check_equation(f.equation, f.beta)
     log_weight = -f.quartic_correction
     if f.equation == "nlw":
         log_weight -= 0.25 * f.low_quartic

@@ -12,7 +12,9 @@ from its own tagged stream, so results are bitwise independent of the
 block size and of how the index range is split across workers.
 
 Functionals are addressed by name (plus a small parameter dict) so they
-can cross process boundaries; see FUNCTIONALS for the registry.
+can cross process boundaries; see FUNCTIONALS for the registry.  Every
+entry point takes an EnsembleSpec; the four studies read its variant, s,
+beta and seed, and draw each cutoff at its own window.
 """
 
 from __future__ import annotations
@@ -297,8 +299,7 @@ def _weighted_norm(abs_pow: np.ndarray, weights: np.ndarray, p: float) -> float:
 
 
 def _estimate_from_values(values: np.ndarray, weights: np.ndarray, p: float,
-                          ens: EnsembleSpec, tag: str,
-                          resamples: int = BOOTSTRAP_RESAMPLES) -> LpEstimate:
+                          ens: EnsembleSpec, tag: str) -> LpEstimate:
     n = values.size
     bad = int(np.count_nonzero(~np.isfinite(values)))
     if bad:
@@ -310,8 +311,8 @@ def _estimate_from_values(values: np.ndarray, weights: np.ndarray, p: float,
     abs_pow = np.abs(values) ** p
     value = _weighted_norm(abs_pow, weights, p)
     rng = _tagged_rng(ens.master_seed, f"bootstrap:{tag}:p={p!r}:n={n}")
-    norms = np.empty(resamples)
-    for b in range(resamples):
+    norms = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
         for _ in range(1 + _MAX_REDRAWS):  # a resample of rejected states only has no norm
             idx = rng.integers(0, n, size=n)
             norm = _weighted_norm(abs_pow[idx], weights[idx], p)
@@ -333,19 +334,19 @@ def _estimate_from_values(values: np.ndarray, weights: np.ndarray, p: float,
     )
 
 
-def _check_p_samples(p: float, samples: int, max_p: float) -> None:
-    if not 1.0 <= p <= max_p:
-        raise ValueError(f"p must lie in [1, {max_p}], got {p}")
+def _check_p_samples(p: float, samples: int) -> None:
+    if not 1.0 <= p <= MAX_P:
+        raise ValueError(f"p must lie in [1, {MAX_P}], got {p}")
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
 
 
 def estimate_lp(functional: str, ens: EnsembleSpec, p: float, samples: int, *,
                 params: dict | None = None, workers: int = 1,
-                sampler: Callable | None = None, max_p: float = MAX_P) -> LpEstimate:
+                sampler: Callable | None = None) -> LpEstimate:
     """Weighted empirical L^p norm of one functional under the cutoff
     ensemble.  Deterministic given (ens, p, samples)."""
-    _check_p_samples(p, samples, max_p)
+    _check_p_samples(p, samples)
     tag = f"{functional}:{sorted((params or {}).items())}"
     ((_, values, weights),) = _draw(ens, [(tag, functional, params)], samples,
                                     workers, sampler)
@@ -355,11 +356,10 @@ def estimate_lp(functional: str, ens: EnsembleSpec, p: float, samples: int, *,
 # -- cutoff radius resolution --------------------------------------------------
 
 
-def resolve_radius(radius, ens: EnsembleSpec, *, pilot_samples: int = 1000,
-                   workers: int = 1) -> float:
+def resolve_radius(radius, ens: EnsembleSpec, *, workers: int = 1) -> float:
     """Turn a configured radius into a number.
 
-    Numbers and "inf" pass through; "auto" draws a pilot ensemble from a
+    Numbers and "inf" pass through; "auto" draws 1,000 pilot states from a
     seed derived from the master seed (so it never reuses the estimate
     indices) on `workers` processes and returns the 0.9 quantile of the
     truncated energy.
@@ -371,14 +371,23 @@ def resolve_radius(radius, ens: EnsembleSpec, *, pilot_samples: int = 1000,
         return r
     pilot = replace(ens, master_seed=_tag64(f"pilot-radius:{ens.master_seed}"),
                     energy_cutoff_r=math.inf)
-    energies, _ = collect_values(pilot, [("truncated_energy", {})], pilot_samples,
+    energies, _ = collect_values(pilot, [("truncated_energy", {})], 1000,
                                  workers=workers)
     return float(np.quantile(energies[:, 0], 0.9))
 
 
 # -- experiments ---------------------------------------------------------------
-# Every study draws its columns through _draw and reports the drawn series
-# as `raw`: ((label, values, weights), ...).
+# Every study draws its columns through _draw on _at_window of its ensemble
+# and reports the drawn series as `raw`: ((label, values, weights), ...).
+
+
+def _at_window(ens: EnsembleSpec, n: int) -> EnsembleSpec:
+    """The base ensemble at sampling window and cutoff n.  The studies draw
+    unconditioned (lp_growth_experiment conditions through its radius), so
+    a finite energy cutoff on the base is refused."""
+    if not math.isinf(ens.energy_cutoff_r):
+        raise ValueError(f"energy_cutoff_r {ens.energy_cutoff_r}: studies draw unconditioned")
+    return replace(ens, sample_max_mode=n, truncation_N=n)
 
 
 @dataclass(frozen=True)
@@ -400,34 +409,30 @@ class GrowthStudyResult:
     raw: tuple             # one series per cutoff
 
 
-def lp_growth_experiment(s: float, cutoff_list, p_list, radius, samples: int, *,
+def lp_growth_experiment(ens: EnsembleSpec, cutoff_list, p_list, radius, samples: int, *,
                          functional: str = "energy_rate_total",
-                         variant: str = "mu_s", beta: float = 0.0,
-                         master_seed: int = 0, workers: int = 1) -> GrowthStudyResult:
+                         workers: int = 1) -> GrowthStudyResult:
     """Growth of the L^p norms in p and their uniformity in the cutoff.
 
-    One ensemble per cutoff (sampling window = cutoff); values are drawn
-    once per cutoff and reused across all p.
+    One ensemble per cutoff (sampling window = cutoff), conditioned on
+    the resolved radius; values are drawn once per cutoff and reused
+    across all p.
     """
-    if not cutoff_list or not p_list:
-        raise ValueError("cutoff_list and p_list must be nonempty")
+    if not cutoff_list or len(set(p_list)) < 2:
+        raise ValueError("need a cutoff and at least two distinct p (the fit in p)")
     for p in p_list:
-        _check_p_samples(p, samples, MAX_P)
-    rows = []
-    fits = []
-    radii = []
-    raw = []
+        _check_p_samples(p, samples)
+    rows, fits, radii, raw = [], [], [], []
     for cutoff in cutoff_list:
-        ens = EnsembleSpec(variant=variant, s=s, sample_max_mode=cutoff,
-                           truncation_N=cutoff, master_seed=master_seed, beta=beta)
-        r = resolve_radius(radius, ens, workers=workers)
-        ens = replace(ens, energy_cutoff_r=r)
+        spec = _at_window(ens, cutoff)
+        r = resolve_radius(radius, spec, workers=workers)
+        spec = replace(spec, energy_cutoff_r=r)
         radii.append((cutoff, r))
-        series = _draw(ens, [(f"{functional}:N={cutoff}", functional, None)],
+        series = _draw(spec, [(f"{functional}:N={cutoff}", functional, None)],
                        samples, workers)
         raw.extend(series)
         ((label, values, weights),) = series
-        ests = [_estimate_from_values(values, weights, p, ens, label) for p in p_list]
+        ests = [_estimate_from_values(values, weights, p, spec, label) for p in p_list]
         rows.extend(EstimateRow(cutoff, p, e) for p, e in zip(p_list, ests))
         fits.append((cutoff, fit_rate(p_list, [e.value for e in ests])))
     spread = []
@@ -455,22 +460,19 @@ class ConvergenceStudyResult:
     raw: tuple             # one quartic_correction_gap series per M
 
 
-def convergence_rate_study(s: float, lower_cutoffs, p: float, samples: int, *,
-                           reference_cutoff: int | None = None,
-                           variant: str = "mu_s", beta: float = 0.0,
-                           master_seed: int = 0, workers: int = 1,
-                           components: bool = False) -> ConvergenceStudyResult:
+def convergence_rate_study(ens: EnsembleSpec, lower_cutoffs, p: float, samples: int, *,
+                           reference_cutoff: int | None = None, components: bool = False,
+                           workers: int = 1) -> ConvergenceStudyResult:
     """Rate at which the quartic correction at a frozen reference cutoff
     is approximated by lower cutoffs, in L^p of the plain ensemble."""
     lower = sorted(int(m) for m in lower_cutoffs)
-    if not lower:
-        raise ValueError("need at least one lower cutoff")
+    if len(set(lower)) < 2:
+        raise ValueError("need at least two distinct lower cutoffs (the decay fit)")
     n_ref = int(reference_cutoff) if reference_cutoff is not None else 2 * max(lower)
     if max(lower) >= n_ref:
         raise ValueError(f"every lower cutoff must be < reference {n_ref}")
-    _check_p_samples(p, samples, MAX_P)
-    ens = EnsembleSpec(variant=variant, s=s, sample_max_mode=n_ref,
-                       truncation_N=n_ref, master_seed=master_seed, beta=beta)
+    _check_p_samples(p, samples)
+    ens = _at_window(ens, n_ref)
     names = ("quartic_correction_gap",)
     if components:
         names += ("chaos_double_pair_renorm_gap", "chaos_single_pair_gap",
@@ -515,7 +517,7 @@ def chaos_growth_check(functional: str, ens: EnsembleSpec, p_list, samples: int,
             f"functional {functional!r} has no declared chaos degree")
     degree = entry.degree
     for p in p_list:
-        _check_p_samples(p, samples, MAX_P)
+        _check_p_samples(p, samples)
     tag = f"{functional}:{sorted((params or {}).items())}"
     series = _draw(ens, [(tag, functional, params)], samples, workers)
     ((_, values, weights),) = series
@@ -545,9 +547,8 @@ class SupNormStudyResult:
     raw: tuple             # one series per block
 
 
-def sup_norm_moment_study(s: float, order, block_list, cutoff: int, p: float,
-                          samples: int, *, field: str = "u", variant: str = "mu_s",
-                          beta: float = 0.0, master_seed: int = 0,
+def sup_norm_moment_study(ens: EnsembleSpec, order, block_list, cutoff: int, p: float,
+                          samples: int, *, field: str = "u",
                           workers: int = 1) -> SupNormStudyResult:
     """Sup norms of derivative dyadic blocks of the low-pass field: the
     L^p moments should grow at most sub-polynomially in the block
@@ -556,16 +557,17 @@ def sup_norm_moment_study(s: float, order, block_list, cutoff: int, p: float,
     if o1 < 0 or o2 < 0:
         raise ValueError(f"derivative order must be nonnegative, got {(o1, o2)}")
     total = o1 + o2
-    limit = s if field == "u" else s - 1
+    limit = ens.s if field == "u" else ens.s - 1
     if field not in ("u", "v"):
         raise ValueError(f"field must be 'u' or 'v', got {field!r}")
     if total > limit:
         raise UnsupportedParameterError(
             f"derivative order {total} exceeds the admissible {limit} for field {field!r}")
-    _check_p_samples(p, samples, MAX_P)
+    _check_p_samples(p, samples)
     blocks = sorted(int(m) for m in block_list)
-    ens = EnsembleSpec(variant=variant, s=s, sample_max_mode=cutoff,
-                       truncation_N=cutoff, master_seed=master_seed, beta=beta)
+    if len(set(blocks)) < 2:
+        raise ValueError("need at least two distinct blocks (the moment-growth fit)")
+    ens = _at_window(ens, cutoff)
     columns = [(f"block_sup_norm:M={m}", "block_sup_norm",
                 {"order": (o1, o2), "block": m, "field": field}) for m in blocks]
     series = _draw(ens, columns, samples, workers)
@@ -599,9 +601,8 @@ class TailStudyResult:
     raw: tuple                # one quartic_correction_gap series per M
 
 
-def tail_estimate_study(s: float, reference_cutoff: int, lower_cutoffs, thresholds,
-                        samples: int, *, variant: str = "mu_s", beta: float = 0.0,
-                        master_seed: int = 0, workers: int = 1) -> TailStudyResult:
+def tail_estimate_study(ens: EnsembleSpec, reference_cutoff: int, lower_cutoffs,
+                        thresholds, samples: int, *, workers: int = 1) -> TailStudyResult:
     """Empirical exceedance probabilities P(|F_ref - F_M| > threshold).
 
     Tail decay in the threshold and improvement with growing M are the
@@ -615,9 +616,7 @@ def tail_estimate_study(s: float, reference_cutoff: int, lower_cutoffs, threshol
     thresholds = [float(a) for a in thresholds]
     if any(a < 0 for a in thresholds):
         raise ValueError("thresholds must be nonnegative")
-    ens = EnsembleSpec(variant=variant, s=s, sample_max_mode=reference_cutoff,
-                       truncation_N=reference_cutoff, master_seed=master_seed,
-                       beta=beta)
+    ens = _at_window(ens, reference_cutoff)
     series = _draw(ens, _gap_columns(("quartic_correction_gap",), lower), samples, workers)
     rows = []
     prob_table = {}

@@ -385,17 +385,14 @@ def sobolev_norm(p: PhaseState, sigma: float) -> float:
     return float(np.sqrt(uu + vv))
 
 
-def grid_sup_norm(f: SpectralField, oversample: int = 4) -> float:
-    """Max of |f| over an equispaced grid with oversample * (2K+1) points
-    per direction.  oversample must be at least 2."""
-    if oversample < 2:
-        raise SpectralError("oversample must be >= 2")
-    return float(_sup_norms(f.coeffs[None], oversample)[0])
+def grid_sup_norm(f: SpectralField) -> float:
+    """Max of |f| over an equispaced grid of 4 (2K+1) points per direction."""
+    return float(_sup_norms(f.coeffs[None])[0])
 
 
-def _sup_norms(coeffs: np.ndarray, oversample: int = 4) -> np.ndarray:
+def _sup_norms(coeffs: np.ndarray) -> np.ndarray:
     """grid_sup_norm of each block of a (B, 2K + 1, 2K + 1) stack."""
-    grid = oversample * coeffs.shape[-1]
+    grid = 4 * coeffs.shape[-1]
     return np.abs(grid_stack((coeffs,), grid)[0]).reshape(len(coeffs), -1).max(axis=1)
 
 

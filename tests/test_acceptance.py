@@ -229,8 +229,9 @@ def test_rate_norm_growth_in_p_and_cutoff_stability(capsys):
     moves by less than a factor 2 across cutoffs.
     """
     t0 = time.perf_counter()
-    res = lp_growth_experiment(2.0, (8, 16, 32), (2.0, 4.0, 8.0), "auto",
-                               10_000, master_seed=SEED)
+    base = EnsembleSpec(variant="mu_s", s=2.0, sample_max_mode=0, truncation_N=0,
+                        master_seed=SEED)
+    res = lp_growth_experiment(base, (8, 16, 32), (2.0, 4.0, 8.0), "auto", 10_000)
     slopes = {c: fit.slope + fit.residual for c, fit in res.p_fits}
     spread4 = dict(res.spread_by_p)[4.0]
     elapsed = time.perf_counter() - t0
@@ -246,8 +247,9 @@ def test_rate_norm_growth_in_p_and_cutoff_stability(capsys):
 def test_truncation_gap_decays_with_block(capsys):
     """The rate gap between cutoffs M and a far reference decays in M."""
     t0 = time.perf_counter()
-    res = convergence_rate_study(2.0, (4, 8, 16, 32), 2.0, 10_000,
-                                 reference_cutoff=64, master_seed=SEED)
+    base = EnsembleSpec(variant="mu_s", s=2.0, sample_max_mode=0, truncation_N=0,
+                        master_seed=SEED)
+    res = convergence_rate_study(base, (4, 8, 16, 32), 2.0, 10_000, reference_cutoff=64)
     gaps = [row.estimate.value for row in res.rows]
     monotone = all(a > b for a, b in zip(gaps, gaps[1:]))
     slope = res.fit.slope + res.fit.residual

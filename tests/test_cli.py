@@ -634,6 +634,8 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("evolve", "integrator.t_final", DROP, "integrator.t_final: missing required key"),
     ("evolve", "integrator.t_final", float("inf"), "integrator.t_final: must be finite"),
     ("evolve", "integrator.t_final", float("nan"), "integrator.t_final: must be finite"),
+    ("evolve", "integrator", {"dt": 1e-10, "t_final": 1e300},
+     "integrator: |t_final| / dt overflows (t_final = 1e+300, dt = 1e-10)"),
     ("evolve", "trajectory.stride", 0, "trajectory.stride: must be >= 1"),
     ("evolve", "trajectory.sigma", "x", "trajectory.sigma: expected number"),
     ("evolve", "trajectory.sigma", float("nan"), "trajectory.sigma: must be finite"),

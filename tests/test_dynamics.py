@@ -268,6 +268,11 @@ class TestTrajectory:
         ts = [t for t, _ in trajectory(p, -0.3, NLKG4, integ, stride=2)]
         assert ts == [0.0, -0.2, -0.3]
 
+    def test_overflowing_step_count_is_a_value_error(self):
+        # 1e300 / 1e-10 is inf: the step count names t_final and dt
+        with pytest.raises(ValueError, match=r"t_final = 1e\+300, dt = 1e-10"):
+            next(trajectory(gaussian_state(), 1e300, NLKG4, IntegratorSpec(dt=1e-10)))
+
     def test_negative_time_runs_backwards(self):
         p = gaussian_state()
         ts = [t for t, _ in trajectory(p, -0.2, NLKG4, IntegratorSpec(dt=0.1))]

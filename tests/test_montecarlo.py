@@ -377,8 +377,8 @@ class TestResolveRadius:
 
     def test_auto_is_deterministic_and_plausible(self):
         ens = make_ens(K=4, seed=21)
-        r1 = resolve_radius("auto", ens, pilot_samples=300)
-        r2 = resolve_radius("auto", ens, pilot_samples=300)
+        r1 = resolve_radius("auto", ens)
+        r2 = resolve_radius("auto", ens)
         assert r1 == r2
         assert 0.0 < r1 < 100.0
 
@@ -388,13 +388,13 @@ class TestResolveRadius:
         ens = make_ens(K=6, N=4, seed=601)
         pilot = replace(ens, master_seed=_tag64(f"pilot-radius:{ens.master_seed}"))
         energies = [truncated_energy(sample(pilot, i), 4, ens.equation, ens.beta)
-                    for i in range(200)]
-        radius = resolve_radius("auto", ens, pilot_samples=200, workers=workers)
+                    for i in range(1000)]
+        radius = resolve_radius("auto", ens, workers=workers)
         assert radius == float(np.quantile(energies, 0.9))
 
     def test_auto_accepts_most_samples_at_default_quantile(self):
         ens = make_ens(K=4, seed=21)
-        r = resolve_radius("auto", ens, pilot_samples=300)
+        r = resolve_radius("auto", ens)
         est = estimate_lp(
             "quartic_correction",
             EnsembleSpec(variant=ens.variant, s=ens.s,
@@ -433,9 +433,8 @@ class TestChaosGrowthCheck:
 
 class TestGrowthExperiment:
     def test_structure_and_slopes_smoke(self):
-        result = lp_growth_experiment(
-            2.0, [2, 4], [2.0, 4.0], math.inf, 150, master_seed=17
-        )
+        result = lp_growth_experiment(make_ens(K=0, seed=17), [2, 4], [2.0, 4.0],
+                                      math.inf, 150)
         assert {row.cutoff for row in result.rows} == {2, 4}
         assert {row.p for row in result.rows} == {2.0, 4.0}
         assert dict(result.radii) == {2: math.inf, 4: math.inf}
@@ -446,25 +445,22 @@ class TestGrowthExperiment:
             assert spread >= 1.0
 
     def test_auto_radius_is_recorded(self):
-        result = lp_growth_experiment(
-            2.0, [2], [2.0, 4.0], "auto", 120, master_seed=17
-        )
+        result = lp_growth_experiment(make_ens(K=0, seed=17), [2], [2.0, 4.0], "auto", 120)
         assert 0.0 < dict(result.radii)[2] < math.inf
 
 
 class TestConvergenceStudy:
     def test_gap_shrinks_with_lower_cutoff(self):
-        result = convergence_rate_study(2.0, [2, 4, 8], 2.0, 400,
-                                        reference_cutoff=16, master_seed=23)
+        result = convergence_rate_study(make_ens(K=0, seed=23), [2, 4, 8], 2.0, 400,
+                                        reference_cutoff=16)
         assert result.reference_cutoff == 16
         values = [row.estimate.value for row in result.rows]
         assert values[0] > values[-1] > 0.0
         assert result.fit.slope < 0.0
 
     def test_component_fits_requested(self):
-        result = convergence_rate_study(2.0, [2, 4], 2.0, 200,
-                                        reference_cutoff=8, master_seed=23,
-                                        components=True)
+        result = convergence_rate_study(make_ens(K=0, seed=23), [2, 4], 2.0, 200,
+                                        reference_cutoff=8, components=True)
         names = [name for name, _ in result.component_fits]
         assert names == [
             "chaos_double_pair_renorm_gap",
@@ -473,14 +469,14 @@ class TestConvergenceStudy:
         ]
 
     def test_default_reference_doubles_largest(self):
-        result = convergence_rate_study(2.0, [2, 4], 2.0, 150, master_seed=2)
+        result = convergence_rate_study(make_ens(K=0, seed=2), [2, 4], 2.0, 150)
         assert result.reference_cutoff == 8
 
 
 class TestSupNormStudy:
     def test_moment_grows_with_block(self):
-        result = sup_norm_moment_study(2.0, (0, 0), [1, 2, 4], 8, 4.0, 200,
-                                       master_seed=41)
+        result = sup_norm_moment_study(make_ens(K=0, seed=41), (0, 0), [1, 2, 4], 8,
+                                       4.0, 200)
         norms = [row.estimate.value for row in result.rows]
         assert all(v > 0 for v in norms)
         assert result.fit.slope == pytest.approx(
@@ -489,38 +485,122 @@ class TestSupNormStudy:
 
     def test_derivative_order_capped_by_regularity(self):
         with pytest.raises(ValueError, match="order"):
-            sup_norm_moment_study(2.0, (3, 0), [1, 2], 8, 4.0, 200)
+            sup_norm_moment_study(make_ens(K=0), (3, 0), [1, 2], 8, 4.0, 200)
         with pytest.raises(ValueError, match="order"):
-            sup_norm_moment_study(2.0, (2, 0), [1, 2], 8, 4.0, 200, field="v")
+            sup_norm_moment_study(make_ens(K=0), (2, 0), [1, 2], 8, 4.0, 200, field="v")
 
     def test_velocity_field_accepted_within_cap(self):
-        result = sup_norm_moment_study(2.0, (1, 0), [1, 2], 8, 2.0, 150,
-                                       field="v", master_seed=41)
+        result = sup_norm_moment_study(make_ens(K=0, seed=41), (1, 0), [1, 2], 8, 2.0,
+                                       150, field="v")
         assert result.field == "v"
         assert len(result.rows) == 2
 
 
 class TestTailStudy:
     def test_zero_threshold_probability_one(self):
-        result = tail_estimate_study(2.0, 8, [2, 4], [0.0, 1.0], 200,
-                                     master_seed=51)
+        result = tail_estimate_study(make_ens(K=0, seed=51), 8, [2, 4], [0.0, 1.0], 200)
         zero_rows = [r for r in result.rows if r.threshold == 0.0]
         assert all(r.probability == 1.0 for r in zero_rows)
         assert all(not r.is_upper_bound for r in zero_rows)
 
     def test_probability_decays_in_threshold(self):
-        result = tail_estimate_study(2.0, 8, [4], [0.0, 0.05, 0.2], 300,
-                                     master_seed=51)
+        result = tail_estimate_study(make_ens(K=0, seed=51), 8, [4], [0.0, 0.05, 0.2],
+                                     300)
         probs = [r.probability for r in result.rows]
         assert probs == sorted(probs, reverse=True)
         assert result.threshold_monotone
 
     def test_no_exceedance_flags_upper_bound(self):
-        result = tail_estimate_study(2.0, 8, [4], [1e9], 150, master_seed=51)
+        result = tail_estimate_study(make_ens(K=0, seed=51), 8, [4], [1e9], 150)
         row = result.rows[0]
         assert row.exceedances == 0
         assert row.is_upper_bound
         assert row.probability == pytest.approx(1 / 150)
+
+
+def at_window(variant: str, beta: float, n: int, **kw) -> EnsembleSpec:
+    """The explicit EnsembleSpec(variant, s, n, n, seed, beta) of a study's draws."""
+    return EnsembleSpec(variant, 2.0, n, n, 5, beta, **kw)
+
+
+def assert_raw_is_drawn_from(raw, ens: EnsembleSpec, funcs, samples: int) -> None:
+    values, weights = collect_values(ens, funcs, samples)
+    assert len(raw) == len(funcs)
+    for col, (_, got, got_weights) in enumerate(raw):
+        assert np.array_equal(got, values[:, col])
+        assert np.array_equal(got_weights, weights)
+
+
+def refuse_to_draw(*args, **kwargs):
+    raise AssertionError("collect_values was called")
+
+
+# each study, on inputs it accepts from a base ensemble with no energy cutoff
+STUDIES = {
+    "lp_growth": lambda ens: lp_growth_experiment(ens, [2, 3], [2.0, 4.0], "auto", 100),
+    "convergence": lambda ens: convergence_rate_study(ens, [2, 3], 2.0, 100),
+    "sup_norm": lambda ens: sup_norm_moment_study(ens, (0, 0), [1, 2], 4, 2.0, 100),
+    "tail": lambda ens: tail_estimate_study(ens, 6, [2, 3], [0.0], 100),
+}
+# each study whose rate fit would get one distinct point
+ONE_POINT = {
+    "lp_growth": lambda ens: lp_growth_experiment(ens, [2, 3], [4.0, 4.0], "auto", 100),
+    "convergence": lambda ens: convergence_rate_study(ens, [2], 2.0, 100),
+    "sup_norm": lambda ens: sup_norm_moment_study(ens, (0, 0), [2], 4, 2.0, 100),
+}
+
+
+class TestStudiesDrawFromTheBaseEnsemble:
+    """A study takes the base ensemble and sets the window of each cutoff:
+    its raw series are collect_values on the explicit ensemble, bit for bit."""
+
+    VARIANTS = [("mu_s", 0.0), ("mu_tilde_s", 0.0), ("mu_s_beta", 2.0)]
+
+    @pytest.mark.parametrize("variant, beta", VARIANTS)
+    def test_growth_draws_each_cutoff_at_its_window(self, variant, beta):
+        result = lp_growth_experiment(at_window(variant, beta, 0), [2, 3], [2.0, 4.0],
+                                      30.0, 100)
+        for n, series in zip([2, 3], result.raw):
+            assert_raw_is_drawn_from((series,), at_window(variant, beta, n,
+                                                          energy_cutoff_r=30.0),
+                                     [("energy_rate_total", {})], 100)
+
+    @pytest.mark.parametrize("variant, beta", VARIANTS)
+    def test_convergence_draws_at_the_reference_window(self, variant, beta):
+        result = convergence_rate_study(at_window(variant, beta, 0), [3, 2], 2.0, 100,
+                                        reference_cutoff=6)
+        assert_raw_is_drawn_from(result.raw, at_window(variant, beta, 6),
+                                 [("quartic_correction_gap", {"lower_cutoff": m})
+                                  for m in (2, 3)], 100)
+
+    @pytest.mark.parametrize("variant, beta", VARIANTS)
+    def test_sup_norm_draws_at_the_cutoff_window(self, variant, beta):
+        result = sup_norm_moment_study(at_window(variant, beta, 0), (1, 0), [1, 2], 4,
+                                       2.0, 100)
+        assert_raw_is_drawn_from(result.raw, at_window(variant, beta, 4),
+                                 [("block_sup_norm",
+                                   {"order": (1, 0), "block": m, "field": "u"})
+                                  for m in (1, 2)], 100)
+
+    @pytest.mark.parametrize("variant, beta", VARIANTS)
+    def test_tail_draws_at_the_reference_window(self, variant, beta):
+        result = tail_estimate_study(at_window(variant, beta, 0), 6, [2, 3], [0.0, 0.1],
+                                     100)
+        assert_raw_is_drawn_from(result.raw, at_window(variant, beta, 6),
+                                 [("quartic_correction_gap", {"lower_cutoff": m})
+                                  for m in (2, 3)], 100)
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_finite_energy_cutoff_refused_before_drawing(self, monkeypatch, study):
+        monkeypatch.setattr(montecarlo, "collect_values", refuse_to_draw)
+        with pytest.raises(ValueError, match="energy_cutoff_r 10.0"):
+            STUDIES[study](at_window("mu_s", 0.0, 0, energy_cutoff_r=10.0))
+
+    @pytest.mark.parametrize("study", sorted(ONE_POINT))
+    def test_fit_through_one_point_refused_before_drawing(self, monkeypatch, study):
+        monkeypatch.setattr(montecarlo, "collect_values", refuse_to_draw)
+        with pytest.raises(ValueError, match="at least two distinct"):
+            ONE_POINT[study](at_window("mu_s", 0.0, 0))
 
 
 class TestFunctionalTable:

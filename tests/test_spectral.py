@@ -271,10 +271,6 @@ class TestQuadrature:
         f = field_from_modes(1, {(1, 0): 1.0, (0, 0): 1.0})  # 2 cos(x1) + 1
         assert grid_sup_norm(f) == pytest.approx(3.0, rel=1e-12)
 
-    def test_sup_norm_rejects_low_oversample(self, rng):
-        with pytest.raises(SpectralError, match="oversample"):
-            grid_sup_norm(random_field(rng, 1), oversample=1)
-
 
 class TestMultipliers:
     def test_bessel_power_symbol(self):
