@@ -26,10 +26,12 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+# np.percentile imports numpy.ma on first use: load it at start-up, not in a run
+import numpy.ma  # noqa: F401
 
 from .energy import UnsupportedParameterError, _Factors
 from .measures import _density
-from .sampling import EnsembleSpec, _draw_block
+from .sampling import EnsembleSpec, _drawer
 from .spectral import _ball, _multiply, _sup_norms, derivative, dyadic_block, quadrature_grid
 
 MAX_P = 16.0  # empirical L^p beyond this is extreme-value dominated
@@ -233,10 +235,11 @@ def _eval_block(ens: EnsembleSpec, funcs: tuple, start: int, stop: int,
               or any(FUNCTIONALS[name].reads_v(params) for name, params in funcs))
     size = _block_size(ens.sample_max_mode)
     out = np.empty((stop - start, len(funcs) + 1))
+    draw = _drawer(ens, with_v)
     for lo in range(start, stop, size):
         hi = min(lo + size, stop)
         if sampler is None:
-            u, v = _draw_block(ens, lo, hi, with_v)
+            u, v = draw(lo, hi)
         else:
             states = [sampler(index) for index in range(lo, hi)]
             u = np.stack([p.u.coeffs for p in states])

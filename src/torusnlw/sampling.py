@@ -17,7 +17,8 @@ Draws are counter-based: sample(spec, index) keys a Philox stream by
 the identical ensemble, with no shared RNG state.  The stream holds u's
 normals first and v's after them, so a draw can stop after u when only u
 is read.  Monte Carlo draws a block of consecutive indices at a time
-(_draw_block), re-keying one Philox per index.
+through one _drawer per evaluation, which re-keys its one Philox per
+index.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .spectral import PhaseState, SpectralField, _frozen, _sq_bracket, _sq_modulus
 
@@ -123,31 +125,36 @@ def _assemble(raw: np.ndarray, weight: np.ndarray, max_mode: int) -> np.ndarray:
     return box / weight
 
 
-def _draw_block(spec: EnsembleSpec, start: int, stop: int, with_v: bool) -> tuple:
-    """Samples start, ..., stop - 1 as coefficient stacks (u, v) of shape
-    (B, 2K + 1, 2K + 1); v is None unless with_v.
+def _drawer(spec: EnsembleSpec, with_v: bool):
+    """draw(start, stop) -> samples start, ..., stop - 1 as coefficient
+    stacks (u, v) of shape (B, 2K + 1, 2K + 1); v is None unless with_v.
 
-    One Philox is re-keyed for each index (key (master_seed, index),
-    counter 0, empty buffer), which is the state a new Philox of that key
-    starts in, and fills the index's row of one normal buffer: u's normals,
-    then v's.
+    The one Philox of a drawer is re-keyed for each index (key
+    (master_seed, index), counter 0, empty buffer), which is the state a
+    new Philox of that key starts in, and fills the index's row of one
+    normal buffer: u's normals, then v's.  A drawer is not shared across
+    threads; each caller builds its own.
     """
-    if start < 0:
-        raise ValueError(f"sample index must be >= 0, got {start}")
     K = spec.sample_max_mode
     n_half = (2 * K + 1) ** 2 // 2 + 1
-    raw = np.empty((stop - start, 1 + with_v, n_half, 2))
-    bitgen = np.random.Philox(key=np.array([spec.master_seed & _MASK64, 0], np.uint64))
-    rng = np.random.Generator(bitgen)
+    w_u, w_v = _weights(spec.variant, spec.s, spec.beta, K)
+    bitgen = Philox(key=np.array([spec.master_seed & _MASK64, 0], np.uint64))
+    rng = Generator(bitgen)
     keyed = bitgen.state
     key = keyed["state"]["key"]
-    for row, index in enumerate(range(start, stop)):
-        key[1] = index & _MASK64
-        bitgen.state = keyed
-        rng.standard_normal(out=raw[row])
-    w_u, w_v = _weights(spec.variant, spec.s, spec.beta, K)
-    u = _assemble(raw[:, 0], w_u, K)
-    return u, _assemble(raw[:, 1], w_v, K) if with_v else None
+
+    def draw(start: int, stop: int) -> tuple:
+        if start < 0:
+            raise ValueError(f"sample index must be >= 0, got {start}")
+        raw = np.empty((stop - start, 1 + with_v, n_half, 2))
+        for row, index in enumerate(range(start, stop)):
+            key[1] = index & _MASK64
+            bitgen.state = keyed
+            rng.standard_normal(out=raw[row])
+        u = _assemble(raw[:, 0], w_u, K)
+        return u, _assemble(raw[:, 1], w_v, K) if with_v else None
+
+    return draw
 
 
 def sample(spec: EnsembleSpec, index: int) -> PhaseState:
@@ -156,7 +163,7 @@ def sample(spec: EnsembleSpec, index: int) -> PhaseState:
     Reproducible and order-independent: the result depends only on
     (spec.master_seed, index), never on which process draws it.
     """
-    u, v = _draw_block(spec, index, index + 1, with_v=True)
+    u, v = _drawer(spec, with_v=True)(index, index + 1)
     K = spec.sample_max_mode
     return PhaseState(SpectralField(K, u[0], _trusted=True),
                       SpectralField(K, v[0], _trusted=True))

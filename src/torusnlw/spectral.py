@@ -10,7 +10,8 @@ Fields reach the grid through grid_stack, which takes every coefficient
 block of one window, a whole block of Monte Carlo states' factors
 included, to the grid in one pruned transform (an ifft down the K + 1
 columns of the n2 >= 0 half of each block, then an irfft along the rows),
-and come back through rfft2.  A product of four
+and come back through the reverse: an rfft along the rows, then an fft
+down only the columns of the window kept.  A product of four
 window-K fields has modes up to 4K, so its plain mean on quadrature_grid(K)
 >= 4K + 1 points per direction is its exact integral.  The direct product
 convolves coefficient arrays and is kept as an independent oracle.
@@ -35,7 +36,7 @@ from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import ifft, irfft, next_fast_len, rfft2
+from numpy.fft import fft, ifft, irfft, rfft
 
 _HERMITIAN_TOL = 1e-12
 
@@ -251,9 +252,22 @@ def _crop(coeffs: np.ndarray, K: int, K_new: int) -> np.ndarray:
 # -- grid transport ---------------------------------------------------------
 
 
+@lru_cache(maxsize=128)
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n: a fast transform length."""
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 def quadrature_grid(max_mode: int) -> int:
     """Grid on which a mean of four window-max_mode factors is exact."""
-    return next_fast_len(4 * max_mode + 1, real=True)
+    return _fast_len(4 * max_mode + 1)
 
 
 def grid_stack(blocks, grid: int) -> np.ndarray:
@@ -286,9 +300,7 @@ def _halves_to_grid(halves, grid: int) -> np.ndarray:
     for i, half in enumerate(halves):
         spec[i][..., rows, :K + 1] = half
     cols = spec[..., :K + 1]
-    out = ifft(cols, axis=-2, norm="forward", overwrite_x=True)
-    if not np.may_share_memory(out, spec):  # pocketfft wrote elsewhere, not in place
-        cols[...] = out
+    ifft(cols, axis=-2, norm="forward", out=cols)
     return irfft(spec, n=grid, axis=-1, norm="forward")
 
 
@@ -297,10 +309,18 @@ def grid_values(f: SpectralField, grid: int) -> np.ndarray:
     return grid_stack((f.coeffs,), grid)[0]
 
 
+def _grid_half(values: np.ndarray, max_mode: int) -> np.ndarray:
+    """n2 >= 0 half of the window-max_mode block of real square-grid values:
+    the forward-normalized rfft2, with only the kept columns sent down the
+    column fft (its 1 / grid^2 scales the row pass, as rfft2's does)."""
+    grid = values.shape[0]
+    spec = fft(rfft(values)[:, :max_mode + 1] * (1.0 / grid**2), axis=0)
+    return spec[_mode_axis(max_mode) % grid]
+
+
 def _from_grid(values: np.ndarray, max_mode: int) -> np.ndarray:
-    """Window-max_mode coefficient block of real grid values (rfft2)."""
-    spec = rfft2(values, norm="forward")
-    return _from_half(spec[_mode_axis(max_mode) % values.shape[0], :max_mode + 1])
+    """Window-max_mode coefficient block of real grid values."""
+    return _from_half(_grid_half(values, max_mode))
 
 
 # -- products, integrals, norms ---------------------------------------------
@@ -321,7 +341,7 @@ def pointwise_product(f: SpectralField, g: SpectralField,
         from scipy.signal import convolve2d  # slow to import; oracle only
         c = _from_half(convolve2d(f.coeffs, g.coeffs, mode="full")[:, K_out:])
     elif method == "fft":
-        grid = next_fast_len(2 * K_out + 1, real=True)
+        grid = _fast_len(2 * K_out + 1)
         fg = grid_values(f, grid)
         c = _from_grid(fg * (fg if g is f else grid_values(g, grid)), K_out)
     else:
@@ -350,12 +370,12 @@ def _cube_half(half: np.ndarray, cutoff: int, window: int) -> np.ndarray:
     K = half.shape[1] - 1
     Kw = min(K, cutoff)
     K_out = min(cutoff, 3 * Kw)
-    grid = next_fast_len(max(4 * cutoff + 2, 3 * Kw + K_out + 2), real=True)
+    grid = _fast_len(max(4 * cutoff + 2, 3 * Kw + K_out + 2))
     w = half[K - Kw:K + Kw + 1, :Kw + 1] * _ball_half(Kw, cutoff)
     vals = _halves_to_grid((w,), grid)[0]
     cube = vals * vals
     cube *= vals
-    c = rfft2(cube, norm="forward")[_mode_axis(K_out) % grid, :K_out + 1]
+    c = _grid_half(cube, K_out)
     c[:K_out, 0] = np.conj(c[:K_out:-1, 0])
     c[K_out, 0] = c[K_out, 0].real
     c *= _ball_half(K_out, cutoff)

@@ -6,9 +6,10 @@ mismatch names the file and its first differing cell, and gives the
 largest relative difference over all numeric cells, which tells a
 rounding-level move apart from a defect.
 
-FFT bits can differ across CPUs and SciPy builds, so the pins hold for
-the stack recorded in tests/golden/versions.json.  A change that moves
-values on purpose regenerates the pins, and lists the moved cells:
+FFT bits can differ across CPUs and NumPy builds (every transform is
+numpy.fft's), so the pins hold for the stack recorded in
+tests/golden/versions.json.  A change that moves values on purpose
+regenerates the pins, and lists the moved cells:
 
     PYTHONPATH=src python tests/test_golden.py
 """

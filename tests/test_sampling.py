@@ -14,7 +14,7 @@ from torusnlw.sampling import (
     VARIANTS,
     EnsembleSpec,
     _assemble,
-    _draw_block,
+    _drawer,
     _weights,
     counterterm,
     sample,
@@ -130,13 +130,15 @@ class TestDrawByComponent:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("with_v", [False, True])
     def test_block_draw_is_a_new_philox_per_index(self, variant, with_v):
-        # each row of a block re-keys one Philox; its normals are those of
-        # a new Philox keyed (seed, index): u's first, then v's
+        # each row of a block re-keys the drawer's one Philox, across
+        # blocks too; its normals are those of a new Philox keyed
+        # (seed, index): u's first, then v's
         spec = make_spec(variant=variant, K=5, seed=3,
                          beta=2.0 if variant == "mu_s_beta" else 0.0)
         w_u, w_v = _weights(variant, spec.s, spec.beta, 5)
+        draw = _drawer(spec, with_v)
         for start in (0, 9, 2**63 + 1):
-            u, v = _draw_block(spec, start, start + 3, with_v)
+            u, v = draw(start, start + 3)
             assert u.shape == (3, 11, 11)
             assert (v is None) != with_v
             for row, index in enumerate(range(start, start + 3)):
@@ -148,6 +150,19 @@ class TestDrawByComponent:
                 if with_v:
                     assert v[row].tobytes() == scattered(raw[1], w_v, 5).tobytes()
                     np.testing.assert_array_equal(v[row], full.v.coeffs)
+
+    @pytest.mark.parametrize("K", [8, 64])
+    def test_sample_is_its_row_of_a_block(self, K):
+        # one drawer serves blocks of any size in any order, and each of
+        # their rows is bit for bit the single draw of its index
+        spec = make_spec(K=K, seed=2026)
+        draw = _drawer(spec, with_v=True)
+        for start, stop in ((0, 3), (7, 8), (1, 2), (40, 42)):
+            u, v = draw(start, stop)
+            for row, index in enumerate(range(start, stop)):
+                full = sample(spec, index)
+                assert u[row].tobytes() == full.u.coeffs.tobytes()
+                assert v[row].tobytes() == full.v.coeffs.tobytes()
 
     @pytest.mark.parametrize("K", [0, 1, 2, 8])
     def test_assemble_is_the_half_lattice_scatter(self, K):

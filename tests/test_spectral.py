@@ -17,15 +17,19 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.fft import irfft2
+from scipy.fft import irfft2, next_fast_len, rfft2
 
 from conftest import constant_field, field_from_modes, random_field, random_state
+from torusnlw import spectral
 from torusnlw.spectral import (
     PhaseState,
     SpectralError,
     SpectralField,
     _cube_half,
+    _fast_len,
+    _from_grid,
     _from_half,
+    _mode_axis,
     apply_multiplier,
     bessel_power,
     derivative,
@@ -219,6 +223,43 @@ class TestGridTransport:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
+
+    def test_cli_imports_no_scipy(self):
+        # every transform is numpy.fft's; only the direct oracle reads scipy
+        import torusnlw
+        src = str(Path(torusnlw.__file__).parents[1])
+        code = ("import sys, torusnlw.cli; "
+                "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+
+    def test_fast_len_is_scipys_real_next_fast_len(self):
+        sizes = range(1, 10_001)
+        assert [_fast_len(n) for n in sizes] == [next_fast_len(n, real=True) for n in sizes]
+
+    def test_from_grid_is_the_forward_rfft2(self, rng):
+        # the row rfft scaled by 1 / grid^2, then an fft down the kept
+        # columns, against scipy's rfft2 bit for bit
+        for grid in range(9, 271):
+            values = rng.standard_normal((grid, grid))
+            for K in ((grid - 1) // 2, (grid - 1) // 4):
+                spec = rfft2(values, norm="forward")
+                expected = _from_half(spec[_mode_axis(K) % grid, :K + 1])
+                assert _from_grid(values, K).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cutoff", [1, 4, 8, 16])
+    def test_cube_half_is_the_rfft2_formulation(self, rng, monkeypatch, cutoff):
+        # windows below, at and above the cutoff, against the cube's
+        # coefficients read off a full forward rfft2 of the grid cube
+        for K in (max(cutoff // 2, 1), cutoff, cutoff + 3):
+            half = random_field(rng, K).coeffs[:, K:]
+            window = max(K, cutoff)
+            fast = _cube_half(half, cutoff, window)
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "_grid_half", lambda values, K_out: rfft2(
+                    values, norm="forward")[_mode_axis(K_out) % len(values), :K_out + 1])
+                assert fast.tobytes() == _cube_half(half, cutoff, window).tobytes()
 
 
 class TestQuadrature:
