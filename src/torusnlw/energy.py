@@ -33,30 +33,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
+from .dynamics import EQUATIONS
 from .sampling import counterterm, wave_counterterm
 from .spectral import (
-    Multiplier,
     PhaseState,
     SpectralField,
     _ball,
-    _frozen,
     _multiply,
     _pairing,
+    _power,
     _row_sum,
-    _sq_bracket,
     _sq_modulus,
-    bessel_power,
+    _symbol,
+    _weighted_mass,
     grid_stack,
-    grid_values,
     quadrature_grid,
-    riesz_power,
 )
-
-EQUATIONS = ("nlkg", "nlw", "nlkg_beta")
 
 # Multiplier family entering the smoothed quartic term of each equation.
 _BASE_FOR = {"nlkg": "bessel", "nlw": "riesz", "nlkg_beta": "bessel"}
@@ -64,10 +60,6 @@ _BASE_FOR = {"nlkg": "bessel", "nlw": "riesz", "nlkg_beta": "bessel"}
 
 class UnsupportedParameterError(ValueError):
     """A parameter is outside the regime an operation is defined for."""
-
-
-def _power(base: str, sigma: float) -> Multiplier:
-    return bessel_power(sigma) if base == "bessel" else riesz_power(sigma)
 
 
 def _check_equation(equation: str, beta: float | None = None) -> None:
@@ -107,25 +99,6 @@ def _product_mean(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) ->
 # -- a block of states' factors at one cutoff ---------------------------------
 
 
-@lru_cache(maxsize=256)
-def _weight(K: int, base: str, sigma: float) -> np.ndarray:
-    """|symbol of base^sigma|^2 on the window-K block."""
-    w = (_sq_bracket(K) if base == "bessel" else _sq_modulus(K)) ** sigma
-    if base == "riesz":
-        w[K, K] = 0.0
-    return _frozen(w)
-
-
-def _weighted_mass(c: np.ndarray, base: str, sigma: float) -> np.ndarray:
-    """int (base^sigma f)^2 as a lattice sum, for each block of a stack."""
-    return _row_sum(_weight(c.shape[-1] // 2, base, sigma) * np.abs(c) ** 2)
-
-
-def _quartic_integral(f: SpectralField) -> float:
-    vals = grid_values(f, quadrature_grid(f.max_mode))[None]
-    return float(_product_mean(vals, vals, vals, vals)[0])
-
-
 def _energy(u: np.ndarray, v: np.ndarray, equation: str, beta: float,
             quartic: np.ndarray) -> np.ndarray:
     """Quadratic part of the conserved energy (lattice sums of the whole
@@ -138,7 +111,7 @@ def _energy(u: np.ndarray, v: np.ndarray, equation: str, beta: float,
     elif equation == "nlw":
         quad = grad + kinetic
     else:
-        quad = 2.0 * _weighted_mass(u, "bessel", beta) + kinetic
+        quad = _weighted_mass(u, "bessel", beta) + kinetic
     return 0.5 * quad + 0.25 * quartic
 
 
@@ -249,7 +222,7 @@ class _Factors:
         uN, s = self.uN, self.s
         K = uN.shape[-1] // 2
         a = np.abs(uN) ** 2
-        w = _weight(K, self.base, s / 2.0)
+        w = _symbol(_power(self.base, s), K)  # |symbol of base^(s/2)|^2
         t0 = _row_sum(a)                   # int u^2
         t1 = _row_sum(w**2 * a)            # int (base^s u)^2
         tw = _row_sum(w * a)
@@ -301,10 +274,9 @@ def _first(block_result):
 
 
 def hamiltonian(p: PhaseState, equation: str = "nlkg", beta: float = 0.0) -> float:
-    """Conserved energy of the untruncated equation at the given state."""
-    _check_equation(equation, beta)
-    return float(_energy(p.u.coeffs[None], p.v.coeffs[None], equation, beta,
-                         _quartic_integral(p.u))[0])
+    """Conserved energy of the untruncated equation at the given state: the
+    truncated energy at a cutoff 2 max_mode, whose ball holds the window."""
+    return truncated_energy(p, 2 * p.max_mode, equation, beta)
 
 
 def truncated_energy(p: PhaseState, cutoff: int, equation: str = "nlkg",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -31,13 +30,12 @@ import numpy.ma  # noqa: F401
 
 from .energy import UnsupportedParameterError, _Factors
 from .measures import _density
-from .sampling import EnsembleSpec, _drawer
+from .sampling import _MASK64, EnsembleSpec, _drawer
 from .spectral import _ball, _multiply, _sup_norms, derivative, dyadic_block, quadrature_grid
 
 MAX_P = 16.0  # empirical L^p beyond this is extreme-value dominated
 BOOTSTRAP_RESAMPLES = 200
 _MAX_REDRAWS = 1000  # consecutive bootstrap redraws that hold no accepted draw
-_MASK64 = (1 << 64) - 1
 
 
 class DegenerateEnsembleError(RuntimeError):
@@ -272,6 +270,8 @@ def collect_values(ens: EnsembleSpec, funcs, samples: int, *,
     if sampler is not None or workers <= 1 or samples < 2 * workers:
         out = _eval_block(ens, funcs, 0, samples, sampler)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import; pools only
+
         bounds = np.linspace(0, samples, workers + 1).astype(int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_eval_block, ens, funcs, int(a), int(b))

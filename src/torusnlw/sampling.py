@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .spectral import PhaseState, SpectralField, _frozen, _sq_bracket, _sq_modulus
+from .spectral import PhaseState, SpectralField, _frozen, _mirror, _sq_bracket, _sq_modulus
 
 VARIANTS = ("mu_s", "mu_tilde_s", "mu_s_beta")
 
@@ -107,9 +107,7 @@ def _assemble(raw: np.ndarray, weight: np.ndarray, max_mode: int) -> np.ndarray:
     (B, n_half, 2) normals.  The stored half-lattice is in lexicographic
     (n1, n2) order: the rows n1 < 0 hold n2 = 1..K, the rows n1 >= 0 hold
     n2 = 0..K, so each fills its rows of the n2 >= 0 half block by a
-    reshape; the n2 < 0 half and the n1 < 0 part of column n2 = 0 are the
-    conjugate mirror.  n = 0, its own mirror, holds conj(g_0), whose
-    imaginary part is -0.0."""
+    reshape, and _mirror fills the rest and keeps n = 0 real."""
     B, K = len(raw), max_mode
     g = raw.view(np.complex128)[..., 0] * np.sqrt(0.5)
     zero = K**2  # n = 0's place in the stored order: real, variance 1
@@ -119,10 +117,7 @@ def _assemble(raw: np.ndarray, weight: np.ndarray, max_mode: int) -> np.ndarray:
     half = box[:, :, K:]
     half[:, :K, 1:] = g[:, :zero].reshape(B, K, K)
     half[:, K:] = g[:, zero:].reshape(B, K + 1, K + 1)
-    half[:, :K, 0] = np.conj(half[:, :K:-1, 0])
-    box[:, :, :K] = np.conj(half[:, ::-1, :0:-1])
-    box[:, K, K] = np.conj(box[:, K, K])
-    return box / weight
+    return _mirror(box) / weight
 
 
 def _drawer(spec: EnsembleSpec, with_v: bool):

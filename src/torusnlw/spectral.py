@@ -16,6 +16,9 @@ window-K fields has modes up to 4K, so its plain mean on quadrature_grid(K)
 >= 4K + 1 points per direction is its exact integral.  The direct product
 convolves coefficient arrays and is kept as an independent oracle.
 
+A block the package computes has only its n2 >= 0 half computed; _mirror
+fills the rest and is the one owner of the Hermitian layout.
+
 A field built from outside (SpectralField(max_mode, coeffs)) has its
 block checked for shape, finite entries and Hermitian symmetry; the
 package's own operations build their results unchecked.  Fields are
@@ -72,15 +75,29 @@ def _hermitian_defect(coeffs: np.ndarray) -> float:
     return float(np.abs(coeffs - np.conj(coeffs[::-1, ::-1])).max())
 
 
+def _mirror(c: np.ndarray) -> np.ndarray:
+    """Make c Hermitian in place from its n2 >= 0 half, and return it.
+
+    c is a block of 2K + 1 rows, or a stack of them, whose last K + 1
+    columns hold n2 = 0..K.  Any columns before them (n2 = -K..-1) and the
+    n1 < 0 half of column n2 = 0 are filled by conjugate mirror, and the
+    zero mode is made real, so a half block alone (K + 1 columns) gets
+    only its column n2 = 0 made Hermitian."""
+    K = c.shape[-2] // 2
+    z = c.shape[-1] - K - 1  # the column of n2 = 0
+    if z:
+        c[..., :z] = np.conj(c[..., ::-1, :z:-1])
+    c[..., :K, z] = np.conj(c[..., :K:-1, z])
+    c[..., K, z] = c[..., K, z].real
+    return c
+
+
 def _from_half(half: np.ndarray) -> np.ndarray:
     """Hermitian block from its n2 >= 0 columns, the rest by conjugate mirror."""
     K = half.shape[1] - 1
     c = np.empty((2 * K + 1, 2 * K + 1), np.complex128)
     c[:, K:] = half
-    c[:, :K] = np.conj(half[::-1, K:0:-1])
-    c[:K, K] = np.conj(c[:K:-1, K])
-    c[K, K] = c[K, K].real
-    return c
+    return _mirror(c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +205,11 @@ def derivative(order1: int, order2: int) -> Multiplier:
     return Multiplier("derivative", order=(int(order1), int(order2)))
 
 
+def _power(base: str, sigma: float) -> Multiplier:
+    """base^sigma for base "bessel" (J = (1 - Lap)^(1/2)) or "riesz" (|grad|)."""
+    return bessel_power(sigma) if base == "bessel" else riesz_power(sigma)
+
+
 @lru_cache(maxsize=512)
 def _symbol(m: Multiplier, max_mode: int) -> np.ndarray:
     sq_mod = _sq_modulus(max_mode)
@@ -237,11 +259,18 @@ def project_ball(f: SpectralField, cutoff: int) -> SpectralField:
     return SpectralField(min(f.max_mode, cutoff), _ball(f.coeffs, cutoff), _trusted=True)
 
 
+@lru_cache(maxsize=128)
+def _ball_mask(max_mode: int, cutoff: int) -> np.ndarray:
+    """The mask |n| <= cutoff on the window block, as complex128 (a product
+    with coefficients casts it so anyway)."""
+    return _frozen((_sq_modulus(max_mode) <= cutoff**2).astype(np.complex128))
+
+
 def _ball(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
     """project_ball on a coefficient block or a stack of them."""
     K = coeffs.shape[-1] // 2
     K_new = min(K, cutoff)
-    return _crop(coeffs, K, K_new) * (_sq_modulus(K_new) <= cutoff**2)
+    return _crop(coeffs, K, K_new) * _ball_mask(K_new, cutoff)
 
 
 def _crop(coeffs: np.ndarray, K: int, K_new: int) -> np.ndarray:
@@ -349,14 +378,6 @@ def pointwise_product(f: SpectralField, g: SpectralField,
     return SpectralField(K_out, c, _trusted=True)
 
 
-@lru_cache(maxsize=128)
-def _ball_half(max_mode: int, cutoff: int) -> np.ndarray:
-    """The n2 >= 0 half of the mask |n| <= cutoff on the window block,
-    as complex128 (a product with coefficients casts it so anyway)."""
-    K = max_mode
-    return _frozen((_sq_modulus(K) <= cutoff**2)[:, K:].astype(np.complex128))
-
-
 def _cube_half(half: np.ndarray, cutoff: int, window: int) -> np.ndarray:
     """n2 >= 0 half of the truncated cube Pi_N((Pi_N u)^3), N = cutoff, from
     the n2 >= 0 half of u.  The cube is formed alias-free on its own window
@@ -365,20 +386,19 @@ def _cube_half(half: np.ndarray, cutoff: int, window: int) -> np.ndarray:
     The working grid has at least 4 * cutoff + 2 points per direction
     (rounded up to an FFT-friendly size): folding from the cube's support
     then cannot reach any retained mode.  Column n2 = 0 is made Hermitian
-    as _from_half makes it, so the half evolves like the full block.
+    by _mirror, as _from_half makes it, so the half evolves like the full
+    block.
     """
     K = half.shape[1] - 1
     Kw = min(K, cutoff)
     K_out = min(cutoff, 3 * Kw)
     grid = _fast_len(max(4 * cutoff + 2, 3 * Kw + K_out + 2))
-    w = half[K - Kw:K + Kw + 1, :Kw + 1] * _ball_half(Kw, cutoff)
+    w = half[K - Kw:K + Kw + 1, :Kw + 1] * _ball_mask(Kw, cutoff)[:, Kw:]
     vals = _halves_to_grid((w,), grid)[0]
     cube = vals * vals
     cube *= vals
-    c = _grid_half(cube, K_out)
-    c[:K_out, 0] = np.conj(c[:K_out:-1, 0])
-    c[K_out, 0] = c[K_out, 0].real
-    c *= _ball_half(K_out, cutoff)
+    c = _mirror(_grid_half(cube, K_out))
+    c *= _ball_mask(K_out, cutoff)[:, K_out:]
     pad = window - K_out
     return np.pad(c, ((pad, pad), (0, pad))) if pad else c
 
@@ -398,11 +418,9 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
 
 def sobolev_norm(p: PhaseState, sigma: float) -> float:
     """Norm of (u, v) in H^sigma x H^(sigma-1) via bracket-weighted sums."""
-    K = p.max_mode
-    br = _sq_bracket(K)
-    uu = np.sum(br ** sigma * np.abs(p.u.coeffs) ** 2)
-    vv = np.sum(br ** (sigma - 1.0) * np.abs(p.v.coeffs) ** 2)
-    return float(np.sqrt(uu + vv))
+    uu = _weighted_mass(p.u.coeffs[None], "bessel", sigma)
+    vv = _weighted_mass(p.v.coeffs[None], "bessel", sigma - 1.0)
+    return float(np.sqrt(uu + vv)[0])
 
 
 def grid_sup_norm(f: SpectralField) -> float:
@@ -428,6 +446,12 @@ def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     g_{-n} = conj(g_n), so the pairing is Re sum a conj(b); plain NumPy
     sums keep it off the threaded BLAS dot product."""
     return _row_sum(a.real * b.real) + _row_sum(a.imag * b.imag)
+
+
+def _weighted_mass(c: np.ndarray, base: str, sigma: float) -> np.ndarray:
+    """int (base^sigma f)^2 as a lattice sum, for each block of a stack:
+    the weight |symbol of base^sigma|^2 is the symbol of base^(2 sigma)."""
+    return _row_sum(_symbol(_power(base, 2 * sigma), c.shape[-1] // 2) * np.abs(c) ** 2)
 
 
 # -- serialization ----------------------------------------------------------

@@ -194,8 +194,9 @@ class TestEvolve:
             "renormalized_energy at t = 0\n")
 
     def test_each_row_sends_u_N_to_the_grid_once(self, tmp_path, monkeypatch):
-        # one energy._Factors per row: u_N for the truncated energy, then
-        # J^s u_N for the renormalized one (u_N went twice before)
+        # the energy's whole-window u (a ball holding the window), then one
+        # energy._Factors per row: u_N for the truncated energy and J^s u_N
+        # for the renormalized one (u_N went twice before)
         stacks = []
         real = energy.grid_stack
         monkeypatch.setattr(energy, "grid_stack",
@@ -207,7 +208,7 @@ class TestEvolve:
             "integrator": {"dt": 0.01, "t_final": 0.05}})
         assert code == 0
         assert len(read_csv(out / "trajectory.csv")) == 7
-        assert stacks == [1, 1] * 6
+        assert stacks == [1, 1, 1] * 6
 
     def test_window_smaller_than_cutoff_is_config_error(self, tmp_path, capsys):
         code, _ = run(

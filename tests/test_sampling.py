@@ -107,14 +107,16 @@ def new_philox(seed: int, index: int) -> np.random.Generator:
 
 
 def scattered(raw: np.ndarray, weight: np.ndarray, K: int) -> np.ndarray:
-    """One state's (n_half, 2) normals scattered onto the stored half-lattice
-    and its conjugate mirror: the reference for _assemble's layout."""
+    """One state's (n_half, 2) normals scattered onto the conjugate mirror
+    of the stored half-lattice, then onto the half itself, so that n = 0,
+    its own mirror, holds the real g_0: the reference for _assemble's
+    layout."""
     flat, mirror = _half_lattice(K)
     g = (raw[:, 0] + 1j * raw[:, 1]) * np.sqrt(0.5)
     g[K**2] = raw[K**2, 0]
     box = np.zeros((2 * K + 1) ** 2, np.complex128)
-    box[flat] = g
     box[mirror] = np.conj(g)
+    box[flat] = g
     return box.reshape(2 * K + 1, 2 * K + 1) / weight
 
 
@@ -172,6 +174,16 @@ class TestDrawByComponent:
         block = _assemble(raw, weight, K)
         for row in range(4):
             assert block[row].tobytes() == scattered(raw[row], weight, K).tobytes()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_zero_mode_imaginary_part_is_positive_zero(self, variant):
+        # whatever the sign of Re g_0, so a state file does not depend on it
+        spec = make_spec(variant=variant, K=3, seed=601,
+                         beta=2.0 if variant == "mu_s_beta" else 0.0)
+        u, v = _drawer(spec, with_v=True)(0, 40)
+        for zero in (u[:, 3, 3], v[:, 3, 3]):
+            assert (zero.real < 0).any() and (zero.real > 0).any()
+            assert not np.signbit(zero.imag).any()
 
 
 def empirical_mode_power(spec, mode, n_samples=4000, which="u"):

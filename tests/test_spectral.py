@@ -29,6 +29,7 @@ from torusnlw.spectral import (
     _fast_len,
     _from_grid,
     _from_half,
+    _mirror,
     _mode_axis,
     apply_multiplier,
     bessel_power,
@@ -248,6 +249,25 @@ class TestGridTransport:
                 expected = _from_half(spec[_mode_axis(K) % grid, :K + 1])
                 assert _from_grid(values, K).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("K", [0, 1, 3, 8])
+    def test_mirror_of_a_stack_is_from_half_of_each_block(self, rng, K):
+        # halves that are not Hermitian in column n2 = 0, with a complex
+        # zero mode, under n2 < 0 columns of garbage
+        side = 2 * K + 1
+        stack = rng.standard_normal((5, side, side, 2)).view(np.complex128)[..., 0]
+        halves = stack[:, :, K:].copy()
+        assert _mirror(stack) is stack
+        for block, half in zip(stack, halves):
+            assert block.tobytes() == _from_half(half).tobytes()
+            np.testing.assert_array_equal(block, np.conj(block[::-1, ::-1]))
+            assert not np.signbit(block[K, K].imag)
+
+    @pytest.mark.parametrize("K", [0, 1, 3, 8])
+    def test_mirror_of_a_half_block_fixes_only_column_zero(self, rng, K):
+        # the rule the truncated cube applies to the half it steps
+        half = rng.standard_normal((2 * K + 1, K + 1, 2)).view(np.complex128)[..., 0]
+        assert _mirror(half.copy()).tobytes() == _from_half(half)[:, K:].tobytes()
+
     @pytest.mark.parametrize("cutoff", [1, 4, 8, 16])
     def test_cube_half_is_the_rfft2_formulation(self, rng, monkeypatch, cutoff):
         # windows below, at and above the cutoff, against the cube's
@@ -383,6 +403,22 @@ class TestMultipliers:
         g = project_ball(f, 2)
         assert g.max_mode == 2
         np.testing.assert_allclose(g.coeffs, f.coeffs[4:9, 4:9] * (_ball_mask(2)), atol=0)
+
+    def test_ball_is_the_boolean_mask_product_bit_for_bit(self, rng):
+        # the cached complex mask multiplies as the boolean one does, signed
+        # zeros and non-finite entries included
+        for K in range(7):
+            side = 2 * K + 1
+            c = rng.standard_normal((3, side, side, 2)).view(np.complex128)[..., 0]
+            c[0] = -0.0
+            c[1, :, K] = complex(-0.0, 0.0)
+            c[2, 0, 0] = complex(math.inf, math.nan)
+            for cutoff in range(2 * K + 1):
+                lo = K - min(K, cutoff)
+                crop = c[:, lo:side - lo, lo:side - lo]
+                n = _mode_axis(min(K, cutoff))
+                boolean = n[:, None] ** 2 + n[None, :] ** 2 <= cutoff**2
+                assert spectral._ball(c, cutoff).tobytes() == (crop * boolean).tobytes()
 
     def test_invalid_multiplier_parameters(self):
         with pytest.raises(SpectralError):
