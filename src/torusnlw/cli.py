@@ -4,7 +4,7 @@ One JSON config, one run, one output directory.  Every command validates
 its whole config before any computation (exit 1 with a key-path message
 on failure), then writes CSV tables (RFC 4180), a metadata JSON with the
 fully resolved config, and a schema JSON documenting the CSV columns.
-Runtime failures (blow-up, degenerate ensembles) exit 2.
+Runtime failures (blow-up, degenerate ensembles, memory) exit 2.
 
 Each command is one row of the table ``_RUNNERS``: a declarative config
 spec and a run function.  A spec is a ``_Group`` of ``_Key`` values and
@@ -62,7 +62,7 @@ from .montecarlo import (
     tail_estimate_study,
     lp_growth_experiment,
 )
-from .sampling import VARIANTS, EnsembleSpec, sample
+from .sampling import FAMILIES, VARIANTS, EnsembleSpec, sample
 from .spectral import (
     PhaseState,
     sobolev_norm,
@@ -286,9 +286,9 @@ _SAMPLES = _Key("int", check=_ge(100))
 _P_RANGE = (lambda p: 1 <= p <= MAX_P, f"must lie in [1, {MAX_P}]")
 
 
-def _nlkg_beta(model: dict, built):
-    if model["equation"] == "nlkg_beta" and not model["beta"] > 1:
-        return "beta", "nlkg_beta needs beta > 1"
+def _beta_order(model: dict, built):
+    if FAMILIES[model["equation"]].beta_order and not model["beta"] > 1:
+        return "beta", f"{model['equation']} needs beta > 1"
     return None
 
 
@@ -400,7 +400,7 @@ def _integrator(integ: dict, built) -> IntegratorSpec:
 
 _EVOLVE = _Group({
     "model": _Group({"equation": _EQUATION, "N": _CUTOFF, "beta": _Key("number", 0.0)},
-                    rules=(_nlkg_beta,)),
+                    rules=(_beta_order,)),
     "state": _STATE,
     "integrator": _Group({
         "scheme": _Key("str", "strang_splitting", _one_of(SCHEMES)),
@@ -450,7 +450,7 @@ def _run_evolve(cfg, built, workers):
 _DIAGNOSE = _Group({
     "model": _Group({"equation": _EQUATION, "s": _Key("number", check=_gt(1)),
                      "N": _CUTOFF, "beta": _Key("number", 0.0)},
-                    rules=(_nlkg_beta,)),
+                    rules=(_beta_order,)),
     "state": _STATE,
     "output": _OUTPUT,
 })
@@ -787,7 +787,7 @@ def main(argv=None) -> int:
     try:
         files = run()
     except (IntegrationError, DegenerateEnsembleError, FloatingPointError,
-            UnsupportedParameterError) as exc:
+            UnsupportedParameterError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - t0

@@ -6,6 +6,9 @@ Three equations share the structure du/dt = v, dv/dt = L u - Pi_N((Pi_N u)^3):
     nlw        L = Laplacian          (dispersion |n|; zero mode shears)
     nlkg_beta  L = -(1 - Laplacian)^beta   (dispersion <n>^beta)
 
+The dispersion base^a is the family's base and linear order, read from
+sampling.FAMILIES, the owner of the family decision.
+
 The linear part is advanced exactly mode by mode; the cubic term is always
 the alias-free truncated cube.  strang_splitting alternates exact linear
 half-steps with momentum kicks v -> v - dt * Pi_N((Pi_N u)^3) and is
@@ -27,17 +30,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .spectral import (
-    PhaseState,
-    SpectralField,
-    _cube_half,
-    _from_half,
-    _frozen,
-    _sq_bracket,
-    _sq_modulus,
-)
+from .sampling import EQUATIONS, FAMILIES
+from .spectral import PhaseState, SpectralField, _cube_half, _from_half, _frozen, _power, _symbol
 
-EQUATIONS = ("nlkg", "nlw", "nlkg_beta")
 SCHEMES = ("strang_splitting", "rk4")
 
 
@@ -56,8 +51,8 @@ class ModelSpec:
             raise ValueError(f"equation must be one of {EQUATIONS}, got {self.equation!r}")
         if self.truncation_N < 0:
             raise ValueError("truncation_N must be >= 0")
-        if self.equation == "nlkg_beta" and not self.beta > 1:
-            raise ValueError(f"nlkg_beta needs beta > 1, got {self.beta}")
+        if FAMILIES[self.equation].beta_order and not self.beta > 1:
+            raise ValueError(f"{self.equation} needs beta > 1, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -72,15 +67,10 @@ class IntegratorSpec:
             raise ValueError(f"dt must be a positive finite step, got {self.dt}")
 
 
-@lru_cache(maxsize=128)
 def _dispersion(equation: str, beta: float, max_mode: int) -> np.ndarray:
-    if equation == "nlkg":
-        w = np.sqrt(_sq_bracket(max_mode))
-    elif equation == "nlw":
-        w = np.sqrt(_sq_modulus(max_mode))
-    else:
-        w = _sq_bracket(max_mode) ** (beta / 2.0)
-    return _frozen(w)
+    """The symbol of base^a, the square root of -L."""
+    f = FAMILIES[equation]
+    return _symbol(_power(f.base, f.order(beta)), max_mode)
 
 
 def _half_symbol(symbol: np.ndarray) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Energies, renormalized energies, and their decompositions.
 
-Three conserved-energy families share one cubic structure:
+Three conserved-energy families share one cubic structure,
+1/2 int (base^a u)^2 + 1/2 int v^2 + 1/4 int u^4:
 
     nlkg       (1/2) int u^2 + |grad u|^2 + v^2  + (1/4) int u^4
     nlw        (1/2) int |grad u|^2 + v^2        + (1/4) int u^4
     nlkg_beta  (1/2) int ((1-Lap)^(b/2) u)^2 + v^2 + (1/4) int u^4
 
-Their truncated versions keep the quadratic part on the full field and
+sampling.FAMILIES owns each family's smoothing base, linear order a,
+wave flag and counterterm, and every functional here reads it.  The
+truncated versions keep the quadratic part on the full field and
 truncate only the quartic argument.  The renormalized energy at smoothing
 order s adds a quartic correction: 3/2 the smoothed-mass-weighted quartic
 minus 3/2 counterterm times the low-pass mass (no subtraction for the
@@ -37,8 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import EQUATIONS
-from .sampling import counterterm, wave_counterterm
+from .sampling import EQUATIONS, FAMILIES, _PLAIN
 from .spectral import (
     PhaseState,
     SpectralField,
@@ -47,16 +49,11 @@ from .spectral import (
     _pairing,
     _power,
     _row_sum,
-    _sq_modulus,
     _symbol,
     _weighted_mass,
     grid_stack,
     quadrature_grid,
 )
-
-# Multiplier family entering the smoothed quartic term of each equation.
-_BASE_FOR = {"nlkg": "bessel", "nlw": "riesz", "nlkg_beta": "bessel"}
-
 
 class UnsupportedParameterError(ValueError):
     """A parameter is outside the regime an operation is defined for."""
@@ -64,11 +61,11 @@ class UnsupportedParameterError(ValueError):
 
 def _check_equation(equation: str, beta: float | None = None) -> None:
     """Known equation family, and beta > 1 for nlkg_beta when beta is given."""
-    if equation not in EQUATIONS:
+    if equation not in FAMILIES:
         raise UnsupportedParameterError(
             f"equation must be one of {EQUATIONS}, got {equation!r}")
-    if equation == "nlkg_beta" and beta is not None and not beta > 1:
-        raise UnsupportedParameterError(f"nlkg_beta needs beta > 1, got {beta}")
+    if FAMILIES[equation].beta_order and beta is not None and not beta > 1:
+        raise UnsupportedParameterError(f"{equation} needs beta > 1, got {beta}")
 
 
 def _even_order(s: float) -> int:
@@ -76,14 +73,6 @@ def _even_order(s: float) -> int:
         raise UnsupportedParameterError(
             f"the energy rate is studied at even integer s >= 2, got {s}")
     return int(s)
-
-
-def _sigma_const(equation: str, cutoff: int, s: float) -> float:
-    if equation == "nlkg":
-        return counterterm(cutoff)
-    if equation == "nlw":
-        return wave_counterterm(cutoff, s)
-    return 0.0  # nlkg_beta: no subtraction needed for beta > 1
 
 
 def _product_mean(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -99,19 +88,11 @@ def _product_mean(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) ->
 # -- a block of states' factors at one cutoff ---------------------------------
 
 
-def _energy(u: np.ndarray, v: np.ndarray, equation: str, beta: float,
+def _energy(u: np.ndarray, v: np.ndarray, base: str, order: float,
             quartic: np.ndarray) -> np.ndarray:
-    """Quadratic part of the conserved energy (lattice sums of the whole
-    fields' coefficient stacks) plus 1/4 the given quartic integrals."""
-    au = np.abs(u) ** 2
-    mass, grad = _row_sum(au), _row_sum(_sq_modulus(u.shape[-1] // 2) * au)
-    kinetic = _row_sum(np.abs(v) ** 2)
-    if equation == "nlkg":
-        quad = mass + grad + kinetic
-    elif equation == "nlw":
-        quad = grad + kinetic
-    else:
-        quad = _weighted_mass(u, "bessel", beta) + kinetic
+    """1/2 int (base^order u)^2 + 1/2 int v^2, lattice sums of the whole
+    fields' coefficient stacks, plus 1/4 the given quartic integrals."""
+    quad = _weighted_mass(u, base, order) + _row_sum(np.abs(v) ** 2)
     return 0.5 * quad + 0.25 * quartic
 
 
@@ -146,7 +127,8 @@ class _Factors:
                  cutoff: int, equation: str, beta: float = 0.0):
         self.u, self.v, self.s = u, v, s
         self.cutoff, self.equation, self.beta = cutoff, equation, beta
-        self.base = _BASE_FOR[equation]
+        self.family = FAMILIES[equation]
+        self.base = self.family.base
         self.uN = _ball(u, cutoff)
         # v shares u's window, so every factor fits this grid
         self.grid = quadrature_grid(self.uN.shape[-1] // 2)
@@ -193,28 +175,31 @@ class _Factors:
         """int u_N^4."""
         return self._mean("uN", "uN", "uN", "uN")
 
+    @property
+    def sigma(self) -> float:  # the counterterm at the cutoff and order s
+        return self.family.counterterm(self.cutoff, self.s)
+
     @cached_property
     def quartic_correction(self) -> np.ndarray:
-        sigma = _sigma_const(self.equation, self.cutoff, self.s)
-        return self.smoothed_quartic - 1.5 * sigma * _pairing(self.uN, self.uN)
+        return self.smoothed_quartic - 1.5 * self.sigma * _pairing(self.uN, self.uN)
 
     @property
     def wick_mass(self) -> np.ndarray:
-        smoothed = _weighted_mass(self.uN, self.base, self.s)
-        return smoothed - _sigma_const(self.equation, self.cutoff, self.s)
+        return _weighted_mass(self.uN, self.base, self.s) - self.sigma
 
     @cached_property
     def truncated_energy(self) -> np.ndarray:
-        return _energy(self.u, self.v, self.equation, self.beta, self.low_quartic)
+        order = self.family.order(self.beta)
+        return _energy(self.u, self.v, self.base, order, self.low_quartic)
 
     @property
     def renormalized_energy(self) -> np.ndarray:
-        u, v, s, beta = self.u, self.v, self.s, self.beta
-        order = s + (beta if self.equation == "nlkg_beta" else 1)
+        u, v, s = self.u, self.v, self.s
+        order = s + self.family.order(self.beta)
         quad = _weighted_mass(v, self.base, s) + _weighted_mass(u, self.base, order)
         total = 0.5 * quad + self.quartic_correction
-        if self.equation == "nlw":
-            total += _energy(u, v, "nlkg", beta, self.low_quartic)
+        if self.family.wave:
+            total += _energy(u, v, *_PLAIN, self.low_quartic)
         return total
 
     @cached_property
@@ -233,21 +218,20 @@ class _Factors:
         single_pair = np.array([_single_pair(x, y, y - float(w0 * z**2))
                                 for x, y, z in zip(tw.tolist(), t2w.tolist(), a[:, K, K])])
         no_pair = self.smoothed_quartic - double_pair - single_pair
-        renorm = double_pair - 1.5 * _sigma_const(self.equation, self.cutoff, s) * t0
+        renorm = double_pair - 1.5 * self.sigma * t0
         return ChaosComponents(double_pair, single_pair, no_pair, renorm)
 
     @cached_property
     def rate(self) -> EnergyRateTerms:
-        s_int = _even_order(self.s)
+        _even_order(self.s)
         self.values("uN", "vN", "su", "sv", "s2v")  # every factor read below, in one transform
         uN, vN, su = self.uN, self.vN, self.su
         smoothed_mass = _pairing(su, su)
         cross = _pairing(vN, uN)
         highlow = 3.0 * (self._mean("su", "su", "vN", "uN") - smoothed_mass * cross)
 
-        sigma = _sigma_const(self.equation, self.cutoff, s_int)
-        mass = 3.0 * (smoothed_mass - sigma) * cross
-        if self.equation == "nlw":
+        mass = 3.0 * (smoothed_mass - self.sigma) * cross
+        if self.family.wave:
             # the plain energy rides along with the modified one; its only
             # non-conserved piece is the mass term, contributing int u v
             mass += cross

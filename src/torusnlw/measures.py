@@ -45,7 +45,7 @@ def _density(f: _Factors, radius: float) -> np.ndarray:
     if not radius > 0:
         raise ValueError(f"cutoff radius must be positive (or inf), got {radius}")
     log_weight = -f.quartic_correction
-    if f.equation == "nlw":
+    if f.family.wave:
         log_weight -= 0.25 * f.low_quartic
     with np.errstate(over="ignore"):
         return np.where(f.truncated_energy <= radius, np.exp(log_weight), 0.0)

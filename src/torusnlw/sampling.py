@@ -1,8 +1,13 @@
 """Gaussian ensembles on phase space, drawn as random Fourier series.
 
+FAMILIES owns the model decision: it pairs each equation with its
+ensemble, smoothing base, linear order, wave flag and counterterm, and
+the flow, both energies, the density and the sampler below read it.
+
 Each ensemble assigns independent standard complex Gaussians g_n, h_n to
 the stored half-lattice (the n = 0 pair is real standard normal), extends
-them by conjugation, and divides by a variant-specific spectral weight:
+them by conjugation, and divides by a variant-specific spectral weight,
+the symbol of the renormalized energy's quadratic part at order s:
 
     mu_s        u_n = g_n / <n>^(s+1)      v_n = h_n / <n>^s
     mu_tilde_s  u_n = g_n / (1 + |n|^2 + |n|^(2s+2))^(1/2)
@@ -26,20 +31,44 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .spectral import PhaseState, SpectralField, _frozen, _mirror, _sq_bracket, _sq_modulus
+from .spectral import (PhaseState, SpectralField, _frozen, _mirror, _power, _sq_bracket,
+                       _sq_modulus, _symbol)
 
-VARIANTS = ("mu_s", "mu_tilde_s", "mu_s_beta")
 
-# Equation family whose energies/functionals pair with each ensemble.
-EQUATION_FOR_VARIANT = {
-    "mu_s": "nlkg",
-    "mu_tilde_s": "nlw",
-    "mu_s_beta": "nlkg_beta",
-}
+@dataclass(frozen=True)
+class Family:
+    """An equation: L = -(base^a)^2, a = beta (> 1) if beta_order else 1,
+    and energy 1/2 int (base^a u)^2 + 1/2 int v^2 + 1/4 int u^4.  Its
+    ensemble is the Gaussian of 1/2 int (base^(s+a) u)^2 + 1/2 int
+    (base^s v)^2, plus the _PLAIN energy's when wave; counterterm(N, s)
+    is the mean of int (base^s Pi_N u)^2 it subtracts (none for beta)."""
+
+    variant: str
+    base: str  # "bessel" (J = (1 - Lap)^(1/2)) or "riesz" (|grad|)
+    beta_order: bool
+    wave: bool
+    counterterm: Callable[[int, float], float]
+
+    def order(self, beta: float) -> float:
+        return beta if self.beta_order else 1.0
+
+
+FAMILIES = MappingProxyType({
+    "nlkg": Family("mu_s", "bessel", False, False, lambda N, s: counterterm(N)),
+    "nlw": Family("mu_tilde_s", "riesz", False, True, lambda N, s: wave_counterterm(N, s)),
+    "nlkg_beta": Family("mu_s_beta", "bessel", True, False, lambda N, s: 0.0),  # beta > 1
+})
+_PLAIN = ("bessel", 1.0)  # the base and order of the energy a wave family carries along
+
+EQUATIONS = tuple(FAMILIES)
+VARIANTS = tuple(f.variant for f in FAMILIES.values())
+EQUATION_FOR_VARIANT = {f.variant: equation for equation, f in FAMILIES.items()}
 
 _MASK64 = (1 << 64) - 1
 
@@ -67,8 +96,8 @@ class EnsembleSpec:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not self.s > 1:
             raise ValueError(f"s must be > 1, got {self.s}")
-        if self.variant == "mu_s_beta" and not self.beta > 1:
-            raise ValueError(f"mu_s_beta needs beta > 1, got {self.beta}")
+        if FAMILIES[self.equation].beta_order and not self.beta > 1:
+            raise ValueError(f"{self.variant} needs beta > 1, got {self.beta}")
         if self.truncation_N < 0:
             raise ValueError("truncation_N must be >= 0")
         if self.sample_max_mode < self.truncation_N:
@@ -86,20 +115,16 @@ class EnsembleSpec:
 
 @lru_cache(maxsize=64)
 def _weights(variant: str, s: float, beta: float, max_mode: int):
-    br = _sq_bracket(max_mode)  # 1 + |n|^2
-    if variant == "mu_s":
-        w_u = br ** ((s + 1) / 2.0)
-        w_v = br ** (s / 2.0)
-    elif variant == "mu_tilde_s":
-        sq = _sq_modulus(max_mode)
-        w_u = np.sqrt(1.0 + sq + sq ** (s + 1))
-        w_v = np.sqrt(1.0 + sq**s)
-    elif variant == "mu_s_beta":
-        w_u = br ** ((s + beta) / 2.0)
-        w_v = br ** (s / 2.0)
-    else:  # pragma: no cover - EnsembleSpec already validates
-        raise ValueError(variant)
-    return _frozen(w_u), _frozen(w_v)
+    """The weights (w_u, w_v): w^2 is the symbol of the family's
+    renormalized quadratic form, on u and on v."""
+    f = FAMILIES[EQUATION_FOR_VARIANT[variant]]
+    order = s + f.order(beta)
+    if not f.wave:
+        return _symbol(_power(f.base, order), max_mode), _symbol(_power(f.base, s), max_mode)
+    base, a = _PLAIN
+    w_u = _symbol(_power(base, 2 * a), max_mode) + _symbol(_power(f.base, 2 * order), max_mode)
+    w_v = 1.0 + _symbol(_power(f.base, 2 * s), max_mode)
+    return _frozen(np.sqrt(w_u)), _frozen(np.sqrt(w_v))
 
 
 def _assemble(raw: np.ndarray, weight: np.ndarray, max_mode: int) -> np.ndarray:

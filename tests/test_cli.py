@@ -292,6 +292,23 @@ class TestExitCodes:
         assert code == 1
         assert "ensemble.s" in capsys.readouterr().err
 
+    # Each run asks for one 1.39 EiB array, more than any address space
+    # holds, so the allocation is refused before a page is touched.
+    @pytest.mark.parametrize("command, config", [
+        ("kakutani", {"s": 2.0, "max_norm": 10**17}),
+        ("mc-lp", {"ensemble": {"variant": "mu_s", "s": 2.0},
+                   "experiment": {"N_list": [2], "p_list": [2.0, 4.0],
+                                  "samples": 10**17, "r": "inf"}}),
+    ])
+    def test_memory_error_is_runtime_error_without_output(self, tmp_path, capsys,
+                                                          command, config):
+        code, out = run(tmp_path, command, config)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not out.exists()
+        assert err.startswith("runtime error: Unable to allocate 1.39 EiB")
+        assert err.count("\n") == 1
+
 
 class TestOutputDirectory:
     def test_env_var_overrides_config(self, tmp_path, monkeypatch):

@@ -27,13 +27,11 @@ from torusnlw.energy import (
     renormalized_energy,
     truncated_energy,
     wick_renormalized_mass,
-    _BASE_FOR,
     _one,
     _power,
-    _sigma_const,
 )
 from torusnlw.montecarlo import collect_values
-from torusnlw.sampling import EnsembleSpec, counterterm, sample, wave_counterterm
+from torusnlw.sampling import FAMILIES, EnsembleSpec, counterterm, sample, wave_counterterm
 from torusnlw.spectral import (
     PhaseState,
     SpectralField,
@@ -271,7 +269,7 @@ class TestQuarticGridMeansAgainstDirectProducts:
         p = gaussian_state(K=K, index=K)
         s = 2.0
         uN, vN = project_ball(p.u, K), project_ball(p.v, K)
-        base = _BASE_FOR[equation]
+        base = FAMILIES[equation].base
         su = apply_multiplier(uN, _power(base, s))
         sv = apply_multiplier(vN, _power(base, s))
         return p, s, uN, vN, su, sv
@@ -290,7 +288,7 @@ class TestQuarticGridMeansAgainstDirectProducts:
         p, s, uN, _, su, _ = self.case(K, equation)
         plain = _direct(uN, uN)
         quart = 1.5 * inner_product(_direct(su, su), plain)
-        expect = quart - 1.5 * _sigma_const(equation, K, s) * integrate(plain)
+        expect = quart - 1.5 * FAMILIES[equation].counterterm(K, s) * integrate(plain)
         assert quartic_correction(p.u, s, K, equation) == pytest.approx(expect, rel=1e-12)
         chaos = chaos_components(p.u, s, K, equation)
         assert chaos.total == pytest.approx(quart, rel=1e-12)
@@ -308,7 +306,7 @@ class TestQuarticGridMeansAgainstDirectProducts:
     @pytest.mark.parametrize("s", [2, 4])
     def test_leibniz_sum(self, K, equation, s):
         p, _, uN, vN, _, _ = self.case(K, equation)
-        base = _BASE_FOR[equation]
+        base = FAMILIES[equation].base
         sv = apply_multiplier(vN, _power(base, s))
         if s == 2:
             # (1 - Lap)(u^3) - 3 u^2 (1 - Lap) u = -2 u^3 - 6 u |grad u|^2;

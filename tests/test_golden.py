@@ -9,7 +9,8 @@ rounding-level move apart from a defect.
 FFT bits can differ across CPUs and NumPy builds (every transform is
 numpy.fft's), so the pins hold for the stack recorded in
 tests/golden/versions.json.  A change that moves values on purpose
-regenerates the pins, and lists the moved cells:
+regenerates the pins, which prints every moved cell (file, location,
+pinned -> new) for the change's notes:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -104,6 +105,11 @@ def run_set(dest: Path) -> None:
                              encoding="utf-8")
 
 
+def _files(root: Path) -> set:
+    """Every file under root, as a path relative to it."""
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
 def _cells(name: str, data: bytes) -> list:
     """(location, text) for every cell of a CSV or leaf of a JSON file."""
     text = data.decode("utf-8")
@@ -156,10 +162,8 @@ def describe(name: str, pinned: bytes, got: bytes) -> str:
 def test_outputs_match_the_pins(tmp_path, monkeypatch):
     monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     run_set(tmp_path)
-    pinned = {p.relative_to(GOLDEN).as_posix() for p in GOLDEN.rglob("*") if p.is_file()}
-    pinned.discard(VERSIONS)
-    produced = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
-                if p.is_file()}
+    pinned = _files(GOLDEN) - {VERSIONS}
+    produced = _files(tmp_path)
     problems = [f"{name}: pinned, not written" for name in sorted(pinned - produced)]
     problems += [f"{name}: written, not pinned" for name in sorted(produced - pinned)]
     problems += [describe(name, (GOLDEN / name).read_bytes(), (tmp_path / name).read_bytes())
@@ -170,13 +174,37 @@ def test_outputs_match_the_pins(tmp_path, monkeypatch):
         problems + [f"pins recorded with {recorded}; this run has {versions()}"])
 
 
+def moved(fresh: Path) -> list:
+    """A line for every cell that differs between the pins and the set
+    under `fresh` (file, location, pinned -> new), and for every file
+    that only one of them holds."""
+    pinned, produced = _files(GOLDEN), _files(fresh)
+    lines = [f"{name}: pinned, not written" for name in sorted(pinned - produced)]
+    lines += [f"{name}: written, not pinned" for name in sorted(produced - pinned)]
+    for name in sorted(pinned & produced):
+        data, got = (GOLDEN / name).read_bytes(), (fresh / name).read_bytes()
+        old, new = _cells(name, data), _cells(name, got)
+        if [at for at, _ in old] != [at for at, _ in new]:
+            lines.append(describe(name, data, got))
+        else:
+            lines += [f"{name} {at}: {a} -> {b}"
+                      for (at, a), (_, b) in zip(old, new) if a != b]
+    return lines
+
+
 def regenerate() -> None:
-    """Replace the pins with this tree's outputs."""
+    """Replace the pins with this tree's outputs, after printing every
+    cell that moves."""
     os.environ.pop(OUTPUT_DIR_ENV, None)
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    run_set(GOLDEN)
-    (GOLDEN / VERSIONS).write_text(json.dumps(versions(), indent=2, sort_keys=True) + "\n",
-                                   encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp) / "golden"
+        run_set(fresh)
+        (fresh / VERSIONS).write_text(json.dumps(versions(), indent=2, sort_keys=True) + "\n",
+                                      encoding="utf-8")
+        lines = moved(fresh)
+        print(f"{len(lines)} moved:", *lines, sep="\n")
+        shutil.rmtree(GOLDEN, ignore_errors=True)
+        shutil.copytree(fresh, GOLDEN)
 
 
 if __name__ == "__main__":

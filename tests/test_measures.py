@@ -19,8 +19,8 @@ from torusnlw.measures import (
     kakutani_terms,
 )
 from torusnlw.montecarlo import collect_values
-from torusnlw.sampling import EnsembleSpec, sample
-from torusnlw.spectral import PhaseState, zero_field
+from torusnlw.sampling import EnsembleSpec, _weights, sample
+from torusnlw.spectral import PhaseState, _sq_modulus, zero_field
 
 COS = field_from_modes(1, {(1, 0): 0.5})
 
@@ -127,6 +127,16 @@ class TestComparisonStatistic:
         np.testing.assert_allclose(((lam - lam_t) / (lam + lam_t)) ** 2,
                                    comparison_statistic(classes, s, marginal),
                                    rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("marginal, component", [("position", 0), ("velocity", 1)])
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    def test_variances_are_the_samplers(self, s, marginal, component):
+        # the two Gaussians compared are mu_s and mu_tilde_s, on u and on v
+        K = 6
+        lam, lam_t = _variance_pair(_sq_modulus(K), s, marginal)
+        for got, variant in ((lam, "mu_s"), (lam_t, "mu_tilde_s")):
+            weight = _weights(variant, s, 0.0, K)[component]
+            np.testing.assert_allclose(got, 1.0 / weight**2, rtol=1e-14)
 
 
 class TestKakutaniTerms:

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from torusnlw.dynamics import _dispersion
+from torusnlw.energy import _Factors
 from torusnlw.sampling import (
+    EQUATION_FOR_VARIANT,
     VARIANTS,
     EnsembleSpec,
     _assemble,
@@ -195,6 +198,46 @@ def empirical_mode_power(spec, mode, n_samples=4000, which="u"):
         c = p.u.coeffs if which == "u" else p.v.coeffs
         acc += abs(c[i, j]) ** 2
     return acc / n_samples
+
+
+def unit_modes(K: int):
+    """The real states with coefficient 1 at n and at -n, one per mode n of
+    the window, as a coefficient stack; and how many coefficients each
+    holds (2, or 1 at n = 0), as a window block."""
+    side = 2 * K + 1
+    rows = np.arange(side * side)
+    stack = np.zeros((side * side, side, side), np.complex128)
+    stack[rows, rows // side, rows % side] = 1.0
+    stack[rows, side - 1 - rows // side, side - 1 - rows % side] = 1.0
+    return stack, np.count_nonzero(stack, axis=(1, 2)).reshape(side, side)
+
+
+class TestEnsembleIsTheEnergysGaussian:
+    """w^2 of each ensemble is, mode by mode, the coefficient of |u_n|^2 or
+    |v_n|^2 in twice the renormalized energy less its quartic part, and
+    the conserved energy's coefficients are the squared dispersion and 1."""
+
+    @pytest.mark.parametrize("variant, beta",
+                             [("mu_s", 0.0), ("mu_tilde_s", 0.0), ("mu_s_beta", 1.5)])
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    def test_weights_are_the_quadratic_forms(self, variant, beta, s):
+        K, cutoff, equation = 4, 2, EQUATION_FOR_VARIANT[variant]
+        probe, count = unit_modes(K)
+        zero = np.zeros_like(probe)
+        w_u, w_v = _weights(variant, s, beta, K)
+        cases = ((probe, zero, w_u, _dispersion(equation, beta, K) ** 2),
+                 (zero, probe, w_v, 1.0))
+        for u, v, weight, conserved in cases:
+            f = _Factors(u, v, s, cutoff, equation, beta)
+            quartic = f.quartic_correction
+            if equation == "nlw":  # the plain energy's quartic rides along
+                quartic = quartic + 0.25 * f.low_quartic
+            renormalized = 2 * (f.renormalized_energy - quartic)
+            np.testing.assert_allclose(renormalized.reshape(count.shape) / count, weight**2,
+                                       rtol=1e-14)
+            energy = 2 * (f.truncated_energy - 0.25 * f.low_quartic)
+            np.testing.assert_allclose(energy.reshape(count.shape) / count, conserved,
+                                       rtol=1e-14)
 
 
 class TestSpectralVariances:
