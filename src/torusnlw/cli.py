@@ -62,7 +62,7 @@ from .montecarlo import (
     tail_estimate_study,
     lp_growth_experiment,
 )
-from .sampling import FAMILIES, VARIANTS, EnsembleSpec, sample
+from .sampling import _KEY_BOUND, FAMILIES, VARIANTS, EnsembleSpec, sample
 from .spectral import (
     PhaseState,
     sobolev_norm,
@@ -216,6 +216,13 @@ def _load_config(path: str) -> dict:
 # -- shared config groups ------------------------------------------------------
 
 
+def _key_word(key: str):
+    """Rule: the integer `key` (a seed or a sample index) is below 2^64."""
+    def rule(values: dict, built):
+        return (key, "must be < 2^64") if values[key] >= _KEY_BOUND else None
+    return rule
+
+
 def _ensemble_spec(ens: dict, built) -> EnsembleSpec:
     # without a window the spec is built at window 0, and each study sets
     # the window of every cutoff it draws
@@ -233,7 +240,7 @@ def _ensemble(windowed: bool) -> _Group:
     if windowed:
         keys["sample_max_mode"] = _Key("int", check=_ge(0))
         keys["truncation_N"] = _Key("int", lambda ens: ens["sample_max_mode"], _ge(0))
-    return _Group(keys, finish=_ensemble_spec)
+    return _Group(keys, rules=(_key_word("seed"),), finish=_ensemble_spec)
 
 
 _ENSEMBLE = _ensemble(windowed=False)
@@ -278,6 +285,7 @@ _INDEX = _Key("int", 0, _ge(0))
 _STATE = _Group({
     "file": _Key("str", _OMIT),
     "sample": _Group({"ensemble": _WINDOWED_ENSEMBLE, "index": _INDEX}, _OMIT,
+                     rules=(_key_word("index"),),
                      finish=lambda draw, built: sample(built["ensemble"], draw["index"])),
     "zero": _Group({"max_mode": _Key("int", check=_ge(0))}, _OMIT),
 }, rules=(_one_source,), finish=_initial_state)
@@ -372,7 +380,8 @@ def _estimate_row(est):
 # main as raw_values.csv when output.emit_raw is set).  Library functions are
 # looked up in this module's globals when a run starts.
 
-_SAMPLE = _Group({"ensemble": _WINDOWED_ENSEMBLE, "index": _INDEX, "output": _OUTPUT})
+_SAMPLE = _Group({"ensemble": _WINDOWED_ENSEMBLE, "index": _INDEX, "output": _OUTPUT},
+                 rules=(_key_word("index"),))
 
 
 def _run_sample(cfg, built, workers):
@@ -474,6 +483,15 @@ _CHAOS_FUNCTIONALS = [name for name in _PARAMETERLESS
 _R = (lambda r: isinstance(r, str) or r > 0, 'must be > 0, "auto" or "inf"')
 
 
+def _functional_admits_s(cfg: dict, built):
+    """Rule: the experiment's functional is studied at the ensemble's s."""
+    try:
+        FUNCTIONALS[cfg["experiment"]["functional"]].admits_s(cfg["ensemble"]["s"])
+    except UnsupportedParameterError as exc:
+        return "ensemble.s", str(exc)
+    return None
+
+
 def _json_radius(r: float):
     """A resolved radius as metadata.json writes it, "inf" for no conditioning."""
     return "inf" if math.isinf(r) else r
@@ -493,7 +511,7 @@ _MC_LP = _Group({
         "r": _Key("radius", "auto", _R),
     }, rules=(_distinct("N_list"),)),
     "output": _OUTPUT,
-})
+}, rules=(_functional_admits_s,))
 
 
 def _run_mc_lp(cfg, built, workers):
@@ -561,7 +579,7 @@ _MC_CHAOS = _Group({
         "r": _Key("radius", "inf", _R),
     }),
     "output": _OUTPUT,
-})
+}, rules=(_functional_admits_s,))
 
 
 def _run_mc_chaos(cfg, built, workers):

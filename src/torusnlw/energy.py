@@ -34,7 +34,6 @@ not depend on the block it was evaluated in.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
@@ -94,17 +93,6 @@ def _energy(u: np.ndarray, v: np.ndarray, base: str, order: float,
     fields' coefficient stacks, plus 1/4 the given quartic integrals."""
     quad = _weighted_mass(u, base, order) + _row_sum(np.abs(v) ** 2)
     return 0.5 * quad + 0.25 * quartic
-
-
-def _single_pair(tw: float, t2w: float, pair4: float) -> float:
-    """The single-pair chaos term of one state; pair4 is t2w without n = 0.
-    Python floats and NumPy scalars square through C pow, NumPy arrays by
-    multiplying, and the two can differ in the last bit, so the caller
-    keeps these few squares in scalar arithmetic."""
-    try:
-        return 3.0 * (tw**2 - t2w) - 1.5 * pair4
-    except OverflowError:  # a Python float's ** raises where NumPy gives inf
-        return math.inf
 
 
 class _Factors:
@@ -214,9 +202,8 @@ class _Factors:
         t2w = _row_sum(w**2 * a**2)
 
         double_pair = 1.5 * t1 * t0
-        w0 = w[K, K] ** 2
-        single_pair = np.array([_single_pair(x, y, y - float(w0 * z**2))
-                                for x, y, z in zip(tw.tolist(), t2w.tolist(), a[:, K, K])])
+        z = a[:, K, K]  # t2w - w[K, K]^2 z^2 is t2w without n = 0
+        single_pair = 3.0 * (tw * tw - t2w) - 1.5 * (t2w - w[K, K] ** 2 * z * z)
         no_pair = self.smoothed_quartic - double_pair - single_pair
         renorm = double_pair - 1.5 * self.sigma * t0
         return ChaosComponents(double_pair, single_pair, no_pair, renorm)
@@ -368,7 +355,6 @@ def energy_rate_terms(p: PhaseState, s: float, cutoff: int,
 
     holds for every state; see the finite-difference tests.
     """
-    _even_order(s)
     _check_equation(equation, beta)
     return _first(_one(p.u, p.v, s, cutoff, equation, beta).rate)
 

@@ -28,9 +28,9 @@ import numpy as np
 # np.percentile imports numpy.ma on first use: load it at start-up, not in a run
 import numpy.ma  # noqa: F401
 
-from .energy import UnsupportedParameterError, _Factors
+from .energy import UnsupportedParameterError, _Factors, _even_order
 from .measures import _density
-from .sampling import _MASK64, EnsembleSpec, _drawer
+from .sampling import EnsembleSpec, _drawer
 from .spectral import _ball, _multiply, _sup_norms, derivative, dyadic_block, quadrature_grid
 
 MAX_P = 16.0  # empirical L^p beyond this is extreme-value dominated
@@ -49,7 +49,7 @@ def _tag64(tag: str) -> int:
 
 
 def _tagged_rng(master_seed: int, tag: str) -> np.random.Generator:
-    key = np.array([master_seed & _MASK64, _tag64(tag)], dtype=np.uint64)
+    key = np.array([master_seed, _tag64(tag)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -133,10 +133,6 @@ class _Block:
         return (energy <= e.energy_cutoff_r).astype(float)
 
 
-def _reads_u_only(params: dict) -> bool:
-    return False
-
-
 def _reads_v(params: dict) -> bool:
     return True
 
@@ -145,28 +141,31 @@ def _reads_v(params: dict) -> bool:
 class Functional:
     """One registry entry.  `degree` is the polynomial chaos degree in the
     Gaussian coordinates (needed by chaos_growth_check; None when the
-    functional is not homogeneous), `requires` the parameters with no
-    default, `evaluate(block, params)` the values on the states of the
-    _Block, one per state, and `reads_v(params)` whether those read the
-    velocity (a block draws v only when something evaluated on it does)."""
+    functional is not homogeneous), `requires` and `optional` the parameters
+    without and with a default, `evaluate(block, params)` the values on the
+    states of the _Block, one per state, `reads_v(params)` whether those read
+    the velocity (a block draws v only when something evaluated on it does),
+    and `admits_s(s)` raises UnsupportedParameterError at an s it is not studied at."""
 
     degree: int | None
     requires: tuple
     evaluate: Callable
-    reads_v: Callable = _reads_u_only
+    reads_v: Callable = lambda params: False
+    optional: tuple = ("cutoff",)
+    admits_s: Callable = lambda s: None
 
 
-def _rate_term(term: str) -> Functional:
-    return Functional(4, (), lambda block, params: getattr(
-        block.factors(block.ens.truncation_N).rate, term), _reads_v)
+def _at_cutoff(degree: int | None, read: Callable, **kwargs) -> Functional:
+    """The entry whose values are read(factors) at the column's cutoff."""
+    return Functional(degree, (), lambda block, params: read(
+        block.factors(block.cutoff(params))), **kwargs)
 
 
-def _chaos_gap(component: str) -> Functional:
-    def gap(block, params):
-        hi = block.factors(block.cutoff(params)).chaos
-        lo = block.factors(int(params["lower_cutoff"])).chaos
-        return getattr(hi, component) - getattr(lo, component)
-    return Functional(4, ("lower_cutoff",), gap)
+def _gap(read: Callable) -> Functional:
+    """read(factors) at the column's cutoff minus read(factors) at its lower_cutoff."""
+    return Functional(4, ("lower_cutoff",), lambda block, params: (
+        read(block.factors(block.cutoff(params)))
+        - read(block.factors(int(params["lower_cutoff"])))))
 
 
 def _sup_field(params: dict) -> str:
@@ -186,31 +185,26 @@ def _density_weight(block, params) -> np.ndarray:
     return _density(block.factors(block.cutoff(params)), float(params["radius"]))
 
 
+_RATE = {"reads_v": _reads_v, "admits_s": _even_order}  # the rate terms read v, need even s
 # name -> Functional; `cutoff` defaults to the ensemble's truncation_N
 FUNCTIONALS: dict = {
-    "energy_rate_total": _rate_term("total"),
-    "energy_rate_highlow": _rate_term("highlow"),
-    "energy_rate_mass": _rate_term("mass"),
-    "energy_rate_leibniz": _rate_term("leibniz"),
-    "quartic_correction": Functional(
-        4, (), lambda block, params: block.factors(block.cutoff(params)).quartic_correction),
-    "quartic_correction_gap": Functional(
-        4, ("lower_cutoff",), lambda block, params: (
-            block.factors(block.cutoff(params)).quartic_correction
-            - block.factors(int(params["lower_cutoff"])).quartic_correction)),
-    "chaos_double_pair_renorm_gap": _chaos_gap("double_pair_renorm"),
-    "chaos_single_pair_gap": _chaos_gap("single_pair"),
-    "chaos_no_pair_gap": _chaos_gap("no_pair"),
-    "wick_mass": Functional(
-        2, (), lambda block, params: block.factors(block.cutoff(params)).wick_mass),
+    "energy_rate_total": _at_cutoff(4, lambda f: f.rate.total, **_RATE),
+    "energy_rate_highlow": _at_cutoff(4, lambda f: f.rate.highlow, **_RATE),
+    "energy_rate_mass": _at_cutoff(4, lambda f: f.rate.mass, **_RATE),
+    "energy_rate_leibniz": _at_cutoff(4, lambda f: f.rate.leibniz, **_RATE),
+    "quartic_correction": _at_cutoff(4, lambda f: f.quartic_correction),
+    "quartic_correction_gap": _gap(lambda f: f.quartic_correction),
+    "chaos_double_pair_renorm_gap": _gap(lambda f: f.chaos.double_pair_renorm),
+    "chaos_single_pair_gap": _gap(lambda f: f.chaos.single_pair),
+    "chaos_no_pair_gap": _gap(lambda f: f.chaos.no_pair),
+    "wick_mass": _at_cutoff(2, lambda f: f.wick_mass),
     "block_sup_norm": Functional(None, ("block",), _block_sup_norm,
-                                 lambda params: _sup_field(params) == "v"),
+                                 lambda params: _sup_field(params) == "v",
+                                 ("cutoff", "order", "field")),
     "density_weight": Functional(None, ("radius",), _density_weight, _reads_v),
-    "truncated_energy": Functional(
-        None, (), lambda block, params: block.factors(block.cutoff(params)).truncated_energy,
-        _reads_v),
+    "truncated_energy": _at_cutoff(None, lambda f: f.truncated_energy, reads_v=_reads_v),
     "scalar_gaussian": Functional(1, (), lambda block, params: (
-        block.u[:, block.ens.sample_max_mode, block.ens.sample_max_mode].real)),
+        block.u[:, block.ens.sample_max_mode, block.ens.sample_max_mode].real), optional=()),
 }
 
 # Bytes of grid values a block may hold: five factors' quadrature grids per
@@ -222,8 +216,7 @@ def _block_size(window: int) -> int:
     return max(1, _BLOCK_BYTES // (5 * quadrature_grid(window) ** 2 * 8))
 
 
-def _eval_block(ens: EnsembleSpec, funcs: tuple, start: int, stop: int,
-                sampler: Callable | None = None) -> np.ndarray:
+def _eval_block(ens: EnsembleSpec, funcs: tuple, start: int, stop: int) -> np.ndarray:
     """Evaluate every functional plus the cutoff weight on indices
     [start, stop), a block of consecutive indices at a time; module-level
     so worker processes can import it.  v is drawn only when the cutoff
@@ -236,13 +229,7 @@ def _eval_block(ens: EnsembleSpec, funcs: tuple, start: int, stop: int,
     draw = _drawer(ens, with_v)
     for lo in range(start, stop, size):
         hi = min(lo + size, stop)
-        if sampler is None:
-            u, v = draw(lo, hi)
-        else:
-            states = [sampler(index) for index in range(lo, hi)]
-            u = np.stack([p.u.coeffs for p in states])
-            v = np.stack([p.v.coeffs for p in states])
-        block = _Block(u, v, ens)
+        block = _Block(*draw(lo, hi), ens)
         rows = out[lo - start:hi - start]
         for col, (evaluate, params) in enumerate(entries):
             rows[:, col] = evaluate(block, params)
@@ -250,25 +237,33 @@ def _eval_block(ens: EnsembleSpec, funcs: tuple, start: int, stop: int,
     return out
 
 
-def collect_values(ens: EnsembleSpec, funcs, samples: int, *,
-                   workers: int = 1, sampler: Callable | None = None):
-    """(values, weights): values has one column per (name, params) pair.
-
-    Identical output for every worker count; `sampler` overrides state
-    generation for tests (index -> PhaseState, forces inline evaluation).
-    Unknown functionals and missing required parameters are rejected
-    before any state is drawn.
-    """
+def _check_columns(ens: EnsembleSpec, funcs) -> tuple:
+    """funcs as (name, params dict) columns, refused as collect_values says."""
     funcs = tuple((name, dict(params or {})) for name, params in funcs)
     for name, params in funcs:
-        if name not in FUNCTIONALS:
+        entry = FUNCTIONALS.get(name)
+        if entry is None:
             raise UnsupportedParameterError(f"unknown functional {name!r}")
-        for key in FUNCTIONALS[name].requires:
-            if key not in params:
-                raise UnsupportedParameterError(
-                    f"functional {name!r} needs the parameter {key!r}")
-    if sampler is not None or workers <= 1 or samples < 2 * workers:
-        out = _eval_block(ens, funcs, 0, samples, sampler)
+        entry.admits_s(ens.s)
+        if not set(entry.requires) <= set(params) <= set(entry.requires + entry.optional):
+            raise UnsupportedParameterError(
+                f"functional {name!r} takes the parameters {entry.requires} and optionally "
+                f"{entry.optional}, got {sorted(params)}")
+    return funcs
+
+
+def collect_values(ens: EnsembleSpec, funcs, samples: int, *, workers: int = 1):
+    """(values, weights) of draws 0, ..., samples - 1 of ens: a column of
+    values per (name, params) pair, FUNCTIONALS[name] with params, and the
+    energy-cutoff weights.  params holds the entry's `requires` and any of
+    its `optional` (`cutoff` defaults to ens.truncation_N); a column with an
+    unknown name, a missing or unread parameter, or an entry that does not
+    admit ens.s is refused before any draw.  All columns read the same
+    draws, so columns at several cutoffs draw the window once.  The output
+    is the same for every worker count."""
+    funcs = _check_columns(ens, funcs)
+    if workers <= 1 or samples < 2 * workers:
+        out = _eval_block(ens, funcs, 0, samples)
     else:
         from concurrent.futures import ProcessPoolExecutor  # slow to import; pools only
 
@@ -280,13 +275,12 @@ def collect_values(ens: EnsembleSpec, funcs, samples: int, *,
     return out[:, :-1], out[:, -1]
 
 
-def _draw(ens: EnsembleSpec, columns, samples: int, workers: int,
-          sampler: Callable | None = None) -> tuple:
+def _draw(ens: EnsembleSpec, columns, samples: int, workers: int) -> tuple:
     """The study primitive: one (label, values, weights) series per
     (label, name, params) column, all on the same draws of `ens`.  The
     series are what each study estimates from and what it reports raw."""
     values, weights = collect_values(ens, [(name, params) for _, name, params in columns],
-                                     samples, workers=workers, sampler=sampler)
+                                     samples, workers=workers)
     return tuple((label, values[:, col], weights)
                  for col, (label, _, _) in enumerate(columns))
 
@@ -345,14 +339,12 @@ def _check_p_samples(p: float, samples: int) -> None:
 
 
 def estimate_lp(functional: str, ens: EnsembleSpec, p: float, samples: int, *,
-                params: dict | None = None, workers: int = 1,
-                sampler: Callable | None = None) -> LpEstimate:
+                params: dict | None = None, workers: int = 1) -> LpEstimate:
     """Weighted empirical L^p norm of one functional under the cutoff
     ensemble.  Deterministic given (ens, p, samples)."""
     _check_p_samples(p, samples)
     tag = f"{functional}:{sorted((params or {}).items())}"
-    ((_, values, weights),) = _draw(ens, [(tag, functional, params)], samples,
-                                    workers, sampler)
+    ((_, values, weights),) = _draw(ens, [(tag, functional, params)], samples, workers)
     return _estimate_from_values(values, weights, p, ens, tag)
 
 
@@ -425,6 +417,7 @@ def lp_growth_experiment(ens: EnsembleSpec, cutoff_list, p_list, radius, samples
         raise ValueError("need a cutoff and at least two distinct p (the fit in p)")
     for p in p_list:
         _check_p_samples(p, samples)
+    _check_columns(ens, [(functional, None)])  # before the first pilot draws
     rows, fits, radii, raw = [], [], [], []
     for cutoff in cutoff_list:
         spec = _at_window(ens, cutoff)
@@ -511,7 +504,7 @@ class ChaosGrowthResult:
 
 
 def chaos_growth_check(functional: str, ens: EnsembleSpec, p_list, samples: int, *,
-                       params: dict | None = None, workers: int = 1) -> ChaosGrowthResult:
+                       workers: int = 1) -> ChaosGrowthResult:
     """Hypercontractive growth check: for a functional of declared chaos
     degree k, ||X||_p / ||X||_2 must stay below (p-1)^(k/2)."""
     entry = FUNCTIONALS.get(functional)
@@ -521,8 +514,8 @@ def chaos_growth_check(functional: str, ens: EnsembleSpec, p_list, samples: int,
     degree = entry.degree
     for p in p_list:
         _check_p_samples(p, samples)
-    tag = f"{functional}:{sorted((params or {}).items())}"
-    series = _draw(ens, [(tag, functional, params)], samples, workers)
+    tag = f"{functional}:[]"  # estimate_lp's tag of a parameterless column
+    series = _draw(ens, [(tag, functional, None)], samples, workers)
     ((_, values, weights),) = series
     base = _estimate_from_values(values, weights, 2.0, ens, tag)
     rows = []

@@ -70,7 +70,7 @@ EQUATIONS = tuple(FAMILIES)
 VARIANTS = tuple(f.variant for f in FAMILIES.values())
 EQUATION_FOR_VARIANT = {f.variant: equation for equation, f in FAMILIES.items()}
 
-_MASK64 = (1 << 64) - 1
+_KEY_BOUND = 1 << 64  # a seed or an index is one 64-bit word of a Philox key
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,8 @@ class EnsembleSpec:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not self.s > 1:
             raise ValueError(f"s must be > 1, got {self.s}")
+        if not 0 <= self.master_seed < _KEY_BOUND:
+            raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         if FAMILIES[self.equation].beta_order and not self.beta > 1:
             raise ValueError(f"{self.variant} needs beta > 1, got {self.beta}")
         if self.truncation_N < 0:
@@ -158,17 +160,17 @@ def _drawer(spec: EnsembleSpec, with_v: bool):
     K = spec.sample_max_mode
     n_half = (2 * K + 1) ** 2 // 2 + 1
     w_u, w_v = _weights(spec.variant, spec.s, spec.beta, K)
-    bitgen = Philox(key=np.array([spec.master_seed & _MASK64, 0], np.uint64))
+    bitgen = Philox(key=np.array([spec.master_seed, 0], np.uint64))
     rng = Generator(bitgen)
     keyed = bitgen.state
     key = keyed["state"]["key"]
 
     def draw(start: int, stop: int) -> tuple:
-        if start < 0:
-            raise ValueError(f"sample index must be >= 0, got {start}")
+        if start < 0 or stop > _KEY_BOUND:
+            raise ValueError(f"sample index must lie in [0, 2^64), got [{start}, {stop})")
         raw = np.empty((stop - start, 1 + with_v, n_half, 2))
         for row, index in enumerate(range(start, stop)):
-            key[1] = index & _MASK64
+            key[1] = index
             bitgen.state = keyed
             rng.standard_normal(out=raw[row])
         u = _assemble(raw[:, 0], w_u, K)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from torusnlw.montecarlo import FUNCTIONALS, _Block
+from torusnlw.sampling import EnsembleSpec
 from torusnlw.spectral import PhaseState, SpectralError, SpectralField, sobolev_norm
 
 settings.register_profile(
@@ -63,6 +65,13 @@ def random_state(rng: np.random.Generator, max_mode: int, scale: float = 1.0) ->
         u=random_field(rng, max_mode, scale),
         v=random_field(rng, max_mode, scale),
     )
+
+
+def block_values(ens: EnsembleSpec, p: PhaseState, funcs) -> list:
+    """The registry's (name, params) columns on the one state p, evaluated
+    as the Monte Carlo evaluator does, on a block of one state of ens."""
+    block = _Block(p.u.coeffs[None], p.v.coeffs[None], ens)
+    return [float(FUNCTIONALS[name].evaluate(block, params)[0]) for name, params in funcs]
 
 
 @pytest.fixture

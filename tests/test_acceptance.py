@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -287,9 +288,10 @@ def test_wick_mass_hypercontractivity_and_calibration(capsys):
 def test_density_weight_norms_stable_in_cutoff(capsys):
     """L^4 norms of the conditioned density stay in a fixed band over N.
 
-    All four cutoffs read the same underlying draws (one common sampling
-    window), which couples the estimates and minimizes the spread a
-    finite sample can show.  The max/min < 1.5 band is judged only on
+    All four cutoffs read the same draws: one collect_values call with a
+    column per cutoff draws the common sampling window once, which
+    couples the estimates and minimizes the spread a finite sample can
+    show.  The max/min < 1.5 band is judged only on
     resolved estimates: leaving out a cutoff's single largest draw must
     move its L^4 value by less than the band's own factor 1.5, so that
     draw's share of the sum of w^4 must stay below 1 - 1.5^-4 (about
@@ -300,13 +302,16 @@ def test_density_weight_norms_stable_in_cutoff(capsys):
     p, band = 4.0, 1.5
     max_share = 1.0 - band ** -p
     values, shares = {}, {}
-    for N in (8, 16, 32, 64):
-        ens = EnsembleSpec(variant="mu_s", s=2.0, sample_max_mode=64,
-                           truncation_N=N, master_seed=SEED)
-        radius = resolve_radius("auto", ens)
-        weight, accept = collect_values(
-            ens, [("density_weight", {"cutoff": N, "radius": radius})], 10_000)
-        mass = np.abs(weight[:, 0]) ** p * accept
+    cutoffs = (8, 16, 32, 64)
+    ens = EnsembleSpec(variant="mu_s", s=2.0, sample_max_mode=64, truncation_N=64,
+                       master_seed=SEED)
+    # each cutoff's radius from its own pilot, as the truncation_N = N ensemble
+    radii = [resolve_radius("auto", replace(ens, truncation_N=N)) for N in cutoffs]
+    weights, accept = collect_values(
+        ens, [("density_weight", {"cutoff": N, "radius": r}) for N, r in zip(cutoffs, radii)],
+        10_000)
+    for col, N in enumerate(cutoffs):
+        mass = np.abs(weights[:, col]) ** p * accept
         values[N] = float((mass.sum() / accept.sum()) ** (1.0 / p))
         shares[N] = float(mass.max() / mass.sum())
     ratio = max(values.values()) / min(values.values())

@@ -502,6 +502,22 @@ class TestMonteCarloCommands:
         assert main(["mc-lp", str(cfg), "--workers", "0"]) == 1
 
 
+@pytest.mark.parametrize("command, ensemble, experiment", [
+    ("mc-lp", {"s": 3}, {"N_list": [4, 8], "p_list": [2.0, 4.0], "samples": 100,
+                         "r": "auto"}),
+    ("mc-chaos", {"s": 2.5, "sample_max_mode": 3},
+     {"functional": "energy_rate_leibniz", "p_list": [4.0], "samples": 100}),
+])
+def test_rate_at_s_rejected_at_validation(tmp_path, capsys, command, ensemble, experiment):
+    # these used to run the radius pilot and then exit 2 at the first draw
+    code, out = run(tmp_path, command, {"ensemble": ensemble, "experiment": experiment})
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "config error: ensemble.s: the energy rate is studied at even integer s >= 2, "
+        f"got {float(ensemble['s'])}\n")
+
+
 @pytest.mark.parametrize("functional", sorted(FUNCTIONALS))
 @pytest.mark.parametrize("command", ["mc-lp", "mc-chaos"])
 def test_every_functional_runs_or_is_rejected_at_validation(tmp_path, capsys,
@@ -597,6 +613,7 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("sample", "ensemble.seed", -1, "ensemble.seed: must be >= 0"),
     ("sample", "ensemble.seed", 1.5, "ensemble.seed: expected int"),
     ("sample", "ensemble.seed", True, "ensemble.seed: expected int"),
+    ("sample", "ensemble.seed", 2**64, "ensemble.seed: must be < 2^64"),
     ("sample", "ensemble.sample_max_mode", DROP,
      "ensemble.sample_max_mode: missing required key"),
     ("sample", "ensemble.sample_max_mode", -1, "ensemble.sample_max_mode: must be >= 0"),
@@ -607,6 +624,7 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
      "ensemble: mu_s_beta needs beta > 1, got 0.5"),
     ("sample", "ensemble.typo_key", 1, "ensemble: unknown keys ['typo_key']"),
     ("sample", "index", -1, "index: must be >= 0"),
+    ("sample", "index", 2**64, "index: must be < 2^64"),
     ("sample", "output", "x", "output: expected an object"),
     ("sample", "output.directory", 3, "output.directory: expected str"),
     ("sample", "output.emit_raw", "yes", "output.emit_raw: expected bool"),
@@ -636,6 +654,8 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("evolve", "state.extra", 1, "state: unknown keys ['extra']"),
     ("evolve", "state", {"sample": {"ensemble": ENSEMBLE, "index": -1}},
      "state.sample.index: must be >= 0"),
+    ("evolve", "state", {"sample": {"ensemble": ENSEMBLE, "index": 2**64}},
+     "state.sample.index: must be < 2^64"),
     ("evolve", "state", {"sample": {"ensemble": dict(ENSEMBLE, s=1.0)}},
      "state.sample.ensemble.s: must be > 1"),
     ("evolve", "state", {"sample": {"ensemble": dict(ENSEMBLE, **BETA)}},
@@ -706,6 +726,7 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
      "ensemble: mu_s_beta needs beta > 1, got 0.5"),
     ("mc-lp", "ensemble.sample_max_mode", 4, "ensemble: unknown keys ['sample_max_mode']"),
     ("mc-lp", "ensemble.s", 1, "ensemble.s: must be > 1"),
+    ("mc-lp", "ensemble.seed", 2**64 + 5, "ensemble.seed: must be < 2^64"),
     ("mc-converge", "experiment.M_list", [2],
      "experiment.M_list: needs >= 2 distinct cutoffs, each >= 1 (the decay fit "
      "needs two points)"),

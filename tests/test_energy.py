@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import constant_field, field_from_modes, random_field, random_state
+from conftest import (block_values, constant_field, field_from_modes, random_field,
+                      random_state)
 from torusnlw.dynamics import IntegratorSpec, ModelSpec, evolve
 from torusnlw.energy import (
     EQUATIONS,
@@ -30,7 +31,6 @@ from torusnlw.energy import (
     _one,
     _power,
 )
-from torusnlw.montecarlo import collect_values
 from torusnlw.sampling import FAMILIES, EnsembleSpec, counterterm, sample, wave_counterterm
 from torusnlw.spectral import (
     PhaseState,
@@ -332,8 +332,7 @@ class TestQuarticGridMeansAgainstDirectProducts:
         sq = _direct(uN, uN)
         expect = -quartic_correction(p.u, s, K, "nlw") - 0.25 * inner_product(sq, sq)
         ens = EnsembleSpec("mu_tilde_s", s, K, K, 0)  # the nlw ensemble
-        weight = collect_values(ens, [("density_weight", {"radius": math.inf})], 1,
-                                sampler=lambda index: p)[0][0, 0]
+        (weight,) = block_values(ens, p, [("density_weight", {"radius": math.inf})])
         assert math.log(weight) == pytest.approx(expect, rel=1e-12)
 
 

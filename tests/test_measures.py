@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import constant_field, field_from_modes
+from conftest import block_values, constant_field, field_from_modes
 from torusnlw.energy import quartic_correction, truncated_energy
 from torusnlw.measures import (
     MARGINALS,
@@ -27,12 +27,11 @@ COS = field_from_modes(1, {(1, 0): 0.5})
 
 def density_weight(p: PhaseState, radius: float, variant: str = "mu_s") -> float:
     """The registry's density_weight of state p, at s = 2 and the cutoff
-    N = p's window, read through collect_values."""
+    N = p's window, evaluated on a block of one state."""
     K = p.max_mode
-    ens = EnsembleSpec(variant, 2.0, K, K, 0)
-    values, _ = collect_values(ens, [("density_weight", {"radius": radius})], 1,
-                               sampler=lambda index: p)
-    return float(values[0, 0])
+    (weight,) = block_values(EnsembleSpec(variant, 2.0, K, K, 0), p,
+                             [("density_weight", {"radius": radius})])
+    return weight
 
 
 class TestDensityWeight:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import field_from_modes
+from conftest import block_values, field_from_modes
 import torusnlw.energy as energy
 import torusnlw.montecarlo as montecarlo
 import torusnlw.sampling as sampling
@@ -19,6 +19,7 @@ from torusnlw.energy import (
     energy_rate_terms,
     quartic_correction,
     truncated_energy,
+    wick_renormalized_mass,
 )
 from torusnlw.montecarlo import (
     DegenerateEnsembleError,
@@ -47,17 +48,16 @@ def make_ens(K=4, N=None, s=2.0, seed=0, variant="mu_s", **kw):
                         master_seed=seed, **kw)
 
 
-def cosine_point_mass(index: int) -> PhaseState:
-    return PhaseState(COS, COS)
-
-
 class TestEstimateLp:
     def test_point_mass_rate_mass_term(self):
-        # the worked state carries rate_mass = -3/2 for every p
+        # the worked state carries rate_mass = -3/2, so a point mass there
+        # has L^p norm 3/2 for every p
         ens = make_ens(K=1, s=2.0)
+        (mass,) = block_values(ens, PhaseState(COS, COS), [("energy_rate_mass", {})])
+        assert mass == pytest.approx(-1.5, rel=1e-12)
         for p in (2.0, 4.0, 7.5):
-            est = estimate_lp("energy_rate_mass", ens, p, 100,
-                              sampler=cosine_point_mass)
+            est = _estimate_from_values(np.full(100, mass), np.ones(100), p, ens,
+                                        "energy_rate_mass:[]")
             assert est.value == pytest.approx(1.5, rel=1e-12)
             assert est.ci_low == est.ci_high == pytest.approx(est.value)
             assert est.effective_samples == est.samples == 100
@@ -272,15 +272,23 @@ class TestLazyVelocity:
                               [("quartic_correction", {})]) == 6
 
     def test_values_equal_full_draws(self):
-        # v read first (its block sup norm) still takes u's normals off the
-        # stream before its own
+        # a block's rows are sample()'s states bit for bit, a u-only draw's
+        # u is the full draw's, and v read first (its block sup norm) still
+        # takes u's normals off the stream before its own
         ens = make_ens(K=4, seed=8, energy_cutoff_r=50.0)
+        u, v = sampling._drawer(ens, True)(0, 5)
+        u_only, no_v = sampling._drawer(ens, False)(0, 5)
+        assert no_v is None
+        np.testing.assert_array_equal(u_only, u)
         funcs = [("block_sup_norm", {"block": 2, "field": "v"}), ("wick_mass", {}),
                  ("energy_rate_total", {})]
         values, weights = collect_values(ens, funcs, 5)
-        full, full_w = collect_values(ens, funcs, 5, sampler=lambda i: sample(ens, i))
-        np.testing.assert_array_equal(values, full)
-        np.testing.assert_array_equal(weights, full_w)
+        for i in range(5):
+            p = sample(ens, i)
+            np.testing.assert_array_equal(u[i], p.u.coeffs)
+            np.testing.assert_array_equal(v[i], p.v.coeffs)
+            assert values[i].tolist() == block_values(ens, p, funcs)
+            assert weights[i] == float(truncated_energy(p, 4) <= 50.0)
 
 
 def every_functional(radius: float) -> list:
@@ -322,10 +330,6 @@ class TestBlockSize:
                 values, weights = self.at_block_size(monkeypatch, ens, size, workers=workers)
                 np.testing.assert_array_equal(values, ref_values)
                 np.testing.assert_array_equal(weights, ref_weights)
-            values, weights = self.at_block_size(monkeypatch, ens, size,
-                                                 sampler=lambda i: sample(ens, i))
-            np.testing.assert_array_equal(values, ref_values)
-            np.testing.assert_array_equal(weights, ref_weights)
 
     def test_block_sizes_follow_the_window(self):
         assert [montecarlo._block_size(K) for K in (1, 8, 16, 32, 64)] == [1048, 20, 5, 1, 1]
@@ -535,6 +539,10 @@ def refuse_to_draw(*args, **kwargs):
     raise AssertionError("collect_values was called")
 
 
+def refuse_a_drawer(*args, **kwargs):
+    raise AssertionError("a drawer was built")
+
+
 # each study, on inputs it accepts from a base ensemble with no energy cutoff
 STUDIES = {
     "lp_growth": lambda ens: lp_growth_experiment(ens, [2, 3], [2.0, 4.0], "auto", 100),
@@ -614,15 +622,41 @@ class TestFunctionalTable:
         assert FUNCTIONALS["quartic_correction_gap"].requires == ("lower_cutoff",)
         assert FUNCTIONALS["block_sup_norm"].requires == ("block",)
 
-    def test_missing_parameter_rejected_before_drawing(self):
-        drawn = []
-
-        def sampler(index):
-            drawn.append(index)
-            return cosine_point_mass(index)
-
+    def test_missing_parameter_rejected_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_drawer", refuse_a_drawer)
         with pytest.raises(UnsupportedParameterError,
                            match="quartic_correction_gap.*lower_cutoff"):
-            collect_values(make_ens(K=2), [("quartic_correction_gap", {})], 100,
-                           sampler=sampler)
-        assert drawn == []
+            collect_values(make_ens(K=2), [("quartic_correction_gap", {})], 100)
+
+    @pytest.mark.parametrize("column", [("wick_mass", {"cutof": 4}),
+                                        ("block_sup_norm", {"block": 1, "orders": (1, 0)}),
+                                        ("scalar_gaussian", {"cutoff": 2})])
+    def test_unread_parameter_rejected_before_drawing(self, monkeypatch, column):
+        # a misspelled key used to fall back to the default silently
+        monkeypatch.setattr(montecarlo, "_drawer", refuse_a_drawer)
+        with pytest.raises(UnsupportedParameterError, match=f"{column[0]}' takes the"):
+            collect_values(make_ens(K=8), [column], 100)
+
+    @pytest.mark.parametrize("s", [3.0, 2.5, 1.5])
+    def test_rate_at_an_odd_or_fractional_s_rejected_before_drawing(self, monkeypatch, s):
+        monkeypatch.setattr(montecarlo, "_drawer", refuse_a_drawer)
+        ens = make_ens(K=0, s=s)
+        for call in (lambda: collect_values(ens, [("energy_rate_mass", {})], 100),
+                     lambda: estimate_lp("energy_rate_total", ens, 2.0, 100),
+                     lambda: chaos_growth_check("energy_rate_leibniz", ens, [4.0], 100),
+                     lambda: lp_growth_experiment(ens, [2], [2.0, 4.0], "auto", 100)):
+            with pytest.raises(UnsupportedParameterError,
+                               match=f"even integer s >= 2, got {s}"):
+                call()
+
+    def test_entries_read_their_cutoff(self):
+        # each rate entry used to evaluate at truncation_N whatever its cutoff
+        ens = make_ens(K=8, seed=3)
+        terms = ("highlow", "mass", "leibniz", "total")
+        funcs = [(f"energy_rate_{t}", {"cutoff": 4}) for t in terms] + [
+            ("wick_mass", {"cutoff": 4}), ("wick_mass", {})]
+        values, _ = collect_values(ens, funcs, 1)
+        p = sample(ens, 0)
+        rate = energy_rate_terms(p, 2.0, 4)
+        assert values[0].tolist() == [getattr(rate, t) for t in terms] + [
+            wick_renormalized_mass(p.u, 2.0, c) for c in (4, 8)]

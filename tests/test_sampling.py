@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="cover the cutoff"):
             make_spec(K=4, N=8)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_is_one_key_word(self, seed):
+        # 2^64 + 5 used to draw seed 5's stream
+        with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\^64\)"):
+            make_spec(seed=seed)
+        make_spec(seed=2**64 - 1)  # fine
+
     def test_radius_positive(self):
         with pytest.raises(ValueError, match="positive"):
             make_spec(energy_cutoff_r=0.0)
@@ -92,6 +100,16 @@ class TestDeterminism:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="index"):
             sample(make_spec(), -1)
+
+    def test_index_beyond_a_key_word_rejected(self):
+        # sample(spec, 2^64) used to return index 0's state
+        message = f"sample index must lie in [0, 2^64), got [{2**64}, {2**64 + 1})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample(make_spec(), 2**64)
+        with pytest.raises(ValueError, match=r"index must lie in \[0, 2\^64\)"):
+            _drawer(make_spec(), False)(2**64 - 2, 2**64 + 1)
+        u, _ = _drawer(make_spec(), False)(2**64 - 2, 2**64)
+        assert len(u) == 2
 
     @given(st.sampled_from(VARIANTS), st.integers(0, 50))
     def test_structure_invariants(self, variant, index):
