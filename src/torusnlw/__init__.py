@@ -50,7 +50,6 @@ from .energy import (  # noqa: F401
     quartic_correction,
     renormalized_energy,
     truncated_energy,
-    wick_renormalized_mass,
 )
 from .measures import (  # noqa: F401
     KakutaniSummary,

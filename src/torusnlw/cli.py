@@ -54,7 +54,9 @@ from .measures import MARGINALS, kakutani_terms
 from .montecarlo import (
     FUNCTIONALS,
     MAX_P,
+    MIN_SAMPLES,
     DegenerateEnsembleError,
+    _admissible_order,
     chaos_growth_check,
     convergence_rate_study,
     resolve_radius,
@@ -290,7 +292,7 @@ _STATE = _Group({
     "zero": _Group({"max_mode": _Key("int", check=_ge(0))}, _OMIT),
 }, rules=(_one_source,), finish=_initial_state)
 
-_SAMPLES = _Key("int", check=_ge(100))
+_SAMPLES = _Key("int", check=_ge(MIN_SAMPLES))
 _P_RANGE = (lambda p: 1 <= p <= MAX_P, f"must lie in [1, {MAX_P}]")
 
 
@@ -486,7 +488,7 @@ _R = (lambda r: isinstance(r, str) or r > 0, 'must be > 0, "auto" or "inf"')
 def _functional_admits_s(cfg: dict, built):
     """Rule: the experiment's functional is studied at the ensemble's s."""
     try:
-        FUNCTIONALS[cfg["experiment"]["functional"]].admits_s(cfg["ensemble"]["s"])
+        FUNCTIONALS[cfg["experiment"]["functional"]].admits(cfg["ensemble"]["s"], {})
     except UnsupportedParameterError as exc:
         return "ensemble.s", str(exc)
     return None
@@ -612,13 +614,13 @@ def _blocks_within_cutoff(exp: dict, built):
     return ("M_list", _KIN_BLOCKS) if max(exp["M_list"]) > exp["N"] else None
 
 
-def _admissible_order(cfg: dict, built):
-    exp, s = cfg["experiment"], cfg["ensemble"]["s"]
-    limit = s if exp["field"] == "u" else s - 1
-    total = exp["order"][0] + exp["order"][1]
-    if total > limit:
-        return ("experiment.order", f"total order {total} exceeds the admissible "
-                                    f"{limit} for field '{exp['field']}'")
+def _order_admissible(cfg: dict, built):
+    """Rule: the derivative order is admissible for the field at the ensemble's s."""
+    exp = cfg["experiment"]
+    try:
+        _admissible_order(cfg["ensemble"]["s"], exp["order"], exp["field"])
+    except UnsupportedParameterError as exc:
+        return "experiment.order", str(exc)
     return None
 
 
@@ -635,7 +637,7 @@ _MC_KIN = _Group({
         "samples": _SAMPLES,
     }, rules=(_distinct("M_list", "block"), _blocks_within_cutoff)),
     "output": _OUTPUT,
-}, rules=(_admissible_order,))
+}, rules=(_order_admissible,))
 
 
 def _run_mc_kin(cfg, built, workers):

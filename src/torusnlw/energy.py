@@ -286,14 +286,6 @@ def renormalized_energy(p: PhaseState, s: float, cutoff: int,
     return float(_one(p.u, p.v, s, cutoff, equation, beta).renormalized_energy[0])
 
 
-def wick_renormalized_mass(u: SpectralField, s: float, cutoff: int,
-                           equation: str = "nlkg") -> float:
-    """int (base^s Pi_N u)^2 minus the matching counterterm; mean zero
-    under the reference Gaussian ensemble, a degree-2 polynomial in it."""
-    _check_equation(equation)
-    return float(_one(u, None, s, cutoff, equation).wick_mass[0])
-
-
 # -- chaos decomposition of the smoothed quartic ------------------------------
 
 

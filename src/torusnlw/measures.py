@@ -42,8 +42,6 @@ def _density(f: _Factors, radius: float) -> np.ndarray:
     energy is carried inside the modified one, bringing the extra factor
     along).
     """
-    if not radius > 0:
-        raise ValueError(f"cutoff radius must be positive (or inf), got {radius}")
     log_weight = -f.quartic_correction
     if f.family.wave:
         log_weight -= 0.25 * f.low_quartic

@@ -12,7 +12,8 @@ from its own tagged stream, so results are bitwise independent of the
 block size and of how the index range is split across workers.
 
 Functionals are addressed by name (plus a small parameter dict) so they
-can cross process boundaries; see FUNCTIONALS for the registry.  Every
+can cross process boundaries; see FUNCTIONALS for the registry, whose
+entries check their own parameters before any draw.  Every
 entry point takes an EnsembleSpec; the four studies read its variant, s,
 beta and seed, and draw each cutoff at its own window.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -34,6 +36,7 @@ from .sampling import EnsembleSpec, _drawer
 from .spectral import _ball, _multiply, _sup_norms, derivative, dyadic_block, quadrature_grid
 
 MAX_P = 16.0  # empirical L^p beyond this is extreme-value dominated
+MIN_SAMPLES = 100
 BOOTSTRAP_RESAMPLES = 200
 _MAX_REDRAWS = 1000  # consecutive bootstrap redraws that hold no accepted draw
 
@@ -137,33 +140,63 @@ def _reads_v(params: dict) -> bool:
     return True
 
 
+def _count(v) -> bool:
+    """An integer >= 0 (a bool is not one)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+
+
+# parameter -> (test, rule) of the values a column may give it
+_RULES = {
+    "cutoff": (_count, "cutoff must be an integer >= 0"),
+    "lower_cutoff": (_count, "lower_cutoff must be an integer >= 0"),
+    "block": (_count, "block must be an integer >= 0"),
+    "field": (lambda v: v in ("u", "v"), "field must be 'u' or 'v'"),
+    "order": (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_count, v)),
+              "order must be a pair of integers >= 0"),
+    "radius": (lambda v: isinstance(v, numbers.Real) and v > 0,
+               "cutoff radius must be positive (or inf)"),
+}
+
+
 @dataclass(frozen=True)
 class Functional:
-    """One registry entry.  `degree` is the polynomial chaos degree in the
-    Gaussian coordinates (needed by chaos_growth_check; None when the
-    functional is not homogeneous), `requires` and `optional` the parameters
-    without and with a default, `evaluate(block, params)` the values on the
-    states of the _Block, one per state, `reads_v(params)` whether those read
-    the velocity (a block draws v only when something evaluated on it does),
-    and `admits_s(s)` raises UnsupportedParameterError at an s it is not studied at."""
+    """One registry entry, FUNCTIONALS[name].  `degree` is the polynomial
+    chaos degree in the Gaussian coordinates (needed by chaos_growth_check;
+    None when the functional is not homogeneous), `requires` and `optional`
+    the parameters without and with a default, `evaluate(block, params)` the
+    values on the states of the _Block, one per state, `reads_v(params)`
+    whether those read the velocity (a block draws v only when something
+    evaluated on it does), and `s_rule(s)` raises UnsupportedParameterError
+    at an s the entry is not studied at."""
 
+    name: str
     degree: int | None
     requires: tuple
     evaluate: Callable
     reads_v: Callable = lambda params: False
     optional: tuple = ("cutoff",)
-    admits_s: Callable = lambda s: None
+    s_rule: Callable = lambda s: None
+
+    def admits(self, s: float, params: dict) -> None:
+        """Raises UnsupportedParameterError at an s the entry is not studied
+        at, or at a parameter value outside its rule in _RULES."""
+        self.s_rule(s)
+        for key, value in params.items():
+            test, rule = _RULES[key]
+            if not test(value):
+                raise UnsupportedParameterError(
+                    f"functional {self.name!r}: {rule}, got {value!r}")
 
 
-def _at_cutoff(degree: int | None, read: Callable, **kwargs) -> Functional:
+def _at_cutoff(name: str, degree: int | None, read: Callable, **kwargs) -> Functional:
     """The entry whose values are read(factors) at the column's cutoff."""
-    return Functional(degree, (), lambda block, params: read(
+    return Functional(name, degree, (), lambda block, params: read(
         block.factors(block.cutoff(params))), **kwargs)
 
 
-def _gap(read: Callable) -> Functional:
+def _gap(name: str, read: Callable) -> Functional:
     """read(factors) at the column's cutoff minus read(factors) at its lower_cutoff."""
-    return Functional(4, ("lower_cutoff",), lambda block, params: (
+    return Functional(name, 4, ("lower_cutoff",), lambda block, params: (
         read(block.factors(block.cutoff(params)))
         - read(block.factors(int(params["lower_cutoff"])))))
 
@@ -185,27 +218,26 @@ def _density_weight(block, params) -> np.ndarray:
     return _density(block.factors(block.cutoff(params)), float(params["radius"]))
 
 
-_RATE = {"reads_v": _reads_v, "admits_s": _even_order}  # the rate terms read v, need even s
+_RATE = {"reads_v": _reads_v, "s_rule": _even_order}  # the rate terms read v, need even s
 # name -> Functional; `cutoff` defaults to the ensemble's truncation_N
-FUNCTIONALS: dict = {
-    "energy_rate_total": _at_cutoff(4, lambda f: f.rate.total, **_RATE),
-    "energy_rate_highlow": _at_cutoff(4, lambda f: f.rate.highlow, **_RATE),
-    "energy_rate_mass": _at_cutoff(4, lambda f: f.rate.mass, **_RATE),
-    "energy_rate_leibniz": _at_cutoff(4, lambda f: f.rate.leibniz, **_RATE),
-    "quartic_correction": _at_cutoff(4, lambda f: f.quartic_correction),
-    "quartic_correction_gap": _gap(lambda f: f.quartic_correction),
-    "chaos_double_pair_renorm_gap": _gap(lambda f: f.chaos.double_pair_renorm),
-    "chaos_single_pair_gap": _gap(lambda f: f.chaos.single_pair),
-    "chaos_no_pair_gap": _gap(lambda f: f.chaos.no_pair),
-    "wick_mass": _at_cutoff(2, lambda f: f.wick_mass),
-    "block_sup_norm": Functional(None, ("block",), _block_sup_norm,
-                                 lambda params: _sup_field(params) == "v",
-                                 ("cutoff", "order", "field")),
-    "density_weight": Functional(None, ("radius",), _density_weight, _reads_v),
-    "truncated_energy": _at_cutoff(None, lambda f: f.truncated_energy, reads_v=_reads_v),
-    "scalar_gaussian": Functional(1, (), lambda block, params: (
+FUNCTIONALS: dict = {entry.name: entry for entry in (
+    _at_cutoff("energy_rate_total", 4, lambda f: f.rate.total, **_RATE),
+    _at_cutoff("energy_rate_highlow", 4, lambda f: f.rate.highlow, **_RATE),
+    _at_cutoff("energy_rate_mass", 4, lambda f: f.rate.mass, **_RATE),
+    _at_cutoff("energy_rate_leibniz", 4, lambda f: f.rate.leibniz, **_RATE),
+    _at_cutoff("quartic_correction", 4, lambda f: f.quartic_correction),
+    _gap("quartic_correction_gap", lambda f: f.quartic_correction),
+    _gap("chaos_double_pair_renorm_gap", lambda f: f.chaos.double_pair_renorm),
+    _gap("chaos_single_pair_gap", lambda f: f.chaos.single_pair),
+    _gap("chaos_no_pair_gap", lambda f: f.chaos.no_pair),
+    _at_cutoff("wick_mass", 2, lambda f: f.wick_mass),
+    Functional("block_sup_norm", None, ("block",), _block_sup_norm,
+               lambda params: _sup_field(params) == "v", ("cutoff", "order", "field")),
+    Functional("density_weight", None, ("radius",), _density_weight, _reads_v),
+    _at_cutoff("truncated_energy", None, lambda f: f.truncated_energy, reads_v=_reads_v),
+    Functional("scalar_gaussian", 1, (), lambda block, params: (
         block.u[:, block.ens.sample_max_mode, block.ens.sample_max_mode].real), optional=()),
-}
+)}
 
 # Bytes of grid values a block may hold: five factors' quadrature grids per
 # state.  It sets the block size from the sampling window alone.
@@ -244,11 +276,11 @@ def _check_columns(ens: EnsembleSpec, funcs) -> tuple:
         entry = FUNCTIONALS.get(name)
         if entry is None:
             raise UnsupportedParameterError(f"unknown functional {name!r}")
-        entry.admits_s(ens.s)
         if not set(entry.requires) <= set(params) <= set(entry.requires + entry.optional):
             raise UnsupportedParameterError(
                 f"functional {name!r} takes the parameters {entry.requires} and optionally "
                 f"{entry.optional}, got {sorted(params)}")
+        entry.admits(ens.s, params)
     return funcs
 
 
@@ -257,10 +289,11 @@ def collect_values(ens: EnsembleSpec, funcs, samples: int, *, workers: int = 1):
     values per (name, params) pair, FUNCTIONALS[name] with params, and the
     energy-cutoff weights.  params holds the entry's `requires` and any of
     its `optional` (`cutoff` defaults to ens.truncation_N); a column with an
-    unknown name, a missing or unread parameter, or an entry that does not
-    admit ens.s is refused before any draw.  All columns read the same
-    draws, so columns at several cutoffs draw the window once.  The output
-    is the same for every worker count."""
+    unknown name, a missing or unread parameter, or a parameter value or
+    ens.s its entry does not admit (Functional.admits) is refused before
+    any draw.  All columns read the same draws, so columns at several
+    cutoffs draw the window once.  The output is the same for every worker
+    count."""
     funcs = _check_columns(ens, funcs)
     if workers <= 1 or samples < 2 * workers:
         out = _eval_block(ens, funcs, 0, samples)
@@ -334,8 +367,8 @@ def _estimate_from_values(values: np.ndarray, weights: np.ndarray, p: float,
 def _check_p_samples(p: float, samples: int) -> None:
     if not 1.0 <= p <= MAX_P:
         raise ValueError(f"p must lie in [1, {MAX_P}], got {p}")
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
 
 
 def estimate_lp(functional: str, ens: EnsembleSpec, p: float, samples: int, *,
@@ -354,21 +387,27 @@ def estimate_lp(functional: str, ens: EnsembleSpec, p: float, samples: int, *,
 def resolve_radius(radius, ens: EnsembleSpec, *, workers: int = 1) -> float:
     """Turn a configured radius into a number.
 
-    Numbers and "inf" pass through; "auto" draws 1,000 pilot states from a
-    seed derived from the master seed (so it never reuses the estimate
-    indices) on `workers` processes and returns the 0.9 quantile of the
-    truncated energy.
+    Numbers and "inf" pass through; "auto" is the pilot's radius at
+    ens.truncation_N (_pilot_radii).
     """
     if radius != "auto":
         r = float(radius)
         if not r > 0:
             raise ValueError(f"cutoff radius must be positive, got {r}")
         return r
+    return _pilot_radii(ens, [ens.truncation_N], workers)[0]
+
+
+def _pilot_radii(ens: EnsembleSpec, cutoffs, workers: int) -> list:
+    """The "auto" radius at each cutoff: the 0.9 quantile of the truncated
+    energy at that cutoff over 1,000 pilot states of ens's window, drawn
+    once for every cutoff on `workers` processes, from a seed derived from
+    the master seed (so they never reuse the estimate indices)."""
     pilot = replace(ens, master_seed=_tag64(f"pilot-radius:{ens.master_seed}"),
                     energy_cutoff_r=math.inf)
-    energies, _ = collect_values(pilot, [("truncated_energy", {})], 1000,
-                                 workers=workers)
-    return float(np.quantile(energies[:, 0], 0.9))
+    energies, _ = collect_values(pilot, [("truncated_energy", {"cutoff": c}) for c in cutoffs],
+                                 1000, workers=workers)
+    return [float(np.quantile(column, 0.9)) for column in energies.T]
 
 
 # -- experiments ---------------------------------------------------------------
@@ -532,6 +571,16 @@ def chaos_growth_check(functional: str, ens: EnsembleSpec, p_list, samples: int,
                              raw=series)
 
 
+def _admissible_order(s: float, order, field: str) -> None:
+    """Refuses a derivative order above the field's regularity: the total
+    order may be at most s for u and s - 1 for v."""
+    limit = s if field == "u" else s - 1
+    total = order[0] + order[1]
+    if total > limit:
+        raise UnsupportedParameterError(
+            f"total order {total} exceeds the admissible {limit} for field '{field}'")
+
+
 @dataclass(frozen=True)
 class SupNormStudyResult:
     """L^p moments of dyadic-block sup norms across block frequencies."""
@@ -548,25 +597,18 @@ def sup_norm_moment_study(ens: EnsembleSpec, order, block_list, cutoff: int, p: 
                           workers: int = 1) -> SupNormStudyResult:
     """Sup norms of derivative dyadic blocks of the low-pass field: the
     L^p moments should grow at most sub-polynomially in the block
-    frequency when the derivative order is admissible."""
-    o1, o2 = (int(order[0]), int(order[1]))
-    if o1 < 0 or o2 < 0:
-        raise ValueError(f"derivative order must be nonnegative, got {(o1, o2)}")
-    total = o1 + o2
-    limit = ens.s if field == "u" else ens.s - 1
-    if field not in ("u", "v"):
-        raise ValueError(f"field must be 'u' or 'v', got {field!r}")
-    if total > limit:
-        raise UnsupportedParameterError(
-            f"derivative order {total} exceeds the admissible {limit} for field {field!r}")
+    frequency when the derivative order is admissible.  The block_sup_norm
+    columns refuse a field, order or block they do not admit."""
+    _admissible_order(ens.s, order, field)
     _check_p_samples(p, samples)
     blocks = sorted(int(m) for m in block_list)
     if len(set(blocks)) < 2:
         raise ValueError("need at least two distinct blocks (the moment-growth fit)")
     ens = _at_window(ens, cutoff)
     columns = [(f"block_sup_norm:M={m}", "block_sup_norm",
-                {"order": (o1, o2), "block": m, "field": field}) for m in blocks]
+                {"order": order, "block": m, "field": field}) for m in blocks]
     series = _draw(ens, columns, samples, workers)
+    o1, o2 = (int(order[0]), int(order[1]))  # the columns admitted a pair of integers
     rows = [EstimateRow(m, p, _estimate_from_values(values, weights, p, ens,
                                                     f"{label}:{field}:{(o1, o2)}"))
             for m, (label, values, weights) in zip(blocks, series)]
@@ -607,8 +649,8 @@ def tail_estimate_study(ens: EnsembleSpec, reference_cutoff: int, lower_cutoffs,
     lower = sorted(int(m) for m in lower_cutoffs)
     if not lower or max(lower) >= reference_cutoff:
         raise ValueError("lower cutoffs must be nonempty and < reference cutoff")
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     thresholds = [float(a) for a in thresholds]
     if any(a < 0 for a in thresholds):
         raise ValueError("thresholds must be nonnegative")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from torusnlw.montecarlo import FUNCTIONALS, _Block
+from torusnlw.montecarlo import FUNCTIONALS, _Block, _check_columns
 from torusnlw.sampling import EnsembleSpec
 from torusnlw.spectral import PhaseState, SpectralError, SpectralField, sobolev_norm
 
@@ -68,8 +68,9 @@ def random_state(rng: np.random.Generator, max_mode: int, scale: float = 1.0) ->
 
 
 def block_values(ens: EnsembleSpec, p: PhaseState, funcs) -> list:
-    """The registry's (name, params) columns on the one state p, evaluated
-    as the Monte Carlo evaluator does, on a block of one state of ens."""
+    """The registry's (name, params) columns on the one state p, checked
+    and evaluated as collect_values does, on a block of one state of ens."""
+    funcs = _check_columns(ens, funcs)
     block = _Block(p.u.coeffs[None], p.v.coeffs[None], ens)
     return [float(FUNCTIONALS[name].evaluate(block, params)[0]) for name, params in funcs]
 

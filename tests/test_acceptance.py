@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -35,13 +34,13 @@ from torusnlw import (
     lp_growth_experiment,
     project_ball,
     renormalized_energy,
-    resolve_radius,
     sample,
     trajectory,
     truncated_energy,
     wave_counterterm,
 )
 from torusnlw.cli import main
+from torusnlw.montecarlo import _pilot_radii
 
 SEED = 2026
 
@@ -305,8 +304,9 @@ def test_density_weight_norms_stable_in_cutoff(capsys):
     cutoffs = (8, 16, 32, 64)
     ens = EnsembleSpec(variant="mu_s", s=2.0, sample_max_mode=64, truncation_N=64,
                        master_seed=SEED)
-    # each cutoff's radius from its own pilot, as the truncation_N = N ensemble
-    radii = [resolve_radius("auto", replace(ens, truncation_N=N)) for N in cutoffs]
+    # each cutoff's "auto" radius, as the truncation_N = N ensemble resolves
+    # it, from one draw of the window-64 pilot states
+    radii = _pilot_radii(ens, cutoffs, 1)
     weights, accept = collect_values(
         ens, [("density_weight", {"cutoff": N, "radius": r}) for N, r in zip(cutoffs, radii)],
         10_000)

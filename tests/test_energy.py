@@ -27,7 +27,6 @@ from torusnlw.energy import (
     quartic_correction,
     renormalized_energy,
     truncated_energy,
-    wick_renormalized_mass,
     _one,
     _power,
 )
@@ -188,13 +187,22 @@ class TestRenormalizedEnergy:
         assert got == pytest.approx(0.5 + 1.5, abs=1e-14)
 
 
+def wick_mass(p: PhaseState, spec: EnsembleSpec) -> float:
+    """The registry's wick_mass of state p at spec's s and truncation_N."""
+    (value,) = block_values(spec, p, [("wick_mass", {})])
+    return value
+
+
 class TestWickMass:
     def test_single_cosine_closed_form(self):
         # sum <n>^(2s) |u_n|^2 = 2 * 4 * 1/4 = 2, sigma_1 = 3
-        assert wick_renormalized_mass(COS, 2.0, 1) == pytest.approx(-1.0, abs=1e-14)
+        p = PhaseState(COS, zero_field(1))
+        assert wick_mass(p, EnsembleSpec("mu_s", 2.0, 1, 1, 0)) == pytest.approx(
+            -1.0, abs=1e-14)
 
     def test_zero_field_gives_minus_counterterm(self):
-        assert wick_renormalized_mass(zero_field(2), 2.0, 2) == pytest.approx(
+        p = PhaseState(zero_field(2), zero_field(2))
+        assert wick_mass(p, EnsembleSpec("mu_s", 2.0, 2, 2, 0)) == pytest.approx(
             -counterterm(2), abs=1e-14
         )
 
@@ -202,9 +210,7 @@ class TestWickMass:
         # E wick = 0 by construction; 500 draws, se ~ 2 sqrt(sum <n>^-4)/sqrt(500)
         spec = EnsembleSpec(variant="mu_s", s=2.0, sample_max_mode=4,
                             truncation_N=4, master_seed=11)
-        acc = sum(
-            wick_renormalized_mass(sample(spec, i).u, 2.0, 4) for i in range(500)
-        )
+        acc = sum(wick_mass(sample(spec, i), spec) for i in range(500))
         assert abs(acc / 500) < 0.5
 
 

@@ -19,12 +19,12 @@ from torusnlw.energy import (
     energy_rate_terms,
     quartic_correction,
     truncated_energy,
-    wick_renormalized_mass,
 )
 from torusnlw.montecarlo import (
     DegenerateEnsembleError,
     FUNCTIONALS,
     _estimate_from_values,
+    _pilot_radii,
     _tag64,
     chaos_growth_check,
     collect_values,
@@ -36,8 +36,9 @@ from torusnlw.montecarlo import (
     sup_norm_moment_study,
     tail_estimate_study,
 )
-from torusnlw.sampling import EnsembleSpec, sample
-from torusnlw.spectral import PhaseState
+from torusnlw.sampling import EnsembleSpec, counterterm, sample
+from torusnlw.spectral import (PhaseState, apply_multiplier, bessel_power, inner_product,
+                               project_ball)
 
 COS = field_from_modes(1, {(1, 0): 0.5})
 
@@ -396,6 +397,14 @@ class TestResolveRadius:
         radius = resolve_radius("auto", ens, workers=workers)
         assert radius == float(np.quantile(energies, 0.9))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_pilot_gives_each_cutoffs_radius(self, workers):
+        # one draw of the window-8 pilot states serves every cutoff
+        ens = make_ens(K=8, seed=602)
+        radii = _pilot_radii(ens, [4, 8], workers)
+        assert radii == [resolve_radius("auto", replace(ens, truncation_N=N))
+                         for N in (4, 8)]
+
     def test_auto_accepts_most_samples_at_default_quantile(self):
         ens = make_ens(K=4, seed=21)
         r = resolve_radius("auto", ens)
@@ -658,5 +667,37 @@ class TestFunctionalTable:
         values, _ = collect_values(ens, funcs, 1)
         p = sample(ens, 0)
         rate = energy_rate_terms(p, 2.0, 4)
-        assert values[0].tolist() == [getattr(rate, t) for t in terms] + [
-            wick_renormalized_mass(p.u, 2.0, c) for c in (4, 8)]
+        assert values[0, :4].tolist() == [getattr(rate, t) for t in terms]
+        for value, c in zip(values[0, 4:], (4, 8)):
+            # int (J^2 Pi_c u)^2 minus the counterterm, from the public functions
+            su = apply_multiplier(project_ball(p.u, c), bessel_power(2.0))
+            assert value == pytest.approx(inner_product(su, su) - counterterm(c), rel=1e-12)
+
+    @pytest.mark.parametrize("column, rule", [
+        (("block_sup_norm", {"block": 1, "field": "w"}), "field must be 'u' or 'v'"),
+        (("block_sup_norm", {"block": 1, "order": 3}), "order must be a pair"),
+        (("block_sup_norm", {"block": 1, "order": (-1, 0)}), "order must be a pair"),
+        (("block_sup_norm", {"block": -1}), "block must be an integer >= 0"),
+        (("block_sup_norm", {"block": 1.5}), "block must be an integer >= 0"),
+        (("truncated_energy", {"cutoff": -1}), "cutoff must be an integer >= 0"),
+        (("quartic_correction", {"cutoff": True}), "cutoff must be an integer >= 0"),
+        (("quartic_correction_gap", {"lower_cutoff": -2}),
+         "lower_cutoff must be an integer >= 0"),
+        (("density_weight", {"radius": 0.0}), r"cutoff radius must be positive \(or inf\)"),
+        (("density_weight", {"radius": math.nan}), "cutoff radius must be positive"),
+        (("density_weight", {"radius": "auto"}), "cutoff radius must be positive"),
+    ])
+    def test_parameter_outside_its_rule_rejected_before_drawing(self, monkeypatch,
+                                                                column, rule):
+        monkeypatch.setattr(montecarlo, "_drawer", refuse_a_drawer)
+        with pytest.raises(UnsupportedParameterError, match=f"'{column[0]}': {rule}"):
+            collect_values(EnsembleSpec("mu_s", 2.0, 4, 4, 0), [column], 3)
+
+    @pytest.mark.parametrize("name", sorted(name for name, entry in FUNCTIONALS.items()
+                                            if "cutoff" in entry.optional))
+    def test_every_negative_cutoff_rejected_before_drawing(self, monkeypatch, name):
+        monkeypatch.setattr(montecarlo, "_drawer", refuse_a_drawer)
+        required = {"lower_cutoff": 1, "block": 1, "radius": 1.0}
+        params = {key: required[key] for key in FUNCTIONALS[name].requires}
+        with pytest.raises(UnsupportedParameterError, match=f"'{name}': cutoff must"):
+            collect_values(make_ens(K=4), [(name, {**params, "cutoff": -1})], 3)
