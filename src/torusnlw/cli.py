@@ -33,7 +33,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 from typing import Callable
 
@@ -53,8 +53,6 @@ from .energy import UnsupportedParameterError, _one, energy_report, hamiltonian
 from .measures import MARGINALS, kakutani_terms
 from .montecarlo import (
     FUNCTIONALS,
-    MAX_P,
-    MIN_SAMPLES,
     DegenerateEnsembleError,
     _admissible_order,
     chaos_growth_check,
@@ -64,6 +62,9 @@ from .montecarlo import (
     tail_estimate_study,
     lp_growth_experiment,
 )
+from .montecarlo import (_BLOCK_FIT, _CUTOFFS, _DECAY_FIT, _P, _P_FIT, _P_LIST,  # study rules
+                         _RADIUS, _REFERENCE, _RULES, _SAMPLES, _TAIL_REFERENCE, _THRESHOLDS,
+                         _below, _default_reference, _repeated, _within)
 from .sampling import _KEY_BOUND, FAMILIES, VARIANTS, EnsembleSpec, sample
 from .spectral import (
     PhaseState,
@@ -292,33 +293,17 @@ _STATE = _Group({
     "zero": _Group({"max_mode": _Key("int", check=_ge(0))}, _OMIT),
 }, rules=(_one_source,), finish=_initial_state)
 
-_SAMPLES = _Key("int", check=_ge(MIN_SAMPLES))
-_P_RANGE = (lambda p: 1 <= p <= MAX_P, f"must lie in [1, {MAX_P}]")
-
-
 def _beta_order(model: dict, built):
     if FAMILIES[model["equation"]].beta_order and not model["beta"] > 1:
         return "beta", f"{model['equation']} needs beta > 1"
     return None
 
 
-def _distinct(key: str, what: str = "cutoff"):
-    """Rule: no entry of the list `key` repeats (each cutoff is drawn once)."""
-    def rule(exp: dict, built):
-        entries = exp[key]
-        for i, entry in enumerate(entries):
-            if entry in entries[:i]:
-                return key, f"{what} {entry} is repeated"
-        return None
-    return rule
-
-
-def _below(reference: str):
-    """Rule: every lower cutoff in M_list is below the reference cutoff."""
-    def rule(exp: dict, built):
-        if max(exp["M_list"]) >= exp[reference]:
-            return "M_list", f"every M must be < {reference}"
-        return None
+def _study_rule(key: str, check, *keys):
+    """Rule: a study's check of the values at the dotted paths key and keys, refused at key."""
+    def rule(values: dict, built):
+        text = check(*(reduce(dict.get, k.split("."), values) for k in (key, *keys)))
+        return None if text is None else (key, text)
     return rule
 
 
@@ -482,7 +467,6 @@ def _run_diagnose(cfg, built, workers):
 _PARAMETERLESS = sorted(name for name, f in FUNCTIONALS.items() if not f.requires)
 _CHAOS_FUNCTIONALS = [name for name in _PARAMETERLESS
                       if FUNCTIONALS[name].degree is not None]
-_R = (lambda r: isinstance(r, str) or r > 0, 'must be > 0, "auto" or "inf"')
 
 
 def _functional_admits_s(cfg: dict, built):
@@ -502,16 +486,13 @@ def _json_radius(r: float):
 _MC_LP = _Group({
     "ensemble": _ENSEMBLE,
     "experiment": _Group({
-        "N_list": _Key("int_list", check=(lambda v: min(v) >= 1, "cutoffs must be >= 1")),
-        "p_list": _Key("number_list", check=(
-            lambda v: len(set(v)) >= 2 and all(1 <= p <= MAX_P for p in v),
-            f"needs >= 2 distinct entries, each in [1, {MAX_P}] "
-            "(the growth fit in p needs two points)")),
-        "samples": _SAMPLES,
+        "N_list": _Key("int_list", check=_CUTOFFS),
+        "p_list": _Key("number_list", check=_P_FIT),
+        "samples": _Key("int", check=_SAMPLES),
         "functional": _Key("str", "energy_rate_total", _one_of(
             _PARAMETERLESS, " (mc-lp supplies no functional parameters)")),
-        "r": _Key("radius", "auto", _R),
-    }, rules=(_distinct("N_list"),)),
+        "r": _Key("radius", "auto", _RADIUS),
+    }, rules=(_study_rule("N_list", _repeated("cutoff")),)),
     "output": _OUTPUT,
 }, rules=(_functional_admits_s,))
 
@@ -540,15 +521,13 @@ def _run_mc_lp(cfg, built, workers):
 _MC_CONVERGE = _Group({
     "ensemble": _ENSEMBLE,
     "experiment": _Group({
-        "M_list": _Key("int_list", check=(
-            lambda v: len(set(v)) >= 2 and min(v) >= 1,
-            "needs >= 2 distinct cutoffs, each >= 1 (the decay fit needs two points)"),
-            then=sorted),
-        "N_ref": _Key("int", lambda exp: 2 * max(exp["M_list"]), _ge(1)),
-        "p": _Key("number", 2.0, _P_RANGE),
-        "samples": _SAMPLES,
+        "M_list": _Key("int_list", check=_DECAY_FIT, then=sorted),
+        "N_ref": _Key("int", lambda exp: _default_reference(exp["M_list"]), _REFERENCE),
+        "p": _Key("number", 2.0, _P),
+        "samples": _Key("int", check=_SAMPLES),
         "components": _Key("bool", False),
-    }, rules=(_distinct("M_list"), _below("N_ref"))),
+    }, rules=(_study_rule("M_list", _repeated("cutoff")),
+              _study_rule("M_list", _below("N_ref"), "N_ref"))),
     "output": _OUTPUT,
 })
 
@@ -575,10 +554,9 @@ _MC_CHAOS = _Group({
     "experiment": _Group({
         "functional": _Key("str", "wick_mass", _one_of(
             _CHAOS_FUNCTIONALS, " (a declared chaos degree and no required parameters)")),
-        "p_list": _Key("number_list", check=(
-            lambda v: all(1 <= p <= MAX_P for p in v), f"each p must lie in [1, {MAX_P}]")),
-        "samples": _SAMPLES,
-        "r": _Key("radius", "inf", _R),
+        "p_list": _Key("number_list", check=_P_LIST),
+        "samples": _Key("int", check=_SAMPLES),
+        "r": _Key("radius", "inf", _RADIUS),
     }),
     "output": _OUTPUT,
 }, rules=(_functional_admits_s,))
@@ -606,38 +584,18 @@ def _run_mc_chaos(cfg, built, workers):
             "_raw": result.raw}
 
 
-_KIN_BLOCKS = ("needs >= 2 distinct blocks, each in [1, N] (the moment-growth fit "
-               "needs two points; a block M > N is empty in |n| <= N)")
-
-
-def _blocks_within_cutoff(exp: dict, built):
-    return ("M_list", _KIN_BLOCKS) if max(exp["M_list"]) > exp["N"] else None
-
-
-def _order_admissible(cfg: dict, built):
-    """Rule: the derivative order is admissible for the field at the ensemble's s."""
-    exp = cfg["experiment"]
-    try:
-        _admissible_order(cfg["ensemble"]["s"], exp["order"], exp["field"])
-    except UnsupportedParameterError as exc:
-        return "experiment.order", str(exc)
-    return None
-
-
 _MC_KIN = _Group({
     "ensemble": _ENSEMBLE,
     "experiment": _Group({
-        "order": _Key("int_pair", [0, 0], (lambda v: min(v) >= 0,
-                                           "orders must be nonnegative")),
-        "field": _Key("str", "u", (lambda v: v in ("u", "v"), "must be 'u' or 'v'")),
-        "N": _Key("int", check=_ge(1)),
-        "M_list": _Key("int_list", check=(lambda v: len(set(v)) >= 2 and min(v) >= 1,
-                                          _KIN_BLOCKS), then=sorted),
-        "p": _Key("number", 4.0, _P_RANGE),
-        "samples": _SAMPLES,
-    }, rules=(_distinct("M_list", "block"), _blocks_within_cutoff)),
+        "order": _Key("int_pair", [0, 0], (_RULES["order"][0], "orders must be nonnegative")),
+        "field": _Key("str", "u", (_RULES["field"][0], "must be 'u' or 'v'")),
+        "N": _Key("int", check=_REFERENCE),
+        "M_list": _Key("int_list", check=_BLOCK_FIT, then=sorted),
+        "p": _Key("number", 4.0, _P),
+        "samples": _Key("int", check=_SAMPLES),
+    }, rules=(_study_rule("M_list", _repeated("block")), _study_rule("M_list", _within, "N"))),
     "output": _OUTPUT,
-}, rules=(_order_admissible,))
+}, rules=(_study_rule("experiment.order", _admissible_order, "ensemble.s", "experiment.field"),))
 
 
 def _run_mc_kin(cfg, built, workers):
@@ -656,13 +614,12 @@ def _run_mc_kin(cfg, built, workers):
 _MC_TAIL = _Group({
     "ensemble": _ENSEMBLE,
     "experiment": _Group({
-        "N": _Key("int", check=_ge(2)),
-        "M_list": _Key("int_list", check=(lambda v: min(v) >= 1, "cutoffs must be >= 1"),
-                       then=sorted),
-        "alpha_list": _Key("number_list", check=(lambda v: all(a >= 0 for a in v),
-                                                 "thresholds must be >= 0")),
-        "samples": _SAMPLES,
-    }, rules=(_distinct("M_list"), _below("N"))),
+        "N": _Key("int", check=_TAIL_REFERENCE),
+        "M_list": _Key("int_list", check=_CUTOFFS, then=sorted),
+        "alpha_list": _Key("number_list", check=_THRESHOLDS),
+        "samples": _Key("int", check=_SAMPLES),
+    }, rules=(_study_rule("M_list", _repeated("cutoff")),
+              _study_rule("M_list", _below("N"), "N"))),
     "output": _OUTPUT,
 })
 

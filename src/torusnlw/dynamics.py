@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .sampling import EQUATIONS, FAMILIES
+from .sampling import EQUATIONS, FAMILIES, _require_counts
 from .spectral import PhaseState, SpectralField, _cube_half, _from_half, _frozen, _power, _symbol
 
 SCHEMES = ("strang_splitting", "rk4")
@@ -49,8 +49,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.equation not in EQUATIONS:
             raise ValueError(f"equation must be one of {EQUATIONS}, got {self.equation!r}")
-        if self.truncation_N < 0:
-            raise ValueError("truncation_N must be >= 0")
+        _require_counts(self, "truncation_N")
         if FAMILIES[self.equation].beta_order and not self.beta > 1:
             raise ValueError(f"{self.equation} needs beta > 1, got {self.beta}")
 

@@ -32,7 +32,7 @@ import numpy.ma  # noqa: F401
 
 from .energy import UnsupportedParameterError, _Factors, _even_order
 from .measures import _density
-from .sampling import EnsembleSpec, _drawer
+from .sampling import EnsembleSpec, _count, _drawer
 from .spectral import _ball, _multiply, _sup_norms, derivative, dyadic_block, quadrature_grid
 
 MAX_P = 16.0  # empirical L^p beyond this is extreme-value dominated
@@ -140,11 +140,6 @@ def _reads_v(params: dict) -> bool:
     return True
 
 
-def _count(v) -> bool:
-    """An integer >= 0 (a bool is not one)."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
-
-
 # parameter -> (test, rule) of the values a column may give it
 _RULES = {
     "cutoff": (_count, "cutoff must be an integer >= 0"),
@@ -153,7 +148,7 @@ _RULES = {
     "field": (lambda v: v in ("u", "v"), "field must be 'u' or 'v'"),
     "order": (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_count, v)),
               "order must be a pair of integers >= 0"),
-    "radius": (lambda v: isinstance(v, numbers.Real) and v > 0,
+    "radius": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and v > 0,
                "cutoff radius must be positive (or inf)"),
 }
 
@@ -364,18 +359,69 @@ def _estimate_from_values(values: np.ndarray, weights: np.ndarray, p: float,
     )
 
 
-def _check_p_samples(p: float, samples: int) -> None:
-    if not 1.0 <= p <= MAX_P:
-        raise ValueError(f"p must lie in [1, {MAX_P}], got {p}")
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
+# -- study argument rules, which the CLI's experiment specs read too -----------
+# Each is a (test, refusal text) pair or a check of several values returning the text.
+
+_P = (lambda p: not isinstance(p, bool) and 1 <= p <= MAX_P, f"must lie in [1, {MAX_P}]")
+_P_LIST = (lambda v: all(map(_P[0], v)), f"each p must lie in [1, {MAX_P}]")
+_P_FIT = (lambda v: len(set(v)) >= 2 and _P_LIST[0](v), f"needs >= 2 distinct "
+          f"entries, each in [1, {MAX_P}] (the growth fit in p needs two points)")
+_SAMPLES = (lambda n: n >= MIN_SAMPLES, f"must be >= {MIN_SAMPLES}")
+_NONEMPTY = (lambda v: len(v) > 0, "must be nonempty")
+_INTEGER = (_count, "must be an integer >= 0")
+_REFERENCE = (lambda n: n >= 1, "must be >= 1")
+_TAIL_REFERENCE = (lambda n: n >= 2, "must be >= 2")  # room for one M >= 1 below it
+_INTEGERS = (lambda v: all(map(_count, v)), "must hold integers >= 0 only")
+_CUTOFFS = (lambda v: min(v) >= 1, "cutoffs must be >= 1")
+_DECAY_FIT = (lambda v: len(set(v)) >= 2 and min(v) >= 1,
+              "needs >= 2 distinct cutoffs, each >= 1 (the decay fit needs two points)")
+_BLOCK_FIT = (_DECAY_FIT[0], "needs >= 2 distinct blocks, each in [1, N] (the moment-growth "
+              "fit needs two points; a block M > N is empty in |n| <= N)")
+_THRESHOLDS = (lambda v: all(a >= 0 for a in v), "thresholds must be >= 0")
+_RADIUS = (lambda r: r in ("auto", "inf") or _RULES["radius"][0](r),
+           'must be > 0, "auto" or "inf"')
+
+
+def _repeated(what: str):
+    """Check: the first entry of a list that repeats (each cutoff is drawn once)."""
+    return lambda v: next((f"{what} {m} is repeated" for i, m in enumerate(v)
+                           if m in v[:i]), None)
+
+
+def _below(reference: str):
+    """Check: every lower cutoff M lies below the reference cutoff."""
+    return lambda lower, ref: None if max(lower) < ref else f"every M must be < {reference}"
+
+
+def _within(blocks, cutoff: int):
+    """Check: no block lies beyond the cutoff, where it is empty."""
+    return None if max(blocks) <= cutoff else _BLOCK_FIT[1]
+
+
+def _default_reference(lower) -> int:
+    return 2 * max(lower, default=0)  # a gap study's reference cutoff when it names none
+
+
+def _refuse(*rules) -> None:
+    """Runs (argument, rule, its value, other values the rule reads) in order,
+    before any pilot or draw; the first broken one raises ValueError naming the
+    argument.  (The CLI's JSON kinds refuse first what _NONEMPTY and _INTEGERS do.)"""
+    for arg, rule, *values in rules:
+        text = rule(*values) if callable(rule) else None if rule[0](*values) else rule[1]
+        if text is not None:
+            raise ValueError(f"{arg}: {text}, got {values[0]!r}")
+
+
+def _cutoff_list(arg: str, cutoffs, rule, what: str = "cutoff") -> tuple:
+    """The rules of a list of cutoffs or blocks, for _refuse."""
+    return tuple((arg, r, cutoffs) for r in (_NONEMPTY, _INTEGERS, rule, _repeated(what)))
 
 
 def estimate_lp(functional: str, ens: EnsembleSpec, p: float, samples: int, *,
                 params: dict | None = None, workers: int = 1) -> LpEstimate:
     """Weighted empirical L^p norm of one functional under the cutoff
     ensemble.  Deterministic given (ens, p, samples)."""
-    _check_p_samples(p, samples)
+    _refuse(("p", _P, p), ("samples", _SAMPLES, samples))
     tag = f"{functional}:{sorted((params or {}).items())}"
     ((_, values, weights),) = _draw(ens, [(tag, functional, params)], samples, workers)
     return _estimate_from_values(values, weights, p, ens, tag)
@@ -390,11 +436,9 @@ def resolve_radius(radius, ens: EnsembleSpec, *, workers: int = 1) -> float:
     Numbers and "inf" pass through; "auto" is the pilot's radius at
     ens.truncation_N (_pilot_radii).
     """
+    _refuse(("radius", _RADIUS, radius))
     if radius != "auto":
-        r = float(radius)
-        if not r > 0:
-            raise ValueError(f"cutoff radius must be positive, got {r}")
-        return r
+        return float(radius)
     return _pilot_radii(ens, [ens.truncation_N], workers)[0]
 
 
@@ -452,10 +496,8 @@ def lp_growth_experiment(ens: EnsembleSpec, cutoff_list, p_list, radius, samples
     the resolved radius; values are drawn once per cutoff and reused
     across all p.
     """
-    if not cutoff_list or len(set(p_list)) < 2:
-        raise ValueError("need a cutoff and at least two distinct p (the fit in p)")
-    for p in p_list:
-        _check_p_samples(p, samples)
+    _refuse(*_cutoff_list("cutoff_list", cutoff_list, _CUTOFFS), ("p_list", _P_FIT, p_list),
+            ("samples", _SAMPLES, samples), ("radius", _RADIUS, radius))
     _check_columns(ens, [(functional, None)])  # before the first pilot draws
     rows, fits, radii, raw = [], [], [], []
     for cutoff in cutoff_list:
@@ -470,10 +512,8 @@ def lp_growth_experiment(ens: EnsembleSpec, cutoff_list, p_list, radius, samples
         ests = [_estimate_from_values(values, weights, p, spec, label) for p in p_list]
         rows.extend(EstimateRow(cutoff, p, e) for p, e in zip(p_list, ests))
         fits.append((cutoff, fit_rate(p_list, [e.value for e in ests])))
-    spread = []
-    for p in p_list:
-        vals = [row.estimate.value for row in rows if row.p == p]
-        spread.append((p, max(vals) / min(vals)))
+    spread = [(p, max(row.estimate.value for row in rows if row.p == p)
+               / min(row.estimate.value for row in rows if row.p == p)) for p in p_list]
     return GrowthStudyResult(rows=tuple(rows), p_fits=tuple(fits),
                              spread_by_p=tuple(spread), radii=tuple(radii),
                              raw=tuple(raw))
@@ -500,13 +540,12 @@ def convergence_rate_study(ens: EnsembleSpec, lower_cutoffs, p: float, samples: 
                            workers: int = 1) -> ConvergenceStudyResult:
     """Rate at which the quartic correction at a frozen reference cutoff
     is approximated by lower cutoffs, in L^p of the plain ensemble."""
-    lower = sorted(int(m) for m in lower_cutoffs)
-    if len(set(lower)) < 2:
-        raise ValueError("need at least two distinct lower cutoffs (the decay fit)")
-    n_ref = int(reference_cutoff) if reference_cutoff is not None else 2 * max(lower)
-    if max(lower) >= n_ref:
-        raise ValueError(f"every lower cutoff must be < reference {n_ref}")
-    _check_p_samples(p, samples)
+    lower = sorted(lower_cutoffs)
+    n_ref = _default_reference(lower) if reference_cutoff is None else reference_cutoff
+    _refuse(*_cutoff_list("lower_cutoffs", lower, _DECAY_FIT),
+            ("reference_cutoff", _INTEGER, n_ref), ("reference_cutoff", _REFERENCE, n_ref),
+            ("p", _P, p), ("samples", _SAMPLES, samples),
+            ("lower_cutoffs", _below("reference_cutoff"), lower, n_ref))
     ens = _at_window(ens, n_ref)
     names = ("quartic_correction_gap",)
     if components:
@@ -551,8 +590,8 @@ def chaos_growth_check(functional: str, ens: EnsembleSpec, p_list, samples: int,
         raise UnsupportedParameterError(
             f"functional {functional!r} has no declared chaos degree")
     degree = entry.degree
-    for p in p_list:
-        _check_p_samples(p, samples)
+    _refuse(("p_list", _NONEMPTY, p_list), ("p_list", _P_LIST, p_list),
+            ("samples", _SAMPLES, samples))
     tag = f"{functional}:[]"  # estimate_lp's tag of a parameterless column
     series = _draw(ens, [(tag, functional, None)], samples, workers)
     ((_, values, weights),) = series
@@ -571,14 +610,12 @@ def chaos_growth_check(functional: str, ens: EnsembleSpec, p_list, samples: int,
                              raw=series)
 
 
-def _admissible_order(s: float, order, field: str) -> None:
-    """Refuses a derivative order above the field's regularity: the total
-    order may be at most s for u and s - 1 for v."""
-    limit = s if field == "u" else s - 1
-    total = order[0] + order[1]
-    if total > limit:
-        raise UnsupportedParameterError(
-            f"total order {total} exceeds the admissible {limit} for field '{field}'")
+def _admissible_order(order, s: float, field: str):
+    """Check: the total derivative order is at most the field's regularity,
+    s for u and s - 1 for v."""
+    limit, total = (s if field == "u" else s - 1), order[0] + order[1]
+    return None if total <= limit else (
+        f"total order {total} exceeds the admissible {limit} for field '{field}'")
 
 
 @dataclass(frozen=True)
@@ -599,14 +636,16 @@ def sup_norm_moment_study(ens: EnsembleSpec, order, block_list, cutoff: int, p: 
     L^p moments should grow at most sub-polynomially in the block
     frequency when the derivative order is admissible.  The block_sup_norm
     columns refuse a field, order or block they do not admit."""
-    _admissible_order(ens.s, order, field)
-    _check_p_samples(p, samples)
-    blocks = sorted(int(m) for m in block_list)
-    if len(set(blocks)) < 2:
-        raise ValueError("need at least two distinct blocks (the moment-growth fit)")
-    ens = _at_window(ens, cutoff)
+    blocks = sorted(block_list)
+    _refuse(("cutoff", _INTEGER, cutoff), ("cutoff", _REFERENCE, cutoff), ("p", _P, p),
+            ("samples", _SAMPLES, samples),
+            *_cutoff_list("block_list", blocks, _BLOCK_FIT, "block"),
+            ("block_list", _within, blocks, cutoff))
     columns = [(f"block_sup_norm:M={m}", "block_sup_norm",
                 {"order": order, "block": m, "field": field}) for m in blocks]
+    _check_columns(ens, [(name, params) for _, name, params in columns])
+    _refuse(("order", _admissible_order, order, ens.s, field))
+    ens = _at_window(ens, cutoff)
     series = _draw(ens, columns, samples, workers)
     o1, o2 = (int(order[0]), int(order[1]))  # the columns admitted a pair of integers
     rows = [EstimateRow(m, p, _estimate_from_values(values, weights, p, ens,
@@ -646,27 +685,20 @@ def tail_estimate_study(ens: EnsembleSpec, reference_cutoff: int, lower_cutoffs,
     Tail decay in the threshold and improvement with growing M are the
     two testable signatures; zero observed exceedances are reported as
     the 1/samples resolution bound and flagged."""
-    lower = sorted(int(m) for m in lower_cutoffs)
-    if not lower or max(lower) >= reference_cutoff:
-        raise ValueError("lower cutoffs must be nonempty and < reference cutoff")
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
+    lower = sorted(lower_cutoffs)
+    _refuse(("reference_cutoff", _INTEGER, reference_cutoff),
+            ("reference_cutoff", _TAIL_REFERENCE, reference_cutoff),
+            *_cutoff_list("lower_cutoffs", lower, _CUTOFFS),
+            ("lower_cutoffs", _below("reference_cutoff"), lower, reference_cutoff),
+            ("thresholds", _THRESHOLDS, thresholds), ("samples", _SAMPLES, samples))
     thresholds = [float(a) for a in thresholds]
-    if any(a < 0 for a in thresholds):
-        raise ValueError("thresholds must be nonnegative")
     ens = _at_window(ens, reference_cutoff)
     series = _draw(ens, _gap_columns(("quartic_correction_gap",), lower), samples, workers)
-    rows = []
-    prob_table = {}
-    for m, (_, values, _) in zip(lower, series):
-        gaps = np.abs(values)
-        for a in thresholds:
-            count = int((gaps > a).sum())
-            flagged = count == 0
-            prob = (1.0 / samples) if flagged else count / samples
-            rows.append(TailRow(lower_cutoff=m, threshold=a, exceedances=count,
-                                probability=prob, is_upper_bound=flagged))
-            prob_table[(m, a)] = prob
+    # no exceedance is reported as the 1/samples resolution bound
+    rows = [TailRow(m, a, (count := int((np.abs(values) > a).sum())),
+                    max(count, 1) / samples, count == 0)
+            for m, (_, values, _) in zip(lower, series) for a in thresholds]
+    prob_table = {(row.lower_cutoff, row.threshold): row.probability for row in rows}
     thr_sorted = sorted(thresholds)
     threshold_monotone = all(
         prob_table[(m, lo)] >= prob_table[(m, hi)]

@@ -29,6 +29,7 @@ index.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -73,6 +74,18 @@ EQUATION_FOR_VARIANT = {f.variant: equation for equation, f in FAMILIES.items()}
 _KEY_BOUND = 1 << 64  # a seed or an index is one 64-bit word of a Philox key
 
 
+def _count(v) -> bool:
+    """An integer >= 0 (a bool is not one)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+
+
+def _require_counts(spec, *names) -> None:
+    """Refuses, naming it, the first field of spec that is not an integer >= 0."""
+    for name in names:
+        if not _count(getattr(spec, name)):
+            raise ValueError(f"{name} must be an integer >= 0, got {getattr(spec, name)!r}")
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Defines one reproducible Gaussian ensemble.
@@ -98,10 +111,9 @@ class EnsembleSpec:
             raise ValueError(f"s must be > 1, got {self.s}")
         if not 0 <= self.master_seed < _KEY_BOUND:
             raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
+        _require_counts(self, "master_seed", "sample_max_mode", "truncation_N")
         if FAMILIES[self.equation].beta_order and not self.beta > 1:
             raise ValueError(f"{self.variant} needs beta > 1, got {self.beta}")
-        if self.truncation_N < 0:
-            raise ValueError("truncation_N must be >= 0")
         if self.sample_max_mode < self.truncation_N:
             raise ValueError(
                 f"sample_max_mode {self.sample_max_mode} < truncation_N "

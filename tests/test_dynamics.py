@@ -71,6 +71,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="beta"):
             ModelSpec(equation="nlkg_beta", truncation_N=4, beta=0.5)
 
+    @pytest.mark.parametrize("cutoff", [2.5, True, -1])
+    def test_cutoff_is_a_count(self, cutoff):
+        with pytest.raises(ValueError,
+                           match=f"truncation_N must be an integer >= 0, got {cutoff}"):
+            ModelSpec(equation="nlkg", truncation_N=cutoff)
+
     def test_scheme_checked(self):
         with pytest.raises(ValueError, match="scheme"):
             IntegratorSpec(scheme="euler")

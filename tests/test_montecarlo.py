@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import block_values, field_from_modes
+from test_cli import DROP, REJECTIONS, VALID
 import torusnlw.energy as energy
 import torusnlw.montecarlo as montecarlo
 import torusnlw.sampling as sampling
@@ -20,7 +22,9 @@ from torusnlw.energy import (
     quartic_correction,
     truncated_energy,
 )
+from torusnlw import cli
 from torusnlw.montecarlo import (
+    _RULES,
     DegenerateEnsembleError,
     FUNCTIONALS,
     _estimate_from_values,
@@ -125,6 +129,61 @@ class TestEstimateLp:
         a = estimate_lp("wick_mass", ens, 2.0, 200)
         b = estimate_lp("wick_mass", ens, 2.0, 200)
         assert a == b
+
+
+def half_ball_sq(N: int) -> np.ndarray:
+    """|n|^2 over one of each pair +-n in the ball |n| <= N, without n = 0."""
+    n1, n2 = np.meshgrid(np.arange(-N, N + 1), np.arange(-N, N + 1), indexing="ij")
+    sq = n1**2 + n2**2
+    return sq[((n2 > 0) | ((n2 == 0) & (n1 > 0))) & (sq <= N * N)].astype(float)
+
+
+def wick_mass_moments(variant: str, s: float, beta: float, N: int, order: int) -> list:
+    """E X^k, k = 0..order, of wick_mass at cutoff N, exactly, from its
+    cumulants.  X is z g_0^2 + sum c_n E_n plus a constant, over the half
+    ball (E_n = |g_n|^2 is exponential), so kappa_k = (k-1)! (z 2^(k-1) +
+    sum c_n^k) for k >= 2, and the moments follow by the cumulant recursion."""
+    sq = half_ball_sq(N)
+    c, z, mean = {
+        "mu_s": (2 / (1 + sq), 1, 0.0),
+        "mu_tilde_s": (2 * sq**s / (1 + sq + sq ** (s + 1)), 0, 0.0),
+        "mu_s_beta": (2 * (1 + sq) ** -beta, 1, 1 + float(np.sum(2 * (1 + sq) ** -beta))),
+    }[variant]
+    kappa = [0.0, mean] + [math.factorial(k - 1) * (z * 2 ** (k - 1) + float(np.sum(c**k)))
+                           for k in range(2, order + 1)]
+    moments = [1.0]
+    for n in range(1, order + 1):
+        moments.append(sum(math.comb(n - 1, k - 1) * kappa[k] * moments[n - k]
+                           for k in range(1, n + 1)))
+    return moments
+
+
+class TestExactWickMassMoments:
+    """The degree-2 chaos wick_mass has exact moments: the Monte Carlo values
+    must hold them within 4 standard errors of the draws."""
+
+    def test_mean_second_and_fourth_moments(self, capsys):
+        zs = {}
+        for variant, beta in (("mu_s", 0.0), ("mu_tilde_s", 0.0), ("mu_s_beta", 1.5)):
+            for N in (4, 8):
+                exact = wick_mass_moments(variant, 2.0, beta, N, 4)
+                values, _ = collect_values(EnsembleSpec(variant, 2.0, N, N, 7, beta),
+                                           [("wick_mass", {})], 20000)
+                for k in (1, 2, 4):
+                    power = values[:, 0] ** k
+                    error = power.std(ddof=1) / math.sqrt(power.size)
+                    zs[(variant, N, k)] = (power.mean() - exact[k]) / error
+        # the exact norms of the hypercontractivity check's case, N = 16; p = 8 is
+        # not judged against draws, whose tail makes its standard error unreliable
+        m = wick_mass_moments("mu_s", 2.0, 0.0, 16, 8)
+        norms = [m[p] ** (1 / p) for p in (2, 4, 8)]
+        worst = max(zs, key=lambda key: abs(zs[key]))
+        with capsys.disabled():
+            print(f"[exact wick_mass moments] max |z| {abs(zs[worst]):.2f} at {worst} over "
+                  f"mean, E X^2, E X^4 (3 families x N = 4, 8, 20000 draws); mu_s N = 16 "
+                  f"exact ||X||_2,4,8 = {', '.join(f'{v:.4f}' for v in norms)}", flush=True)
+        assert all(abs(z) <= 4.0 for z in zs.values()), zs
+        assert norms == pytest.approx([2.5354, 3.6982, 6.4383], abs=5e-5)
 
 
 class TestNonFiniteValues:
@@ -377,7 +436,7 @@ class TestResolveRadius:
         assert resolve_radius(math.inf, ens) == math.inf
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match='radius: must be > 0, "auto" or "inf", got 0.0'):
             resolve_radius(0.0, make_ens())
 
     def test_auto_is_deterministic_and_plausible(self):
@@ -616,8 +675,162 @@ class TestStudiesDrawFromTheBaseEnsemble:
     @pytest.mark.parametrize("study", sorted(ONE_POINT))
     def test_fit_through_one_point_refused_before_drawing(self, monkeypatch, study):
         monkeypatch.setattr(montecarlo, "collect_values", refuse_to_draw)
-        with pytest.raises(ValueError, match="at least two distinct"):
+        with pytest.raises(ValueError, match="needs >= 2 distinct"):
             ONE_POINT[study](at_window("mu_s", 0.0, 0))
+
+
+# the base ensemble of the argument-rule probes; a study sets its windows
+PROBE_ENS = EnsembleSpec("mu_s", 2.0, 0, 0, 0)
+# (study call on bad arguments, start of its refusal): each call used to
+# draw before it failed, ran on truncated values or drew a cutoff twice
+PROBES = {
+    "converge-M0": (lambda: convergence_rate_study(PROBE_ENS, [0, 2], 2.0, 2000),
+                    "lower_cutoffs: needs >= 2 distinct cutoffs, each >= 1"),
+    "kin-M0": (lambda: sup_norm_moment_study(PROBE_ENS, (0, 0), [0, 16], 4, 2.0, 2000),
+               "block_list: needs >= 2 distinct blocks, each in [1, N]"),
+    "lp-repeated": (lambda: lp_growth_experiment(PROBE_ENS, [4, 4], [2.0, 4.0], "inf", 100),
+                    "cutoff_list: cutoff 4 is repeated"),
+    "tail-repeated": (lambda: tail_estimate_study(PROBE_ENS, 8, [2, 2], [0.0], 100),
+                      "lower_cutoffs: cutoff 2 is repeated"),
+    "converge-repeated": (lambda: convergence_rate_study(PROBE_ENS, [2, 2, 4], 2.0, 100),
+                          "lower_cutoffs: cutoff 2 is repeated"),
+    "kin-fractional": (lambda: sup_norm_moment_study(PROBE_ENS, (0, 0), [1.5, 2.7], 4, 2.0,
+                                                     100),
+                       "block_list: must hold integers >= 0 only"),
+    "converge-fractional": (lambda: convergence_rate_study(PROBE_ENS, [2.5, 3.9], 2.0, 100),
+                            "lower_cutoffs: must hold integers >= 0 only"),
+    "converge-fractional-reference": (
+        lambda: convergence_rate_study(PROBE_ENS, [2, 4], 2.0, 100, reference_cutoff=8.7),
+        "reference_cutoff: must be an integer >= 0, got 8.7"),
+    "lp-fractional": (lambda: lp_growth_experiment(PROBE_ENS, [1.5, 4], [2.0, 4.0], "inf",
+                                                   100),
+                      "cutoff_list: must hold integers >= 0 only"),
+    "tail-fractional-reference": (lambda: tail_estimate_study(PROBE_ENS, 8.5, [2, 4], [0.0],
+                                                              100),
+                                  "reference_cutoff: must be an integer >= 0, got 8.5"),
+    "chaos-no-p": (lambda: chaos_growth_check("wick_mass", PROBE_ENS, [], 100),
+                   "p_list: must be nonempty, got []"),
+    "estimate-samples": (lambda: estimate_lp("wick_mass", PROBE_ENS, 2.0, 99),
+                         "samples: must be >= 100, got 99"),
+    # p = True ran as p = 1 with another bootstrap stream
+    "estimate-bool-p": (lambda: estimate_lp("wick_mass", PROBE_ENS, True, 100),
+                        "p: must lie in [1, 16.0], got True"),
+    "radius-nan": (lambda: resolve_radius(math.nan, PROBE_ENS), "radius: must be > 0"),
+    "radius-bool": (lambda: resolve_radius(True, PROBE_ENS), "radius: must be > 0"),
+}
+
+# The mc-* rows of the CLI's rejection table whose key is a study argument:
+# each command's study on the experiment as the CLI passes it, and the
+# study's name of each experiment key.
+STUDY_OF = {
+    "mc-lp": (lambda exp: lp_growth_experiment(
+        PROBE_ENS, exp["N_list"], exp["p_list"], exp["r"], exp["samples"],
+        functional=exp.get("functional", "energy_rate_total")),
+        {"N_list": "cutoff_list", "p_list": "p_list", "samples": "samples", "r": "radius",
+         "functional": "functional"}),
+    "mc-converge": (lambda exp: convergence_rate_study(
+        PROBE_ENS, exp["M_list"], exp.get("p", 2.0), exp["samples"],
+        reference_cutoff=exp.get("N_ref")),
+        {"M_list": "lower_cutoffs", "N_ref": "reference_cutoff", "p": "p",
+         "samples": "samples"}),
+    "mc-chaos": (lambda exp: chaos_growth_check(exp.get("functional", "wick_mass"), replace(
+        PROBE_ENS, energy_cutoff_r=resolve_radius(exp.get("r", "inf"), PROBE_ENS)),
+        exp["p_list"], exp["samples"]),
+        {"p_list": "p_list", "samples": "samples", "r": "radius", "functional": "functional"}),
+    "mc-kin": (lambda exp: sup_norm_moment_study(
+        PROBE_ENS, tuple(exp.get("order", (0, 0))), exp["M_list"], exp["N"],
+        exp.get("p", 4.0), exp["samples"], field=exp.get("field", "u")),
+        {"order": "order", "field": "field", "M_list": "block_list", "N": "cutoff", "p": "p",
+         "samples": "samples"}),
+    "mc-tail": (lambda exp: tail_estimate_study(
+        PROBE_ENS, exp["N"], exp["M_list"], exp["alpha_list"], exp["samples"]),
+        {"N": "reference_cutoff", "M_list": "lower_cutoffs", "alpha_list": "thresholds",
+         "samples": "samples"}),
+}
+# Texts of the CLI's JSON kinds, which refuse first what a study refuses in
+# its own words.  An infinite radius or threshold is legal in the library
+# (no conditioning, no exceedance), and a missing key has no library form.
+KIND_TEXTS = ("expected ", "must be finite", "missing required")
+# Keys whose rule is the registry's, worded by the CLI: the functional's name
+# (the CLI lists FUNCTIONALS), and mc-kin's field and order, which the CLI
+# tests with montecarlo._RULES and the study passes to its columns.
+REGISTRY_RULES = {"functional": "one of ", "field": "must be 'u' or 'v'",
+                  "order": "orders must be nonnegative"}
+# a study names its reference argument where the CLI names its key
+REFERENCE_NAMES = {"every M must be < N_ref": "every M must be < reference_cutoff",
+                   "every M must be < N": "every M must be < reference_cutoff"}
+
+
+def _key(message: str) -> tuple:
+    """(experiment key, text) of a CLI refusal."""
+    key_path, text = message.split(": ", 1)
+    return key_path.split(".")[-1], text
+
+
+def _holds_inf(value) -> bool:
+    return math.inf in (value if isinstance(value, list) else [value])
+
+
+EXPERIMENT_ROWS = {  # the mc-* rows refused at an experiment key, by id
+    f"{c}:{p}={'DROP' if v is DROP else repr(v)}": (c, p, v, m)
+    for c, p, v, m in REJECTIONS if c in STUDY_OF and m.startswith("experiment.")}
+CLI_ROWS = {  # those whose value a study argument can take
+    row: (command, path, value, message)
+    for row, (command, path, value, message) in EXPERIMENT_ROWS.items()
+    if value is not DROP and not _holds_inf(value) and _key(message)[0] in STUDY_OF[command][1]}
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fails the test when collect_values runs or a drawer is built."""
+    monkeypatch.setattr(montecarlo, "collect_values", refuse_to_draw)
+    monkeypatch.setattr(montecarlo, "_drawer", refuse_a_drawer)
+
+
+def study_call(command, path, value):
+    """The command's study on the row's edited experiment, as a call."""
+    study, _ = STUDY_OF[command]
+    exp = copy.deepcopy(value if path == "experiment" else VALID[command]["experiment"])
+    if path != "experiment":
+        exp[path.split(".")[1]] = copy.deepcopy(value)
+    return lambda: study(exp)
+
+
+def refusal(call) -> str:
+    with pytest.raises(ValueError) as refused:
+        call()
+    return str(refused.value)
+
+
+# every probe, and every CLI row a study argument can express (any text)
+REFUSED = {**PROBES, **{row: (study_call(*CLI_ROWS[row][:3]), "") for row in CLI_ROWS}}
+
+
+class TestStudyArgumentRules:
+    """Each study refuses a bad argument before any pilot or draw, with the
+    text the CLI gives the same rule."""
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused_before_drawing(self, no_draws, case):
+        call, start = REFUSED[case]
+        assert refusal(call).startswith(start)
+
+    @pytest.mark.parametrize("row", sorted(EXPERIMENT_ROWS))
+    def test_cli_rule_texts_come_from_the_study(self, no_draws, row):
+        # every experiment rule of an mc-* command is a study's: a rule written
+        # in the CLI alone fails here
+        command, path, value, message = EXPERIMENT_ROWS[row]
+        key, text = _key(message)
+        if key in REGISTRY_RULES and text.startswith(REGISTRY_RULES[key]):
+            if key != "functional":
+                assert cli._MC_KIN.keys["experiment"].keys[key].check[0] is _RULES[key][0]
+            return
+        if text.startswith(KIND_TEXTS):
+            return
+        names = STUDY_OF[command][1]
+        assert key in names, f"{message}: no study argument"
+        assert refusal(study_call(command, path, value)).startswith(
+            f"{names[key]}: {REFERENCE_NAMES.get(text, text)}, got ")
 
 
 class TestFunctionalTable:
@@ -686,6 +899,7 @@ class TestFunctionalTable:
         (("density_weight", {"radius": 0.0}), r"cutoff radius must be positive \(or inf\)"),
         (("density_weight", {"radius": math.nan}), "cutoff radius must be positive"),
         (("density_weight", {"radius": "auto"}), "cutoff radius must be positive"),
+        (("density_weight", {"radius": True}), "cutoff radius must be positive"),
     ])
     def test_parameter_outside_its_rule_rejected_before_drawing(self, monkeypatch,
                                                                 column, rule):

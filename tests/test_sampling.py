@@ -63,6 +63,17 @@ class TestSpecValidation:
             make_spec(seed=seed)
         make_spec(seed=2**64 - 1)  # fine
 
+    @pytest.mark.parametrize("field, value", [
+        ("master_seed", 1.5), ("master_seed", True), ("sample_max_mode", 2.5),
+        ("sample_max_mode", True), ("truncation_N", 1.5), ("truncation_N", False)])
+    def test_counts_are_integers(self, field, value):
+        # seeds 1.5 and True used to draw seed 1's states bit for bit, and a
+        # window of 2.5 failed in sample with a bare TypeError
+        counts = {"master_seed": 1, "sample_max_mode": 4, "truncation_N": 2, field: value}
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{field} must be an integer >= 0, got {value!r}")):
+            EnsembleSpec("mu_s", 2.0, **counts)
+
     def test_radius_positive(self):
         with pytest.raises(ValueError, match="positive"):
             make_spec(energy_cutoff_r=0.0)
