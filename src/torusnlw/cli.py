@@ -14,8 +14,9 @@ a spec and returns the resolved config, which metadata.json stores under
 ``config``, together with the objects the spec's groups build on the way
 (the ``EnsembleSpec``, the ``IntegratorSpec``, the initial state), so a
 library ``ValueError`` from them is a config error under the group's key
-path.  Checks that
-span keys are small rules attached to the group that holds those keys.
+path.  Checks that span keys are rules attached to the group that holds
+those keys.  Checks and rules are the library's own rule objects, so the
+CLI and a library call refuse a value with the same text.
 
 The TORUSNLW_OUTPUT_DIR environment variable overrides the configured
 output directory; --workers bounds sampling parallelism without changing
@@ -41,8 +42,9 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    EQUATIONS,
-    SCHEMES,
+    _DT,
+    _SCHEME,
+    _STRIDE,
     IntegrationError,
     IntegratorSpec,
     ModelSpec,
@@ -50,7 +52,7 @@ from .dynamics import (
     trajectory,
 )
 from .energy import UnsupportedParameterError, _one, energy_report, hamiltonian
-from .measures import MARGINALS, kakutani_terms
+from .measures import _KAKUTANI_S, _MARGINAL, kakutani_terms
 from .montecarlo import (
     FUNCTIONALS,
     DegenerateEnsembleError,
@@ -65,7 +67,8 @@ from .montecarlo import (
 from .montecarlo import (_BLOCK_FIT, _CUTOFFS, _DECAY_FIT, _P, _P_FIT, _P_LIST,  # study rules
                          _RADIUS, _REFERENCE, _RULES, _SAMPLES, _TAIL_REFERENCE, _THRESHOLDS,
                          _below, _default_reference, _repeated, _within)
-from .sampling import _KEY_BOUND, FAMILIES, VARIANTS, EnsembleSpec, sample
+from .sampling import (_EQUATION, _KEY, _REGULARITY, _VARIANT, EnsembleSpec,  # model rules
+                       _beta_above_one, _broken, _covers, _real, sample)
 from .spectral import (
     PhaseState,
     sobolev_norm,
@@ -90,12 +93,13 @@ _OMIT = object()      # an absent key stays out of the resolved config
 @dataclass(frozen=True)
 class _Key:
     """One config value.  default is a value, a function of the values of
-    the group resolved so far, _REQUIRED or _OMIT; check is a (test,
-    message) pair; then maps the checked value to its resolved form."""
+    the group resolved so far, _REQUIRED or _OMIT; check is a rule of the
+    checked value, a (test, message) pair or a check returning the message;
+    then maps the checked value to its resolved form."""
 
     kind: str
     default: object = _REQUIRED
-    check: tuple | None = None
+    check: object = None
     then: Callable | None = None
 
 
@@ -117,10 +121,6 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _finite(v) -> bool:
     """No NaN or +-Infinity (Python's JSON parser reads them) in v or its entries."""
     if isinstance(v, list):
@@ -130,14 +130,14 @@ def _finite(v) -> bool:
 
 _KINDS = {  # kind -> (accepts the JSON value, converts it); numbers must be _finite
     "int": (_is_int, int),
-    "number": (_is_number, float),
+    "number": (_real, float),
     # "auto" and "inf" stay strings: the resolved config must be valid JSON
-    "radius": (lambda v: v in ("auto", "inf") or _is_number(v),
+    "radius": (lambda v: v in ("auto", "inf") or _real(v),
                lambda v: v if isinstance(v, str) else float(v)),
     "str": (lambda v: isinstance(v, str), str),
     "bool": (lambda v: isinstance(v, bool), bool),
     "int_list": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_int, v)), list),
-    "number_list": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_number, v)),
+    "number_list": (lambda v: isinstance(v, list) and bool(v) and all(map(_real, v)),
                     lambda v: [float(x) for x in v]),
     "int_pair": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)), list),
 }
@@ -145,10 +145,6 @@ _KINDS = {  # kind -> (accepts the JSON value, converts it); numbers must be _fi
 
 def _ge(lo):
     return lambda v: v >= lo, f"must be >= {lo}"
-
-
-def _gt(lo):
-    return lambda v: v > lo, f"must be > {lo}"
 
 
 def _one_of(options, why: str = ""):
@@ -184,8 +180,9 @@ def _validate(spec: _Group, data, path: str = ""):
             if not _finite(data[key]):
                 raise ConfigError(f"{at}: must be finite")
             value = convert(data[key])
-            if item.check is not None and not item.check[0](value):
-                raise ConfigError(f"{at}: {item.check[1]}")
+            broken = None if item.check is None else _broken(item.check, value)
+            if broken is not None:
+                raise ConfigError(f"{at}: {broken}")
             values[key] = value if item.then is None else item.then(value)
     unknown = sorted(set(data) - set(spec.keys))
     if unknown:
@@ -219,11 +216,21 @@ def _load_config(path: str) -> dict:
 # -- shared config groups ------------------------------------------------------
 
 
-def _key_word(key: str):
-    """Rule: the integer `key` (a seed or a sample index) is below 2^64."""
-    def rule(values: dict, built):
-        return (key, "must be < 2^64") if values[key] >= _KEY_BOUND else None
-    return rule
+@dataclass(frozen=True)
+class _Rule:
+    """A group rule: the library rule `check` of the values at the group's
+    dotted paths key and keys (or of read(values, built)), refused at key."""
+
+    key: str
+    check: object
+    keys: tuple = ()
+    read: Callable | None = None
+
+    def __call__(self, values: dict, built):
+        args = (self.read(values, built) if self.read is not None else
+                [reduce(dict.get, k.split("."), values) for k in (self.key, *self.keys)])
+        text = _broken(self.check, *args)
+        return None if text is None else (self.key, text)
 
 
 def _ensemble_spec(ens: dict, built) -> EnsembleSpec:
@@ -236,14 +243,16 @@ def _ensemble_spec(ens: dict, built) -> EnsembleSpec:
 
 
 def _ensemble(windowed: bool) -> _Group:
-    keys = {"variant": _Key("str", "mu_s", _one_of(VARIANTS)),
-            "s": _Key("number", check=_gt(1)),
+    keys = {"variant": _Key("str", "mu_s", _VARIANT),
+            "s": _Key("number", check=_REGULARITY),
             "beta": _Key("number", 0.0),
             "seed": _Key("int", 0, _ge(0))}
+    rules = (_Rule("seed", _KEY), _Rule("beta", _beta_above_one, ("variant",)))
     if windowed:
         keys["sample_max_mode"] = _Key("int", check=_ge(0))
         keys["truncation_N"] = _Key("int", lambda ens: ens["sample_max_mode"], _ge(0))
-    return _Group(keys, rules=(_key_word("seed"),), finish=_ensemble_spec)
+        rules += (_Rule("truncation_N", _covers, ("sample_max_mode",)),)
+    return _Group(keys, rules=rules, finish=_ensemble_spec)
 
 
 _ENSEMBLE = _ensemble(windowed=False)
@@ -288,23 +297,10 @@ _INDEX = _Key("int", 0, _ge(0))
 _STATE = _Group({
     "file": _Key("str", _OMIT),
     "sample": _Group({"ensemble": _WINDOWED_ENSEMBLE, "index": _INDEX}, _OMIT,
-                     rules=(_key_word("index"),),
+                     rules=(_Rule("index", _KEY),),
                      finish=lambda draw, built: sample(built["ensemble"], draw["index"])),
     "zero": _Group({"max_mode": _Key("int", check=_ge(0))}, _OMIT),
 }, rules=(_one_source,), finish=_initial_state)
-
-def _beta_order(model: dict, built):
-    if FAMILIES[model["equation"]].beta_order and not model["beta"] > 1:
-        return "beta", f"{model['equation']} needs beta > 1"
-    return None
-
-
-def _study_rule(key: str, check, *keys):
-    """Rule: a study's check of the values at the dotted paths key and keys, refused at key."""
-    def rule(values: dict, built):
-        text = check(*(reduce(dict.get, k.split("."), values) for k in (key, *keys)))
-        return None if text is None else (key, text)
-    return rule
 
 
 def _seed(cfg: dict):
@@ -368,7 +364,7 @@ def _estimate_row(est):
 # looked up in this module's globals when a run starts.
 
 _SAMPLE = _Group({"ensemble": _WINDOWED_ENSEMBLE, "index": _INDEX, "output": _OUTPUT},
-                 rules=(_key_word("index"),))
+                 rules=(_Rule("index", _KEY),))
 
 
 def _run_sample(cfg, built, workers):
@@ -378,36 +374,30 @@ def _run_sample(cfg, built, workers):
     return {"state.json": payload}
 
 
-_EQUATION = _Key("str", "nlkg", _one_of(EQUATIONS))
-_CUTOFF = _Key("int", check=_ge(0))
-
-
-def _window_covers_cutoff(cfg, built):
-    window, cutoff = built["state"].max_mode, cfg["model"]["N"]
-    if window < cutoff:
-        return "state", f"window {window} is smaller than model.N = {cutoff}"
-    return None
+_MODEL = {"equation": _Key("str", "nlkg", _EQUATION), "N": _Key("int", check=_ge(0)),
+          "beta": _Key("number", 0.0)}
+_MODEL_BETA = _Rule("beta", _beta_above_one, ("equation",))
 
 
 def _integrator(integ: dict, built) -> IntegratorSpec:
-    _steps(integ["t_final"], integ["dt"])  # a step count that overflows is a config error
+    _steps(integ["t_final"], integ["dt"])  # a step count out of bounds is a config error
     return IntegratorSpec(scheme=integ["scheme"], dt=integ["dt"])
 
 
 _EVOLVE = _Group({
-    "model": _Group({"equation": _EQUATION, "N": _CUTOFF, "beta": _Key("number", 0.0)},
-                    rules=(_beta_order,)),
+    "model": _Group(_MODEL, rules=(_MODEL_BETA,)),
     "state": _STATE,
     "integrator": _Group({
-        "scheme": _Key("str", "strang_splitting", _one_of(SCHEMES)),
-        "dt": _Key("number", 1e-3, _gt(0)),
+        "scheme": _Key("str", "strang_splitting", _SCHEME),
+        "dt": _Key("number", 1e-3, _DT),
         "t_final": _Key("number"),
     }, finish=_integrator),
-    "trajectory": _Group({"stride": _Key("int", 1, _ge(1)),
+    "trajectory": _Group({"stride": _Key("int", 1, _STRIDE),
                           "sigma": _Key("number", 1.0),
-                          "s": _Key("number", 2.0, _gt(1))}, default={}),
+                          "s": _Key("number", 2.0, _REGULARITY)}, default={}),
     "output": _OUTPUT,
-}, rules=(_window_covers_cutoff,))
+}, rules=(_Rule("model.N", _covers,  # the cutoff against the state's window
+                read=lambda cfg, built: (cfg["model"]["N"], built["state"].max_mode)),))
 
 
 def _run_evolve(cfg, built, workers):
@@ -444,9 +434,7 @@ def _run_evolve(cfg, built, workers):
 
 
 _DIAGNOSE = _Group({
-    "model": _Group({"equation": _EQUATION, "s": _Key("number", check=_gt(1)),
-                     "N": _CUTOFF, "beta": _Key("number", 0.0)},
-                    rules=(_beta_order,)),
+    "model": _Group(dict(_MODEL, s=_Key("number", check=_REGULARITY)), rules=(_MODEL_BETA,)),
     "state": _STATE,
     "output": _OUTPUT,
 })
@@ -492,7 +480,7 @@ _MC_LP = _Group({
         "functional": _Key("str", "energy_rate_total", _one_of(
             _PARAMETERLESS, " (mc-lp supplies no functional parameters)")),
         "r": _Key("radius", "auto", _RADIUS),
-    }, rules=(_study_rule("N_list", _repeated("cutoff")),)),
+    }, rules=(_Rule("N_list", _repeated("cutoff")),)),
     "output": _OUTPUT,
 }, rules=(_functional_admits_s,))
 
@@ -526,8 +514,8 @@ _MC_CONVERGE = _Group({
         "p": _Key("number", 2.0, _P),
         "samples": _Key("int", check=_SAMPLES),
         "components": _Key("bool", False),
-    }, rules=(_study_rule("M_list", _repeated("cutoff")),
-              _study_rule("M_list", _below("N_ref"), "N_ref"))),
+    }, rules=(_Rule("M_list", _repeated("cutoff")),
+              _Rule("M_list", _below("N_ref"), ("N_ref",)))),
     "output": _OUTPUT,
 })
 
@@ -593,9 +581,10 @@ _MC_KIN = _Group({
         "M_list": _Key("int_list", check=_BLOCK_FIT, then=sorted),
         "p": _Key("number", 4.0, _P),
         "samples": _Key("int", check=_SAMPLES),
-    }, rules=(_study_rule("M_list", _repeated("block")), _study_rule("M_list", _within, "N"))),
+    }, rules=(_Rule("M_list", _repeated("block")), _Rule("M_list", _within, ("N",)))),
     "output": _OUTPUT,
-}, rules=(_study_rule("experiment.order", _admissible_order, "ensemble.s", "experiment.field"),))
+}, rules=(_Rule("experiment.order", _admissible_order,
+                 ("ensemble.s", "experiment.field")),))
 
 
 def _run_mc_kin(cfg, built, workers):
@@ -618,8 +607,8 @@ _MC_TAIL = _Group({
         "M_list": _Key("int_list", check=_CUTOFFS, then=sorted),
         "alpha_list": _Key("number_list", check=_THRESHOLDS),
         "samples": _Key("int", check=_SAMPLES),
-    }, rules=(_study_rule("M_list", _repeated("cutoff")),
-              _study_rule("M_list", _below("N"), "N"))),
+    }, rules=(_Rule("M_list", _repeated("cutoff")),
+              _Rule("M_list", _below("N"), ("N",)))),
     "output": _OUTPUT,
 })
 
@@ -648,9 +637,9 @@ def _run_mc_tail(cfg, built, workers):
 
 
 _KAKUTANI = _Group({
-    "s": _Key("number", check=_gt(0)),
+    "s": _Key("number", check=_KAKUTANI_S),
     "max_norm": _Key("int", check=_ge(0)),
-    "marginal": _Key("str", "position", _one_of(MARGINALS)),
+    "marginal": _Key("str", "position", _MARGINAL),
     "output": _OUTPUT,
 })
 

@@ -30,10 +30,17 @@ from typing import Iterator
 
 import numpy as np
 
-from .sampling import EQUATIONS, FAMILIES, _require_counts
+from .sampling import (_EQUATION, _INTEGER, FAMILIES, UnsupportedParameterError,
+                       _beta_above_one, _covers, _finite_and, _refuse)
 from .spectral import PhaseState, SpectralField, _cube_half, _from_half, _frozen, _power, _symbol
 
 SCHEMES = ("strang_splitting", "rk4")
+MAX_STEPS = 1_000_000  # the most steps of one run: minutes of Strang steps at window 32
+
+# argument rules, which the CLI's specs read too (see sampling)
+_SCHEME = (lambda v: v in SCHEMES, f"one of {SCHEMES}")
+_DT = _finite_and((lambda dt: dt > 0, "must be > 0"))
+_STRIDE = (lambda n: n >= 1, "must be >= 1")  # once an integer
 
 
 class IntegrationError(RuntimeError):
@@ -47,11 +54,9 @@ class ModelSpec:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.equation not in EQUATIONS:
-            raise ValueError(f"equation must be one of {EQUATIONS}, got {self.equation!r}")
-        _require_counts(self, "truncation_N")
-        if FAMILIES[self.equation].beta_order and not self.beta > 1:
-            raise ValueError(f"{self.equation} needs beta > 1, got {self.beta}")
+        _refuse(("equation", _EQUATION, self.equation),
+                ("truncation_N", _INTEGER, self.truncation_N),
+                ("beta", _beta_above_one, self.beta, self.equation))
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,7 @@ class IntegratorSpec:
     dt: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be a positive finite step, got {self.dt}")
+        _refuse(("scheme", _SCHEME, self.scheme), ("dt", _DT, self.dt))
 
 
 def _dispersion(equation: str, beta: float, max_mode: int) -> np.ndarray:
@@ -151,21 +153,18 @@ def _rk4_step(u: np.ndarray, v: np.ndarray, dt: float, model: ModelSpec) -> tupl
 _SCHEME_STEPS = {"strang_splitting": _strang_step, "rk4": _rk4_step}
 
 
-def _check_window(p: PhaseState, model: ModelSpec) -> None:
-    if p.max_mode < model.truncation_N:
-        raise ValueError(
-            f"state window {p.max_mode} is smaller than truncation_N "
-            f"{model.truncation_N}; the truncated flow would lose modes"
-        )
-
-
 def _steps(t_final: float, dt: float):
-    """Split |t_final| into full steps of dt plus one short remainder."""
+    """Split |t_final| into full steps of dt plus one short remainder; refuses
+    a step count |t_final| / dt that overflows or exceeds MAX_STEPS."""
     sign = 1.0 if t_final >= 0 else -1.0
     total = abs(t_final)
-    if not math.isfinite(total / dt):
-        raise ValueError(f"|t_final| / dt overflows (t_final = {t_final:g}, dt = {dt:g})")
-    n_full = int(math.floor(total / dt + 1e-9))
+    count = total / dt
+    if not count <= MAX_STEPS:
+        why = (f"is {count:.3g} steps, above the ceiling of {MAX_STEPS}"
+               if math.isfinite(count) else "overflows")
+        raise UnsupportedParameterError(
+            f"|t_final| / dt {why} (t_final = {t_final:g}, dt = {dt:g})")
+    n_full = int(math.floor(count + 1e-9))
     remainder = total - n_full * dt
     if remainder < 1e-12 * max(total, dt):
         remainder = 0.0
@@ -182,9 +181,9 @@ def evolve(p: PhaseState, t_final: float, model: ModelSpec,
 
 def trajectory(p: PhaseState, t_final: float, model: ModelSpec,
                integ: IntegratorSpec, stride: int = 1) -> Iterator[tuple]:
-    """Yield (t, state) at t = 0, after every `stride` steps and at t_final."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    """Yield (t, state) at t = 0, after every `stride` steps and at t_final;
+    a bad stride, window or step count is refused at the first item."""
+    _refuse(("stride", _INTEGER, stride), ("stride", _STRIDE, stride))
     for k, (t, state) in enumerate(_trajectory(p, t_final, model, integ)):
         if k % stride == 0 or t == t_final:
             yield t, state()
@@ -194,7 +193,7 @@ def _trajectory(p: PhaseState, t_final: float, model: ModelSpec,
                 integ: IntegratorSpec) -> Iterator[tuple]:
     """Yield (t, state) at t = 0 and after each step, where state() builds
     the PhaseState at t from the half blocks the step left."""
-    _check_window(p, model)
+    _refuse(("truncation_N", _covers, model.truncation_N, p.max_mode))
     step = _SCHEME_STEPS[integ.scheme]
     sign, n_full, remainder = _steps(t_final, integ.dt)
     u, v, t = _half(p.u), _half(p.v), 0.0

@@ -39,7 +39,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .sampling import EQUATIONS, FAMILIES, _PLAIN
+from .sampling import (_EQUATION, _INTEGER, _PLAIN, _REGULARITY, FAMILIES,
+                       UnsupportedParameterError, _beta_above_one, _refuse)
 from .spectral import (
     PhaseState,
     SpectralField,
@@ -53,18 +54,6 @@ from .spectral import (
     grid_stack,
     quadrature_grid,
 )
-
-class UnsupportedParameterError(ValueError):
-    """A parameter is outside the regime an operation is defined for."""
-
-
-def _check_equation(equation: str, beta: float | None = None) -> None:
-    """Known equation family, and beta > 1 for nlkg_beta when beta is given."""
-    if equation not in FAMILIES:
-        raise UnsupportedParameterError(
-            f"equation must be one of {EQUATIONS}, got {equation!r}")
-    if FAMILIES[equation].beta_order and beta is not None and not beta > 1:
-        raise UnsupportedParameterError(f"{equation} needs beta > 1, got {beta}")
 
 
 def _even_order(s: float) -> int:
@@ -229,10 +218,14 @@ class _Factors:
 
 
 def _one(u: SpectralField, v: SpectralField | None, s: float | None, cutoff: int,
-         equation: str, beta: float = 0.0) -> _Factors:
-    """The factors of one state, as a block of one."""
+         equation: str, beta: float | None = None) -> _Factors:
+    """The factors of one state, as a block of one, once the equation, the
+    cutoff, s (None: not read) and beta (None: not taken) pass their rules."""
+    _refuse(("equation", _EQUATION, equation), ("cutoff", _INTEGER, cutoff),
+            *(() if s is None else [("s", _REGULARITY, s)]),
+            *(() if beta is None else [("beta", _beta_above_one, beta, equation)]))
     return _Factors(u.coeffs[None], None if v is None else v.coeffs[None], s, cutoff,
-                    equation, beta)
+                    equation, 0.0 if beta is None else beta)
 
 
 def _first(block_result):
@@ -254,7 +247,6 @@ def truncated_energy(p: PhaseState, cutoff: int, equation: str = "nlkg",
                      beta: float = 0.0) -> float:
     """Energy conserved by the truncated flow: full-field quadratic part,
     quartic part on the low-pass field only."""
-    _check_equation(equation, beta)
     return float(_one(p.u, p.v, None, cutoff, equation, beta).truncated_energy[0])
 
 
@@ -268,7 +260,6 @@ def quartic_correction(u: SpectralField, s: float, cutoff: int,
     the equation family (no subtraction for nlkg_beta).  This is the
     log-density of the weighted measure.
     """
-    _check_equation(equation)
     return float(_one(u, None, s, cutoff, equation).quartic_correction[0])
 
 
@@ -282,7 +273,6 @@ def renormalized_energy(p: PhaseState, s: float, cutoff: int,
                 (whose mass term is what feeds the extra rate_mass piece)
     nlkg_beta:  1/2 int (J^s v)^2 + 1/2 int (J^(s+beta) u)^2 + correction
     """
-    _check_equation(equation, beta)
     return float(_one(p.u, p.v, s, cutoff, equation, beta).renormalized_energy[0])
 
 
@@ -313,7 +303,6 @@ def chaos_components(u: SpectralField, s: float, cutoff: int,
     full quartic.  double_pair_renorm subtracts the counterterm mass, so
     double_pair_renorm + single_pair + no_pair is the quartic correction.
     """
-    _check_equation(equation)
     return _first(_one(u, None, s, cutoff, equation).chaos)
 
 
@@ -347,7 +336,6 @@ def energy_rate_terms(p: PhaseState, s: float, cutoff: int,
 
     holds for every state; see the finite-difference tests.
     """
-    _check_equation(equation, beta)
     return _first(_one(p.u, p.v, s, cutoff, equation, beta).rate)
 
 
@@ -388,7 +376,6 @@ def energy_report(p: PhaseState, s: float, cutoff: int,
                   equation: str = "nlkg", beta: float = 0.0) -> EnergyReport:
     """Assemble all diagnostics; the rate terms are filled only when s is
     an even integer >= 2 (the paper's scope for the rate)."""
-    _check_equation(equation, beta)
     f = _one(p.u, p.v, s, cutoff, equation, beta)
     try:
         rate = _first(f.rate)

@@ -28,8 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _Factors
+from .sampling import _INTEGER, _finite_and, _refuse
 
 MARGINALS = ("position", "velocity")
+
+# argument rules, which the CLI's kakutani spec reads too (see sampling)
+_MARGINAL = (lambda v: v in MARGINALS, f"one of {MARGINALS}")
+_KAKUTANI_S = _finite_and((lambda s: s > 0, "must be > 0"))
 
 
 def _density(f: _Factors, radius: float) -> np.ndarray:
@@ -53,18 +58,17 @@ def _density(f: _Factors, radius: float) -> np.ndarray:
 
 
 def _variance_pair(sq_mod, s: float, marginal: str):
-    """Per-mode variances of the two reference Gaussians."""
+    """Per-mode variances of the two reference Gaussians of a marginal."""
     sq_mod = np.asarray(sq_mod, dtype=float)
     if marginal == "position":
         return (1.0 + sq_mod) ** (-(s + 1.0)), 1.0 / (1.0 + sq_mod + sq_mod ** (s + 1.0))
-    if marginal == "velocity":
-        return (1.0 + sq_mod) ** (-s), 1.0 / (1.0 + sq_mod ** s)
-    raise ValueError(f"marginal must be one of {MARGINALS}, got {marginal!r}")
+    return (1.0 + sq_mod) ** (-s), 1.0 / (1.0 + sq_mod ** s)
 
 
 def comparison_statistic(sq_mod, s: float, marginal: str = "position"):
     """S = ((lam - lam_t)/(lam + lam_t))^2 for squared modulus |n|^2;
     scale-free, so a factor common to both variances cancels."""
+    _refuse(("s", _KAKUTANI_S, s), ("marginal", _MARGINAL, marginal))
     lam, lam_t = _variance_pair(sq_mod, s, marginal)
     return ((lam - lam_t) / (lam + lam_t)) ** 2
 
@@ -96,12 +100,8 @@ def kakutani_terms(s: float, max_norm: int, marginal: str = "position") -> Kakut
     A finite limit of partial_sum as max_norm grows means the two
     Gaussians are equivalent; unbounded growth means mutual singularity.
     """
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
-    if max_norm < 0:
-        raise ValueError(f"max_norm must be nonnegative, got {max_norm}")
-    if marginal not in MARGINALS:
-        raise ValueError(f"marginal must be one of {MARGINALS}, got {marginal!r}")
+    _refuse(("s", _KAKUTANI_S, s), ("max_norm", _INTEGER, max_norm),
+            ("marginal", _MARGINAL, marginal))
     axis = np.arange(-max_norm, max_norm + 1)
     sq = axis[:, None] ** 2 + axis[None, :] ** 2
     sq = sq[sq <= max_norm ** 2]

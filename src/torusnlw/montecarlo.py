@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -30,9 +29,10 @@ import numpy as np
 # np.percentile imports numpy.ma on first use: load it at start-up, not in a run
 import numpy.ma  # noqa: F401
 
-from .energy import UnsupportedParameterError, _Factors, _even_order
+from .energy import _Factors, _even_order
 from .measures import _density
-from .sampling import EnsembleSpec, _count, _drawer
+from .sampling import (_CUTOFF_RADIUS, _INTEGER, EnsembleSpec, UnsupportedParameterError,
+                       _count, _drawer, _refuse)
 from .spectral import _ball, _multiply, _sup_norms, derivative, dyadic_block, quadrature_grid
 
 MAX_P = 16.0  # empirical L^p beyond this is extreme-value dominated
@@ -142,14 +142,11 @@ def _reads_v(params: dict) -> bool:
 
 # parameter -> (test, rule) of the values a column may give it
 _RULES = {
-    "cutoff": (_count, "cutoff must be an integer >= 0"),
-    "lower_cutoff": (_count, "lower_cutoff must be an integer >= 0"),
-    "block": (_count, "block must be an integer >= 0"),
+    **{key: (_count, f"{key} {_INTEGER[1]}") for key in ("cutoff", "lower_cutoff", "block")},
     "field": (lambda v: v in ("u", "v"), "field must be 'u' or 'v'"),
     "order": (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_count, v)),
               "order must be a pair of integers >= 0"),
-    "radius": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and v > 0,
-               "cutoff radius must be positive (or inf)"),
+    "radius": (_CUTOFF_RADIUS[0], "cutoff radius must be positive (or inf)"),
 }
 
 
@@ -176,11 +173,8 @@ class Functional:
         """Raises UnsupportedParameterError at an s the entry is not studied
         at, or at a parameter value outside its rule in _RULES."""
         self.s_rule(s)
-        for key, value in params.items():
-            test, rule = _RULES[key]
-            if not test(value):
-                raise UnsupportedParameterError(
-                    f"functional {self.name!r}: {rule}, got {value!r}")
+        _refuse(*((f"functional {self.name!r}", _RULES[key], value)
+                  for key, value in params.items()))
 
 
 def _at_cutoff(name: str, degree: int | None, read: Callable, **kwargs) -> Functional:
@@ -360,7 +354,8 @@ def _estimate_from_values(values: np.ndarray, weights: np.ndarray, p: float,
 
 
 # -- study argument rules, which the CLI's experiment specs read too -----------
-# Each is a (test, refusal text) pair or a check of several values returning the text.
+# Each is a (test, refusal text) pair or a check of several values returning the
+# text, run by sampling._refuse.
 
 _P = (lambda p: not isinstance(p, bool) and 1 <= p <= MAX_P, f"must lie in [1, {MAX_P}]")
 _P_LIST = (lambda v: all(map(_P[0], v)), f"each p must lie in [1, {MAX_P}]")
@@ -368,7 +363,6 @@ _P_FIT = (lambda v: len(set(v)) >= 2 and _P_LIST[0](v), f"needs >= 2 distinct "
           f"entries, each in [1, {MAX_P}] (the growth fit in p needs two points)")
 _SAMPLES = (lambda n: n >= MIN_SAMPLES, f"must be >= {MIN_SAMPLES}")
 _NONEMPTY = (lambda v: len(v) > 0, "must be nonempty")
-_INTEGER = (_count, "must be an integer >= 0")
 _REFERENCE = (lambda n: n >= 1, "must be >= 1")
 _TAIL_REFERENCE = (lambda n: n >= 2, "must be >= 2")  # room for one M >= 1 below it
 _INTEGERS = (lambda v: all(map(_count, v)), "must hold integers >= 0 only")
@@ -400,16 +394,6 @@ def _within(blocks, cutoff: int):
 
 def _default_reference(lower) -> int:
     return 2 * max(lower, default=0)  # a gap study's reference cutoff when it names none
-
-
-def _refuse(*rules) -> None:
-    """Runs (argument, rule, its value, other values the rule reads) in order,
-    before any pilot or draw; the first broken one raises ValueError naming the
-    argument.  (The CLI's JSON kinds refuse first what _NONEMPTY and _INTEGERS do.)"""
-    for arg, rule, *values in rules:
-        text = rule(*values) if callable(rule) else None if rule[0](*values) else rule[1]
-        if text is not None:
-            raise ValueError(f"{arg}: {text}, got {values[0]!r}")
 
 
 def _cutoff_list(arg: str, cutoffs, rule, what: str = "cutoff") -> tuple:

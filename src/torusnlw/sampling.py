@@ -74,16 +74,65 @@ EQUATION_FOR_VARIANT = {f.variant: equation for equation, f in FAMILIES.items()}
 _KEY_BOUND = 1 << 64  # a seed or an index is one 64-bit word of a Philox key
 
 
+class UnsupportedParameterError(ValueError):
+    """A parameter is outside the regime an operation is defined for."""
+
+
+# -- argument rules, which _refuse runs and the CLI's specs hold ---------------
+# Each is a (test, refusal text) pair or a check of several values returning the text.
+
+
 def _count(v) -> bool:
     """An integer >= 0 (a bool is not one)."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
 
 
-def _require_counts(spec, *names) -> None:
-    """Refuses, naming it, the first field of spec that is not an integer >= 0."""
-    for name in names:
-        if not _count(getattr(spec, name)):
-            raise ValueError(f"{name} must be an integer >= 0, got {getattr(spec, name)!r}")
+def _real(v) -> bool:
+    """A real number (a bool is not one)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _broken(rule, *values):
+    """The refusal text of a rule that the values break, else None."""
+    return rule(*values) if callable(rule) else None if rule[0](*values) else rule[1]
+
+
+def _finite_and(rule):
+    """The check of a finite number that then keeps `rule`."""
+    def check(value, *others):
+        finite = _real(value) and math.isfinite(value)
+        return _broken(rule, value, *others) if finite else "must be a finite number"
+    return check
+
+
+_INTEGER = (_count, "must be an integer >= 0")
+_VARIANT = (lambda v: v in VARIANTS, f"one of {VARIANTS}")
+_EQUATION = (lambda v: v in EQUATIONS, f"one of {EQUATIONS}")
+_REGULARITY = _finite_and((lambda s: s > 1, "must be > 1"))  # the index s
+_KEY = (lambda k: k < _KEY_BOUND, "must be < 2^64")  # of a count that keys a Philox stream
+_CUTOFF_RADIUS = (lambda r: _real(r) and r > 0, "must be positive (math.inf allowed)")
+
+
+@_finite_and
+def _beta_above_one(beta, family: str):
+    """Check: beta > 1 if the family (its equation or variant) orders by beta."""
+    needs = FAMILIES[EQUATION_FOR_VARIANT.get(family, family)].beta_order and not beta > 1
+    return f"{family} needs beta > 1" if needs else None
+
+
+def _covers(cutoff, window):
+    """Check: the window holds the ball of the cutoff."""
+    return None if cutoff <= window else f"the window {window} must cover the cutoff"
+
+
+def _refuse(*rules) -> None:
+    """Runs (argument, rule, its value, other values the rule reads) in order,
+    before any work; the first broken one raises UnsupportedParameterError (a
+    ValueError) naming the argument, in the CLI's text of the rule."""
+    for arg, rule, *values in rules:
+        text = _broken(rule, *values)
+        if text is not None:
+            raise UnsupportedParameterError(f"{arg}: {text}, got {values[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -105,22 +154,14 @@ class EnsembleSpec:
     energy_cutoff_r: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not self.s > 1:
-            raise ValueError(f"s must be > 1, got {self.s}")
-        if not 0 <= self.master_seed < _KEY_BOUND:
-            raise ValueError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
-        _require_counts(self, "master_seed", "sample_max_mode", "truncation_N")
-        if FAMILIES[self.equation].beta_order and not self.beta > 1:
-            raise ValueError(f"{self.variant} needs beta > 1, got {self.beta}")
-        if self.sample_max_mode < self.truncation_N:
-            raise ValueError(
-                f"sample_max_mode {self.sample_max_mode} < truncation_N "
-                f"{self.truncation_N}: the window must cover the cutoff"
-            )
-        if not (self.energy_cutoff_r > 0):
-            raise ValueError("energy_cutoff_r must be positive (math.inf allowed)")
+        _refuse(("variant", _VARIANT, self.variant), ("s", _REGULARITY, self.s),
+                ("master_seed", _INTEGER, self.master_seed),
+                ("master_seed", _KEY, self.master_seed),
+                ("sample_max_mode", _INTEGER, self.sample_max_mode),
+                ("truncation_N", _INTEGER, self.truncation_N),
+                ("beta", _beta_above_one, self.beta, self.variant),
+                ("truncation_N", _covers, self.truncation_N, self.sample_max_mode),
+                ("energy_cutoff_r", _CUTOFF_RADIUS, self.energy_cutoff_r))
 
     @property
     def equation(self) -> str:
@@ -197,6 +238,7 @@ def sample(spec: EnsembleSpec, index: int) -> PhaseState:
     Reproducible and order-independent: the result depends only on
     (spec.master_seed, index), never on which process draws it.
     """
+    _refuse(("index", _INTEGER, index), ("index", _KEY, index))
     u, v = _drawer(spec, with_v=True)(index, index + 1)
     K = spec.sample_max_mode
     return PhaseState(SpectralField(K, u[0], _trusted=True),
@@ -204,31 +246,29 @@ def sample(spec: EnsembleSpec, index: int) -> PhaseState:
 
 
 # -- renormalization constants ----------------------------------------------
+# The caches are typed, so a cutoff of 2.0 or True reaches the rules and is
+# refused, never served from the entry of 2 or 1.
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def counterterm(cutoff: int) -> float:
     """sum over |n| <= cutoff of 1 / (1 + |n|^2).
 
     Equals the expected smoothed mass E int (J^s Pi_N u)^2 under mu_s for
     every s (the weights cancel), and grows like log(cutoff).
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+    _refuse(("cutoff", _INTEGER, cutoff))
     mask = _sq_modulus(cutoff) <= cutoff**2
     return float(np.sum(mask / _sq_bracket(cutoff)))
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def wave_counterterm(cutoff: int, s: float) -> float:
     """sum over |n| <= cutoff of |n|^(2s) / (1 + |n|^2 + |n|^(2s+2)).
 
     The mu_tilde_s analogue of counterterm; the n = 0 term vanishes.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
-    if not s > 0:
-        raise ValueError("s must be positive")
+    _refuse(("cutoff", _INTEGER, cutoff), ("s", _REGULARITY, s))
     sq = _sq_modulus(cutoff)
     mask = sq <= cutoff**2
     return float(np.sum(mask * sq**s / (1.0 + sq + sq ** (s + 1))))

@@ -619,9 +619,9 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("sample", "ensemble.sample_max_mode", -1, "ensemble.sample_max_mode: must be >= 0"),
     ("sample", "ensemble.truncation_N", -1, "ensemble.truncation_N: must be >= 0"),
     ("sample", "ensemble.truncation_N", 5,
-     "ensemble: sample_max_mode 3 < truncation_N 5: the window must cover the cutoff"),
+     "ensemble.truncation_N: the window 3 must cover the cutoff"),
     ("sample", "ensemble", dict(ENSEMBLE, **BETA),
-     "ensemble: mu_s_beta needs beta > 1, got 0.5"),
+     "ensemble.beta: mu_s_beta needs beta > 1"),
     ("sample", "ensemble.typo_key", 1, "ensemble: unknown keys ['typo_key']"),
     ("sample", "index", -1, "index: must be >= 0"),
     ("sample", "index", 2**64, "index: must be < 2^64"),
@@ -659,10 +659,9 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("evolve", "state", {"sample": {"ensemble": dict(ENSEMBLE, s=1.0)}},
      "state.sample.ensemble.s: must be > 1"),
     ("evolve", "state", {"sample": {"ensemble": dict(ENSEMBLE, **BETA)}},
-     "state.sample.ensemble: mu_s_beta needs beta > 1, got 0.5"),
+     "state.sample.ensemble.beta: mu_s_beta needs beta > 1"),
     ("evolve", "state", {"sample": {"ensemble": dict(ENSEMBLE, truncation_N=5)}},
-     "state.sample.ensemble: sample_max_mode 3 < truncation_N 5: the window must "
-     "cover the cutoff"),
+     "state.sample.ensemble.truncation_N: the window 3 must cover the cutoff"),
     ("evolve", "state", {"sample": {}}, "state.sample.ensemble: missing required section"),
     ("evolve", "integrator", DROP, "integrator: missing required section"),
     ("evolve", "integrator.scheme", "euler",
@@ -679,7 +678,7 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("evolve", "trajectory.sigma", float("nan"), "trajectory.sigma: must be finite"),
     ("evolve", "model.beta", -float("inf"), "model.beta: must be finite"),
     ("evolve", "trajectory.s", 1, "trajectory.s: must be > 1"),
-    ("evolve", "model.N", 5, "state: window 2 is smaller than model.N = 5"),
+    ("evolve", "model.N", 5, "model.N: the window 2 must cover the cutoff"),
     ("diagnose", "model.s", DROP, "model.s: missing required key"),
     ("diagnose", "model.s", 1, "model.s: must be > 1"),
     ("diagnose", "model.N", -1, "model.N: must be >= 0"),
@@ -691,7 +690,7 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("diagnose", "state", {"file": "{tmp}/inf-state.json"},
      "state.file: not a valid state file (coefficients must be finite)"),
     ("diagnose", "state", {"sample": {"ensemble": dict(ENSEMBLE, **BETA)}},
-     "state.sample.ensemble: mu_s_beta needs beta > 1, got 0.5"),
+     "state.sample.ensemble.beta: mu_s_beta needs beta > 1"),
     ("diagnose", "extra", 1, "config: unknown keys ['extra']"),
     ("mc-lp", "experiment", DROP, "experiment: missing required section"),
     ("mc-lp", "experiment.N_list", [0, 2], "experiment.N_list: cutoffs must be >= 1"),
@@ -723,7 +722,7 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("mc-lp", "experiment.r", "big", "experiment.r: expected radius"),
     ("mc-lp", "experiment.r", float("inf"), "experiment.r: must be finite"),
     ("mc-lp", "ensemble", dict(_MC_ENSEMBLE, **BETA),
-     "ensemble: mu_s_beta needs beta > 1, got 0.5"),
+     "ensemble.beta: mu_s_beta needs beta > 1"),
     ("mc-lp", "ensemble.sample_max_mode", 4, "ensemble: unknown keys ['sample_max_mode']"),
     ("mc-lp", "ensemble.s", 1, "ensemble.s: must be > 1"),
     ("mc-lp", "ensemble.seed", 2**64 + 5, "ensemble.seed: must be < 2^64"),
@@ -744,7 +743,7 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("mc-converge", "experiment.components", "yes", "experiment.components: expected bool"),
     ("mc-converge", "experiment.samples", 50, "experiment.samples: must be >= 100"),
     ("mc-converge", "ensemble", dict(_MC_ENSEMBLE, **BETA),
-     "ensemble: mu_s_beta needs beta > 1, got 0.5"),
+     "ensemble.beta: mu_s_beta needs beta > 1"),
     ("mc-chaos", "experiment.functional", "block_sup_norm",
      "experiment.functional: one of ['energy_rate_highlow', "
      "'energy_rate_leibniz', 'energy_rate_mass', 'energy_rate_total', "
@@ -760,9 +759,9 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("mc-chaos", "ensemble.sample_max_mode", DROP,
      "ensemble.sample_max_mode: missing required key"),
     ("mc-chaos", "ensemble.truncation_N", 5,
-     "ensemble: sample_max_mode 3 < truncation_N 5: the window must cover the cutoff"),
+     "ensemble.truncation_N: the window 3 must cover the cutoff"),
     ("mc-chaos", "ensemble", dict(_MC_ENSEMBLE, sample_max_mode=3, **BETA),
-     "ensemble: mu_s_beta needs beta > 1, got 0.5"),
+     "ensemble.beta: mu_s_beta needs beta > 1"),
     ("mc-kin", "experiment.order", [-1, 0], "experiment.order: orders must be nonnegative"),
     ("mc-kin", "experiment.order", [1], "experiment.order: expected int_pair"),
     ("mc-kin", "experiment.order", [3, 0],
@@ -785,7 +784,7 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
     ("mc-kin", "experiment.p", 17, "experiment.p: must lie in [1, 16.0]"),
     ("mc-kin", "experiment.samples", 99, "experiment.samples: must be >= 100"),
     ("mc-kin", "ensemble", dict(_MC_ENSEMBLE, **BETA),
-     "ensemble: mu_s_beta needs beta > 1, got 0.5"),
+     "ensemble.beta: mu_s_beta needs beta > 1"),
     ("mc-tail", "experiment.N", 1, "experiment.N: must be >= 2"),
     ("mc-tail", "experiment.M_list", [0, 2], "experiment.M_list: cutoffs must be >= 1"),
     ("mc-tail", "experiment.M_list", [2, 8], "experiment.M_list: every M must be < N"),
@@ -796,7 +795,7 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
      "experiment.alpha_list: thresholds must be >= 0"),
     ("mc-tail", "experiment.samples", 99, "experiment.samples: must be >= 100"),
     ("mc-tail", "ensemble", dict(_MC_ENSEMBLE, **BETA),
-     "ensemble: mu_s_beta needs beta > 1, got 0.5"),
+     "ensemble.beta: mu_s_beta needs beta > 1"),
     ("kakutani", "s", 0, "s: must be > 0"),
     ("kakutani", "s", DROP, "s: missing required key"),
     ("kakutani", "max_norm", -1, "max_norm: must be >= 0"),

@@ -74,7 +74,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("cutoff", [2.5, True, -1])
     def test_cutoff_is_a_count(self, cutoff):
         with pytest.raises(ValueError,
-                           match=f"truncation_N must be an integer >= 0, got {cutoff}"):
+                           match=f"truncation_N: must be an integer >= 0, got {cutoff}"):
             ModelSpec(equation="nlkg", truncation_N=cutoff)
 
     def test_scheme_checked(self):

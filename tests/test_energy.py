@@ -17,7 +17,6 @@ from conftest import (block_values, constant_field, field_from_modes, random_fie
                       random_state)
 from torusnlw.dynamics import IntegratorSpec, ModelSpec, evolve
 from torusnlw.energy import (
-    EQUATIONS,
     ChaosComponents,
     UnsupportedParameterError,
     chaos_components,
@@ -30,7 +29,8 @@ from torusnlw.energy import (
     _one,
     _power,
 )
-from torusnlw.sampling import FAMILIES, EnsembleSpec, counterterm, sample, wave_counterterm
+from torusnlw.sampling import (EQUATIONS, FAMILIES, EnsembleSpec, counterterm, sample,
+                               wave_counterterm)
 from torusnlw.spectral import (
     PhaseState,
     SpectralField,
