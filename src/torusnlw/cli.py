@@ -12,11 +12,16 @@ nested groups; three groups are shared (the ensemble, with or without a
 sampling window, the output and the initial state).  ``_validate`` walks
 a spec and returns the resolved config, which metadata.json stores under
 ``config``, together with the objects the spec's groups build on the way
-(the ``EnsembleSpec``, the ``IntegratorSpec``, the initial state), so a
-library ``ValueError`` from them is a config error under the group's key
-path.  Checks that span keys are rules attached to the group that holds
-those keys.  Checks and rules are the library's own rule objects, so the
-CLI and a library call refuse a value with the same text.
+(the ``EnsembleSpec``, the ``IntegratorSpec``, the initial state).
+
+The CLI checks a config's shape (JSON kinds, finite numbers, required,
+default and unknown keys) and three facts of its own: a state has one
+source, mc-lp and mc-chaos name a functional they can supply, a zero
+state's window is >= 0.  The library judges every other value, before
+any work: its refusal is a config error at the group's key for the
+argument when a group builds its object, and at the key that the
+command's row of ``_ARGUMENT_KEYS`` maps the argument to when the run
+raises it (a runtime error when the row names no key for it).
 
 The TORUSNLW_OUTPUT_DIR environment variable overrides the configured
 output directory; --workers bounds sampling parallelism without changing
@@ -33,42 +38,21 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
-from functools import partial, reduce
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    _DT,
-    _SCHEME,
-    _STRIDE,
-    IntegrationError,
-    IntegratorSpec,
-    ModelSpec,
-    _steps,
-    trajectory,
-)
+from .dynamics import IntegrationError, IntegratorSpec, ModelSpec, _steps, trajectory
 from .energy import UnsupportedParameterError, _one, energy_report, hamiltonian
-from .measures import _KAKUTANI_S, _MARGINAL, kakutani_terms
-from .montecarlo import (
-    FUNCTIONALS,
-    DegenerateEnsembleError,
-    _admissible_order,
-    chaos_growth_check,
-    convergence_rate_study,
-    resolve_radius,
-    sup_norm_moment_study,
-    tail_estimate_study,
-    lp_growth_experiment,
-)
-from .montecarlo import (_BLOCK_FIT, _CUTOFFS, _DECAY_FIT, _P, _P_FIT, _P_LIST,  # study rules
-                         _RADIUS, _REFERENCE, _RULES, _SAMPLES, _TAIL_REFERENCE, _THRESHOLDS,
-                         _below, _default_reference, _repeated, _within)
-from .sampling import (_EQUATION, _KEY, _REGULARITY, _VARIANT, EnsembleSpec,  # model rules
-                       _beta_above_one, _broken, _covers, _real, sample)
+from .measures import kakutani_terms
+from .montecarlo import (FUNCTIONALS, DegenerateEnsembleError, _default_reference,
+                         chaos_growth_check, convergence_rate_study, lp_growth_experiment,
+                         sup_norm_moment_study, tail_estimate_study)
+from .sampling import EnsembleSpec, sample
 from .spectral import (
     PhaseState,
     sobolev_norm,
@@ -93,9 +77,9 @@ _OMIT = object()      # an absent key stays out of the resolved config
 @dataclass(frozen=True)
 class _Key:
     """One config value.  default is a value, a function of the values of
-    the group resolved so far, _REQUIRED or _OMIT; check is a rule of the
-    checked value, a (test, message) pair or a check returning the message;
-    then maps the checked value to its resolved form."""
+    the group resolved so far, _REQUIRED or _OMIT; check is a (test,
+    message) pair of a fact the CLI owns; then maps the checked value to its
+    resolved form."""
 
     kind: str
     default: object = _REQUIRED
@@ -106,19 +90,23 @@ class _Key:
 @dataclass(frozen=True)
 class _Group:
     """One config object: its keys and groups in validation order.  When
-    absent, default {} resolves every default.  Each rule maps (values,
-    built) to None or to the (relative key path, message) of a broken
-    condition.  finish(values, built) runs last and returns the group's
-    built object; without it that is the dict of its groups' objects."""
+    absent, default {} resolves every default.  finish(values, built) runs
+    last and returns the group's built object; without it that is the dict
+    of its groups' objects.  finish's refusal of an argument is reported at
+    the key of that name, or at the relative key path renamed pairs with it."""
 
     keys: dict
     default: object = _REQUIRED
-    rules: tuple = ()
     finish: Callable | None = None
+    renamed: tuple = ()
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
 
 
 def _finite(v) -> bool:
@@ -130,21 +118,17 @@ def _finite(v) -> bool:
 
 _KINDS = {  # kind -> (accepts the JSON value, converts it); numbers must be _finite
     "int": (_is_int, int),
-    "number": (_real, float),
+    "number": (_is_number, float),
     # "auto" and "inf" stay strings: the resolved config must be valid JSON
-    "radius": (lambda v: v in ("auto", "inf") or _real(v),
+    "radius": (lambda v: v in ("auto", "inf") or _is_number(v),
                lambda v: v if isinstance(v, str) else float(v)),
     "str": (lambda v: isinstance(v, str), str),
     "bool": (lambda v: isinstance(v, bool), bool),
     "int_list": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_int, v)), list),
-    "number_list": (lambda v: isinstance(v, list) and bool(v) and all(map(_real, v)),
+    "number_list": (lambda v: isinstance(v, list) and bool(v) and all(map(_is_number, v)),
                     lambda v: [float(x) for x in v]),
     "int_pair": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)), list),
 }
-
-
-def _ge(lo):
-    return lambda v: v >= lo, f"must be >= {lo}"
 
 
 def _one_of(options, why: str = ""):
@@ -180,23 +164,27 @@ def _validate(spec: _Group, data, path: str = ""):
             if not _finite(data[key]):
                 raise ConfigError(f"{at}: must be finite")
             value = convert(data[key])
-            broken = None if item.check is None else _broken(item.check, value)
-            if broken is not None:
-                raise ConfigError(f"{at}: {broken}")
+            if item.check is not None and not item.check[0](value):
+                raise ConfigError(f"{at}: {item.check[1]}")
             values[key] = value if item.then is None else item.then(value)
     unknown = sorted(set(data) - set(spec.keys))
     if unknown:
         raise ConfigError(f"{_join(path, '')}: unknown keys {unknown}")
-    for rule in spec.rules:
-        broken = rule(values, built)
-        if broken is not None:
-            raise ConfigError(f"{_join(path, broken[0])}: {broken[1]}")
     if spec.finish is None:
         return values, built
     try:
         return values, spec.finish(values, built)
     except ValueError as exc:
-        raise ConfigError(f"{_join(path, '')}: {exc}")
+        keys = {**{key: _join(path, key) for key in spec.keys},
+                **{arg: _join(path, key) for arg, key in spec.renamed}}
+        raise _at_key(exc, keys) or ConfigError(f"{_join(path, '')}: {exc}")
+
+
+def _at_key(exc: ValueError, keys: dict) -> ConfigError | None:
+    """A library refusal as a config error at the key path that keys maps its
+    argument to, in the text of the broken rule; None when keys has none."""
+    key = keys.get(getattr(exc, "argument", None))
+    return None if key is None else ConfigError(f"{key}: {exc.text}")
 
 
 def _load_config(path: str) -> dict:
@@ -216,23 +204,6 @@ def _load_config(path: str) -> dict:
 # -- shared config groups ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Rule:
-    """A group rule: the library rule `check` of the values at the group's
-    dotted paths key and keys (or of read(values, built)), refused at key."""
-
-    key: str
-    check: object
-    keys: tuple = ()
-    read: Callable | None = None
-
-    def __call__(self, values: dict, built):
-        args = (self.read(values, built) if self.read is not None else
-                [reduce(dict.get, k.split("."), values) for k in (self.key, *self.keys)])
-        text = _broken(self.check, *args)
-        return None if text is None else (self.key, text)
-
-
 def _ensemble_spec(ens: dict, built) -> EnsembleSpec:
     # without a window the spec is built at window 0, and each study sets
     # the window of every cutoff it draws
@@ -243,16 +214,12 @@ def _ensemble_spec(ens: dict, built) -> EnsembleSpec:
 
 
 def _ensemble(windowed: bool) -> _Group:
-    keys = {"variant": _Key("str", "mu_s", _VARIANT),
-            "s": _Key("number", check=_REGULARITY),
-            "beta": _Key("number", 0.0),
-            "seed": _Key("int", 0, _ge(0))}
-    rules = (_Rule("seed", _KEY), _Rule("beta", _beta_above_one, ("variant",)))
+    keys = {"variant": _Key("str", "mu_s"), "s": _Key("number"),
+            "beta": _Key("number", 0.0), "seed": _Key("int", 0)}
     if windowed:
-        keys["sample_max_mode"] = _Key("int", check=_ge(0))
-        keys["truncation_N"] = _Key("int", lambda ens: ens["sample_max_mode"], _ge(0))
-        rules += (_Rule("truncation_N", _covers, ("sample_max_mode",)),)
-    return _Group(keys, rules=rules, finish=_ensemble_spec)
+        keys["sample_max_mode"] = _Key("int")
+        keys["truncation_N"] = _Key("int", lambda ens: ens["sample_max_mode"])
+    return _Group(keys, finish=_ensemble_spec, renamed=(("master_seed", "seed"),))
 
 
 _ENSEMBLE = _ensemble(windowed=False)
@@ -270,20 +237,20 @@ _OUTPUT = _Group({"directory": _Key("str", "torusnlw-out"),
                  default={}, finish=_output_directory)
 
 
-def _one_source(state: dict, built):
+def _one_source(state: dict) -> None:
     if sum(k in state for k in ("file", "sample", "zero")) != 1:
-        return "", "exactly one of file/sample/zero required"
-    return None
+        raise ConfigError("state: exactly one of file/sample/zero required")
 
 
 def _initial_state(state: dict, built) -> PhaseState:
     """Read or draw the state at validation, so a bad file is a config
     error and not a runtime one."""
+    _one_source(state)
     if "zero" in state:
         f = zero_field(state["zero"]["max_mode"])
         return PhaseState(f, f)
     if "sample" in state:
-        return built["sample"]
+        return sample(built["sample"]["ensemble"], state["sample"]["index"])
     path = state["file"]
     try:
         return state_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
@@ -293,14 +260,11 @@ def _initial_state(state: dict, built) -> PhaseState:
         raise ConfigError(f"state.file: not a valid state file ({exc})")
 
 
-_INDEX = _Key("int", 0, _ge(0))
 _STATE = _Group({
     "file": _Key("str", _OMIT),
-    "sample": _Group({"ensemble": _WINDOWED_ENSEMBLE, "index": _INDEX}, _OMIT,
-                     rules=(_Rule("index", _KEY),),
-                     finish=lambda draw, built: sample(built["ensemble"], draw["index"])),
-    "zero": _Group({"max_mode": _Key("int", check=_ge(0))}, _OMIT),
-}, rules=(_one_source,), finish=_initial_state)
+    "sample": _Group({"ensemble": _WINDOWED_ENSEMBLE, "index": _Key("int", 0)}, _OMIT),
+    "zero": _Group({"max_mode": _Key("int", check=(lambda v: v >= 0, "must be >= 0"))}, _OMIT),
+}, finish=_initial_state, renamed=(("index", "sample.index"),))
 
 
 def _seed(cfg: dict):
@@ -363,8 +327,7 @@ def _estimate_row(est):
 # main as raw_values.csv when output.emit_raw is set).  Library functions are
 # looked up in this module's globals when a run starts.
 
-_SAMPLE = _Group({"ensemble": _WINDOWED_ENSEMBLE, "index": _INDEX, "output": _OUTPUT},
-                 rules=(_Rule("index", _KEY),))
+_SAMPLE = _Group({"ensemble": _WINDOWED_ENSEMBLE, "index": _Key("int", 0), "output": _OUTPUT})
 
 
 def _run_sample(cfg, built, workers):
@@ -374,30 +337,28 @@ def _run_sample(cfg, built, workers):
     return {"state.json": payload}
 
 
-_MODEL = {"equation": _Key("str", "nlkg", _EQUATION), "N": _Key("int", check=_ge(0)),
-          "beta": _Key("number", 0.0)}
-_MODEL_BETA = _Rule("beta", _beta_above_one, ("equation",))
+_MODEL = {"equation": _Key("str", "nlkg"), "N": _Key("int"), "beta": _Key("number", 0.0)}
 
 
 def _integrator(integ: dict, built) -> IntegratorSpec:
-    _steps(integ["t_final"], integ["dt"])  # a step count out of bounds is a config error
-    return IntegratorSpec(scheme=integ["scheme"], dt=integ["dt"])
+    spec = IntegratorSpec(scheme=integ["scheme"], dt=integ["dt"])
+    _steps(integ["t_final"], spec.dt)  # a step count out of bounds is a config error
+    return spec
 
 
 _EVOLVE = _Group({
-    "model": _Group(_MODEL, rules=(_MODEL_BETA,)),
+    "model": _Group(_MODEL),
     "state": _STATE,
     "integrator": _Group({
-        "scheme": _Key("str", "strang_splitting", _SCHEME),
-        "dt": _Key("number", 1e-3, _DT),
+        "scheme": _Key("str", "strang_splitting"),
+        "dt": _Key("number", 1e-3),
         "t_final": _Key("number"),
     }, finish=_integrator),
-    "trajectory": _Group({"stride": _Key("int", 1, _STRIDE),
+    "trajectory": _Group({"stride": _Key("int", 1),
                           "sigma": _Key("number", 1.0),
-                          "s": _Key("number", 2.0, _REGULARITY)}, default={}),
+                          "s": _Key("number", 2.0)}, default={}),
     "output": _OUTPUT,
-}, rules=(_Rule("model.N", _covers,  # the cutoff against the state's window
-                read=lambda cfg, built: (cfg["model"]["N"], built["state"].max_mode)),))
+})
 
 
 def _run_evolve(cfg, built, workers):
@@ -434,7 +395,7 @@ def _run_evolve(cfg, built, workers):
 
 
 _DIAGNOSE = _Group({
-    "model": _Group(dict(_MODEL, s=_Key("number", check=_REGULARITY)), rules=(_MODEL_BETA,)),
+    "model": _Group(dict(_MODEL, s=_Key("number"))),
     "state": _STATE,
     "output": _OUTPUT,
 })
@@ -457,15 +418,6 @@ _CHAOS_FUNCTIONALS = [name for name in _PARAMETERLESS
                       if FUNCTIONALS[name].degree is not None]
 
 
-def _functional_admits_s(cfg: dict, built):
-    """Rule: the experiment's functional is studied at the ensemble's s."""
-    try:
-        FUNCTIONALS[cfg["experiment"]["functional"]].admits(cfg["ensemble"]["s"], {})
-    except UnsupportedParameterError as exc:
-        return "ensemble.s", str(exc)
-    return None
-
-
 def _json_radius(r: float):
     """A resolved radius as metadata.json writes it, "inf" for no conditioning."""
     return "inf" if math.isinf(r) else r
@@ -474,15 +426,15 @@ def _json_radius(r: float):
 _MC_LP = _Group({
     "ensemble": _ENSEMBLE,
     "experiment": _Group({
-        "N_list": _Key("int_list", check=_CUTOFFS),
-        "p_list": _Key("number_list", check=_P_FIT),
-        "samples": _Key("int", check=_SAMPLES),
+        "N_list": _Key("int_list"),
+        "p_list": _Key("number_list"),
+        "samples": _Key("int"),
         "functional": _Key("str", "energy_rate_total", _one_of(
             _PARAMETERLESS, " (mc-lp supplies no functional parameters)")),
-        "r": _Key("radius", "auto", _RADIUS),
-    }, rules=(_Rule("N_list", _repeated("cutoff")),)),
+        "r": _Key("radius", "auto"),
+    }),
     "output": _OUTPUT,
-}, rules=(_functional_admits_s,))
+})
 
 
 def _run_mc_lp(cfg, built, workers):
@@ -509,13 +461,12 @@ def _run_mc_lp(cfg, built, workers):
 _MC_CONVERGE = _Group({
     "ensemble": _ENSEMBLE,
     "experiment": _Group({
-        "M_list": _Key("int_list", check=_DECAY_FIT, then=sorted),
-        "N_ref": _Key("int", lambda exp: _default_reference(exp["M_list"]), _REFERENCE),
-        "p": _Key("number", 2.0, _P),
-        "samples": _Key("int", check=_SAMPLES),
+        "M_list": _Key("int_list", then=sorted),
+        "N_ref": _Key("int", lambda exp: _default_reference(exp["M_list"])),
+        "p": _Key("number", 2.0),
+        "samples": _Key("int"),
         "components": _Key("bool", False),
-    }, rules=(_Rule("M_list", _repeated("cutoff")),
-              _Rule("M_list", _below("N_ref"), ("N_ref",)))),
+    }),
     "output": _OUTPUT,
 })
 
@@ -542,20 +493,18 @@ _MC_CHAOS = _Group({
     "experiment": _Group({
         "functional": _Key("str", "wick_mass", _one_of(
             _CHAOS_FUNCTIONALS, " (a declared chaos degree and no required parameters)")),
-        "p_list": _Key("number_list", check=_P_LIST),
-        "samples": _Key("int", check=_SAMPLES),
-        "r": _Key("radius", "inf", _RADIUS),
+        "p_list": _Key("number_list"),
+        "samples": _Key("int"),
+        "r": _Key("radius", "inf"),
     }),
     "output": _OUTPUT,
-}, rules=(_functional_admits_s,))
+})
 
 
 def _run_mc_chaos(cfg, built, workers):
     exp = cfg["experiment"]
-    spec = built["ensemble"]
-    radius = resolve_radius(exp["r"], spec, workers=workers)
-    result = chaos_growth_check(exp["functional"], replace(spec, energy_cutoff_r=radius),
-                                exp["p_list"], exp["samples"], workers=workers)
+    result = chaos_growth_check(exp["functional"], built["ensemble"], exp["p_list"],
+                                exp["samples"], radius=exp["r"], workers=workers)
     columns = [
         ("p", "moment order"),
         ("norm", "empirical L^p norm"),
@@ -568,23 +517,22 @@ def _run_mc_chaos(cfg, built, workers):
             for r in result.rows]
     return {"estimates.csv": (columns, rows),
             "_meta": {"degree": result.degree, "base_norm": result.base_norm,
-                      "resolved_radius": _json_radius(radius)},
+                      "resolved_radius": _json_radius(result.radius)},
             "_raw": result.raw}
 
 
 _MC_KIN = _Group({
     "ensemble": _ENSEMBLE,
     "experiment": _Group({
-        "order": _Key("int_pair", [0, 0], (_RULES["order"][0], "orders must be nonnegative")),
-        "field": _Key("str", "u", (_RULES["field"][0], "must be 'u' or 'v'")),
-        "N": _Key("int", check=_REFERENCE),
-        "M_list": _Key("int_list", check=_BLOCK_FIT, then=sorted),
-        "p": _Key("number", 4.0, _P),
-        "samples": _Key("int", check=_SAMPLES),
-    }, rules=(_Rule("M_list", _repeated("block")), _Rule("M_list", _within, ("N",)))),
+        "order": _Key("int_pair", [0, 0]),
+        "field": _Key("str", "u"),
+        "N": _Key("int"),
+        "M_list": _Key("int_list", then=sorted),
+        "p": _Key("number", 4.0),
+        "samples": _Key("int"),
+    }),
     "output": _OUTPUT,
-}, rules=(_Rule("experiment.order", _admissible_order,
-                 ("ensemble.s", "experiment.field")),))
+})
 
 
 def _run_mc_kin(cfg, built, workers):
@@ -603,12 +551,11 @@ def _run_mc_kin(cfg, built, workers):
 _MC_TAIL = _Group({
     "ensemble": _ENSEMBLE,
     "experiment": _Group({
-        "N": _Key("int", check=_TAIL_REFERENCE),
-        "M_list": _Key("int_list", check=_CUTOFFS, then=sorted),
-        "alpha_list": _Key("number_list", check=_THRESHOLDS),
-        "samples": _Key("int", check=_SAMPLES),
-    }, rules=(_Rule("M_list", _repeated("cutoff")),
-              _Rule("M_list", _below("N"), ("N",)))),
+        "N": _Key("int"),
+        "M_list": _Key("int_list", then=sorted),
+        "alpha_list": _Key("number_list"),
+        "samples": _Key("int"),
+    }),
     "output": _OUTPUT,
 })
 
@@ -637,9 +584,9 @@ def _run_mc_tail(cfg, built, workers):
 
 
 _KAKUTANI = _Group({
-    "s": _Key("number", check=_KAKUTANI_S),
-    "max_norm": _Key("int", check=_ge(0)),
-    "marginal": _Key("str", "position", _MARGINAL),
+    "s": _Key("number"),
+    "max_norm": _Key("int"),
+    "marginal": _Key("str", "position"),
     "output": _OUTPUT,
 })
 
@@ -657,24 +604,55 @@ def _run_kakutani(cfg, built, workers):
             "_meta": {"partial_sum": summary.partial_sum}}
 
 
-def _prepare(spec: _Group, run, config: dict, workers: int):
+# command -> {library argument its run passes: the config key that feeds it}
+_ARGUMENT_KEYS = {
+    "sample": {"index": "index"},
+    "evolve": {"equation": "model.equation", "truncation_N": "model.N", "beta": "model.beta",
+               "stride": "trajectory.stride", "s": "trajectory.s"},
+    "diagnose": {"equation": "model.equation", "cutoff": "model.N", "beta": "model.beta",
+                 "s": "model.s"},
+    "mc-lp": {"s": "ensemble.s", "cutoff_list": "experiment.N_list",
+              "p_list": "experiment.p_list", "samples": "experiment.samples",
+              "functional": "experiment.functional", "radius": "experiment.r"},
+    "mc-converge": {"lower_cutoffs": "experiment.M_list", "reference_cutoff": "experiment.N_ref",
+                    "p": "experiment.p", "samples": "experiment.samples"},
+    "mc-chaos": {"s": "ensemble.s", "functional": "experiment.functional",
+                 "p_list": "experiment.p_list", "samples": "experiment.samples",
+                 "radius": "experiment.r"},
+    "mc-kin": {"order": "experiment.order", "field": "experiment.field", "cutoff": "experiment.N",
+               "block_list": "experiment.M_list", "p": "experiment.p",
+               "samples": "experiment.samples"},
+    "mc-tail": {"reference_cutoff": "experiment.N", "lower_cutoffs": "experiment.M_list",
+                "thresholds": "experiment.alpha_list", "samples": "experiment.samples"},
+    "kakutani": {"s": "s", "max_norm": "max_norm", "marginal": "marginal"},
+}
+
+
+def _prepare(command: str, spec: _Group, run, config: dict, workers: int):
     """Validate config against spec; returns the resolved config and the
-    run, not yet started."""
+    run, not yet started, which raises a library refusal as a config error
+    at the key that the command's _ARGUMENT_KEYS row maps its argument to."""
     resolved, built = _validate(spec, config)
-    return resolved, partial(run, resolved, built, workers)
+
+    def keyed_run():
+        try:
+            return run(resolved, built, workers)
+        except UnsupportedParameterError as exc:
+            raise _at_key(exc, _ARGUMENT_KEYS[command]) or exc
+    return resolved, keyed_run
 
 
 _RUNNERS = {  # command -> (config, workers) -> (resolved config, run)
-    "sample": partial(_prepare, _SAMPLE, _run_sample),
-    "evolve": partial(_prepare, _EVOLVE, _run_evolve),
-    "diagnose": partial(_prepare, _DIAGNOSE, _run_diagnose),
-    "mc-lp": partial(_prepare, _MC_LP, _run_mc_lp),
-    "mc-converge": partial(_prepare, _MC_CONVERGE, _run_mc_converge),
-    "mc-chaos": partial(_prepare, _MC_CHAOS, _run_mc_chaos),
-    "mc-kin": partial(_prepare, _MC_KIN, _run_mc_kin),
-    "mc-tail": partial(_prepare, _MC_TAIL, _run_mc_tail),
-    "kakutani": partial(_prepare, _KAKUTANI, _run_kakutani),
-}
+    command: partial(_prepare, command, spec, run) for command, spec, run in (
+        ("sample", _SAMPLE, _run_sample),
+        ("evolve", _EVOLVE, _run_evolve),
+        ("diagnose", _DIAGNOSE, _run_diagnose),
+        ("mc-lp", _MC_LP, _run_mc_lp),
+        ("mc-converge", _MC_CONVERGE, _run_mc_converge),
+        ("mc-chaos", _MC_CHAOS, _run_mc_chaos),
+        ("mc-kin", _MC_KIN, _run_mc_kin),
+        ("mc-tail", _MC_TAIL, _run_mc_tail),
+        ("kakutani", _KAKUTANI, _run_kakutani))}
 COMMANDS = tuple(_RUNNERS)
 
 
@@ -746,12 +724,11 @@ def main(argv=None) -> int:
         return 1
     try:
         resolved, run = _RUNNERS[args.command](_load_config(args.config), args.workers)
-    except ConfigError as exc:
+        t0 = time.perf_counter()
+        files = run()
+    except ConfigError as exc:  # at validation, or a library refusal at the run's start
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    t0 = time.perf_counter()
-    try:
-        files = run()
     except (IntegrationError, DegenerateEnsembleError, FloatingPointError,
             UnsupportedParameterError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -56,11 +56,12 @@ from .spectral import (
 )
 
 
-def _even_order(s: float) -> int:
-    if s != int(s) or int(s) % 2 != 0 or int(s) < 2:
-        raise UnsupportedParameterError(
-            f"the energy rate is studied at even integer s >= 2, got {s}")
-    return int(s)
+_EVEN_ORDER = (lambda s: s >= 2 and s % 2 == 0,
+               "the energy rate is studied at even integer s >= 2")
+
+
+def _even_order(s: float) -> None:
+    _refuse(("s", _EVEN_ORDER, s))
 
 
 def _product_mean(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:

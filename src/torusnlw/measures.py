@@ -32,7 +32,7 @@ from .sampling import _INTEGER, _finite_and, _refuse
 
 MARGINALS = ("position", "velocity")
 
-# argument rules, which the CLI's kakutani spec reads too (see sampling)
+# argument rules (see sampling)
 _MARGINAL = (lambda v: v in MARGINALS, f"one of {MARGINALS}")
 _KAKUTANI_S = _finite_and((lambda s: s > 0, "must be > 0"))
 
@@ -99,6 +99,7 @@ def kakutani_terms(s: float, max_norm: int, marginal: str = "position") -> Kakut
 
     A finite limit of partial_sum as max_norm grows means the two
     Gaussians are equivalent; unbounded growth means mutual singularity.
+    A statistic that is not finite (as at s = 400) raises FloatingPointError.
     """
     _refuse(("s", _KAKUTANI_S, s), ("max_norm", _INTEGER, max_norm),
             ("marginal", _MARGINAL, marginal))
@@ -106,7 +107,12 @@ def kakutani_terms(s: float, max_norm: int, marginal: str = "position") -> Kakut
     sq = axis[:, None] ** 2 + axis[None, :] ** 2
     sq = sq[sq <= max_norm ** 2]
     classes, mult = np.unique(sq, return_counts=True)
-    stat = comparison_statistic(classes, s, marginal)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported below
+        stat = comparison_statistic(classes, s, marginal)
+    bad = ~np.isfinite(stat)
+    if bad.any():
+        raise FloatingPointError(f"kakutani_terms: the statistic at s = {s:g} is not finite, "
+                                 f"first at the class |n|^2 = {classes[bad][0]}")
     weighted = mult * stat
     cumulative = np.cumsum(weighted)
     return KakutaniSummary(

@@ -169,13 +169,6 @@ class Functional:
     optional: tuple = ("cutoff",)
     s_rule: Callable = lambda s: None
 
-    def admits(self, s: float, params: dict) -> None:
-        """Raises UnsupportedParameterError at an s the entry is not studied
-        at, or at a parameter value outside its rule in _RULES."""
-        self.s_rule(s)
-        _refuse(*((f"functional {self.name!r}", _RULES[key], value)
-                  for key, value in params.items()))
-
 
 def _at_cutoff(name: str, degree: int | None, read: Callable, **kwargs) -> Functional:
     """The entry whose values are read(factors) at the column's cutoff."""
@@ -269,7 +262,8 @@ def _check_columns(ens: EnsembleSpec, funcs) -> tuple:
             raise UnsupportedParameterError(
                 f"functional {name!r} takes the parameters {entry.requires} and optionally "
                 f"{entry.optional}, got {sorted(params)}")
-        entry.admits(ens.s, params)
+        entry.s_rule(ens.s)
+        _refuse(*((f"functional {name!r}", _RULES[key], value) for key, value in params.items()))
     return funcs
 
 
@@ -278,9 +272,9 @@ def collect_values(ens: EnsembleSpec, funcs, samples: int, *, workers: int = 1):
     values per (name, params) pair, FUNCTIONALS[name] with params, and the
     energy-cutoff weights.  params holds the entry's `requires` and any of
     its `optional` (`cutoff` defaults to ens.truncation_N); a column with an
-    unknown name, a missing or unread parameter, or a parameter value or
-    ens.s its entry does not admit (Functional.admits) is refused before
-    any draw.  All columns read the same draws, so columns at several
+    unknown name, a missing or unread parameter, a parameter value outside
+    its rule in _RULES, or an ens.s its entry's s_rule refuses is refused
+    before any draw.  All columns read the same draws, so columns at several
     cutoffs draw the window once.  The output is the same for every worker
     count."""
     funcs = _check_columns(ens, funcs)
@@ -353,7 +347,7 @@ def _estimate_from_values(values: np.ndarray, weights: np.ndarray, p: float,
     )
 
 
-# -- study argument rules, which the CLI's experiment specs read too -----------
+# -- study argument rules -----------------------------------------------------
 # Each is a (test, refusal text) pair or a check of several values returning the
 # text, run by sampling._refuse.
 
@@ -374,6 +368,9 @@ _BLOCK_FIT = (_DECAY_FIT[0], "needs >= 2 distinct blocks, each in [1, N] (the mo
 _THRESHOLDS = (lambda v: all(a >= 0 for a in v), "thresholds must be >= 0")
 _RADIUS = (lambda r: r in ("auto", "inf") or _RULES["radius"][0](r),
            'must be > 0, "auto" or "inf"')
+_UNCONDITIONED = (math.isinf, "studies draw unconditioned")  # the energy_cutoff_r of a study
+_CHAOS_DEGREE = (lambda name: getattr(FUNCTIONALS.get(name), "degree", None) is not None,
+                 "has no declared chaos degree")
 
 
 def _repeated(what: str):
@@ -447,8 +444,7 @@ def _at_window(ens: EnsembleSpec, n: int) -> EnsembleSpec:
     """The base ensemble at sampling window and cutoff n.  The studies draw
     unconditioned (lp_growth_experiment conditions through its radius), so
     a finite energy cutoff on the base is refused."""
-    if not math.isinf(ens.energy_cutoff_r):
-        raise ValueError(f"energy_cutoff_r {ens.energy_cutoff_r}: studies draw unconditioned")
+    _refuse(("energy_cutoff_r", _UNCONDITIONED, ens.energy_cutoff_r))
     return replace(ens, sample_max_mode=n, truncation_N=n)
 
 
@@ -561,21 +557,25 @@ class ChaosGrowthRow:
 class ChaosGrowthResult:
     degree: int
     base_norm: float       # ||X||_2
+    radius: float          # the resolved energy cutoff radius of the draws
     rows: tuple
     raw: tuple             # the one drawn series
 
 
 def chaos_growth_check(functional: str, ens: EnsembleSpec, p_list, samples: int, *,
-                       workers: int = 1) -> ChaosGrowthResult:
+                       radius="inf", workers: int = 1) -> ChaosGrowthResult:
     """Hypercontractive growth check: for a functional of declared chaos
-    degree k, ||X||_p / ||X||_2 must stay below (p-1)^(k/2)."""
-    entry = FUNCTIONALS.get(functional)
-    if entry is None or entry.degree is None:
-        raise UnsupportedParameterError(
-            f"functional {functional!r} has no declared chaos degree")
-    degree = entry.degree
-    _refuse(("p_list", _NONEMPTY, p_list), ("p_list", _P_LIST, p_list),
-            ("samples", _SAMPLES, samples))
+    degree k, ||X||_p / ||X||_2 must stay below (p-1)^(k/2).  The draws are
+    ens's, conditioned on the resolved radius (resolve_radius at ens's
+    window and cutoff), and ens itself must be unconditioned."""
+    _refuse(("functional", _CHAOS_DEGREE, functional), ("p_list", _NONEMPTY, p_list),
+            ("p_list", _P_LIST, p_list), ("samples", _SAMPLES, samples),
+            ("radius", _RADIUS, radius),
+            ("energy_cutoff_r", _UNCONDITIONED, ens.energy_cutoff_r))
+    _check_columns(ens, [(functional, None)])  # before an "auto" pilot draws
+    degree = FUNCTIONALS[functional].degree
+    r = resolve_radius(radius, ens, workers=workers)
+    ens = replace(ens, energy_cutoff_r=r)
     tag = f"{functional}:[]"  # estimate_lp's tag of a parameterless column
     series = _draw(ens, [(tag, functional, None)], samples, workers)
     ((_, values, weights),) = series
@@ -590,7 +590,7 @@ def chaos_growth_check(functional: str, ens: EnsembleSpec, p_list, samples: int,
             p=p, norm=est.value, ratio=ratio, bound=bound, rel_ci_width=rel_w,
             within_bound=bool(ratio <= bound * (1.0 + 3.0 * rel_w)),
         ))
-    return ChaosGrowthResult(degree=degree, base_norm=base.value, rows=tuple(rows),
+    return ChaosGrowthResult(degree=degree, base_norm=base.value, radius=r, rows=tuple(rows),
                              raw=series)
 
 
@@ -618,17 +618,16 @@ def sup_norm_moment_study(ens: EnsembleSpec, order, block_list, cutoff: int, p: 
                           workers: int = 1) -> SupNormStudyResult:
     """Sup norms of derivative dyadic blocks of the low-pass field: the
     L^p moments should grow at most sub-polynomially in the block
-    frequency when the derivative order is admissible.  The block_sup_norm
-    columns refuse a field, order or block they do not admit."""
+    frequency when the derivative order is admissible.  The order and field
+    are refused by the rules of the block_sup_norm column (_RULES)."""
     blocks = sorted(block_list)
     _refuse(("cutoff", _INTEGER, cutoff), ("cutoff", _REFERENCE, cutoff), ("p", _P, p),
             ("samples", _SAMPLES, samples),
             *_cutoff_list("block_list", blocks, _BLOCK_FIT, "block"),
-            ("block_list", _within, blocks, cutoff))
+            ("block_list", _within, blocks, cutoff), ("order", _RULES["order"], order),
+            ("field", _RULES["field"], field), ("order", _admissible_order, order, ens.s, field))
     columns = [(f"block_sup_norm:M={m}", "block_sup_norm",
                 {"order": order, "block": m, "field": field}) for m in blocks]
-    _check_columns(ens, [(name, params) for _, name, params in columns])
-    _refuse(("order", _admissible_order, order, ens.s, field))
     ens = _at_window(ens, cutoff)
     series = _draw(ens, columns, samples, workers)
     o1, o2 = (int(order[0]), int(order[1]))  # the columns admitted a pair of integers
@@ -637,8 +636,10 @@ def sup_norm_moment_study(ens: EnsembleSpec, order, block_list, cutoff: int, p: 
             for m, (label, values, weights) in zip(blocks, series)]
     positive = [(m, row.estimate.value) for m, row in zip(blocks, rows)
                 if row.estimate.value > 0]
-    if len(positive) < 2:
-        raise ValueError("too few nonzero block moments to fit a rate")
+    if len(positive) < 2:  # the p-th powers underflow, or the derivative is 0 on the block
+        zero = [m for m in blocks if m not in dict(positive)]
+        raise FloatingPointError(f"sup_norm_moment_study: the L^{p:g} moment is 0 at the "
+                                 f"blocks {zero}, too few nonzero to fit a rate")
     fit = fit_rate([m for m, _ in positive], [v for _, v in positive])
     return SupNormStudyResult(order=(o1, o2), field=field, rows=tuple(rows), fit=fit,
                               raw=series)

@@ -75,10 +75,15 @@ _KEY_BOUND = 1 << 64  # a seed or an index is one 64-bit word of a Philox key
 
 
 class UnsupportedParameterError(ValueError):
-    """A parameter is outside the regime an operation is defined for."""
+    """A parameter is outside the regime an operation is defined for.  When
+    _refuse raised it, argument names the argument and text its broken rule."""
+
+    def __init__(self, message: str, argument: str | None = None, text: str | None = None):
+        super().__init__(message)
+        self.argument, self.text = argument, text
 
 
-# -- argument rules, which _refuse runs and the CLI's specs hold ---------------
+# -- argument rules, which _refuse runs ----------------------------------------
 # Each is a (test, refusal text) pair or a check of several values returning the text.
 
 
@@ -128,11 +133,11 @@ def _covers(cutoff, window):
 def _refuse(*rules) -> None:
     """Runs (argument, rule, its value, other values the rule reads) in order,
     before any work; the first broken one raises UnsupportedParameterError (a
-    ValueError) naming the argument, in the CLI's text of the rule."""
+    ValueError) naming the argument and carrying it and the rule's text."""
     for arg, rule, *values in rules:
         text = _broken(rule, *values)
         if text is not None:
-            raise UnsupportedParameterError(f"{arg}: {text}, got {values[0]!r}")
+            raise UnsupportedParameterError(f"{arg}: {text}, got {values[0]!r}", arg, text)
 
 
 @dataclass(frozen=True)
@@ -219,8 +224,7 @@ def _drawer(spec: EnsembleSpec, with_v: bool):
     key = keyed["state"]["key"]
 
     def draw(start: int, stop: int) -> tuple:
-        if start < 0 or stop > _KEY_BOUND:
-            raise ValueError(f"sample index must lie in [0, 2^64), got [{start}, {stop})")
+        _refuse(("index", _INTEGER, start), ("index", _KEY, stop - 1))
         raw = np.empty((stop - start, 1 + with_v, n_half, 2))
         for row, index in enumerate(range(start, stop)):
             key[1] = index

@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import torusnlw.dynamics as dynamics
+import torusnlw.energy as energy
+import torusnlw.measures as measures
+import torusnlw.montecarlo as montecarlo
+import torusnlw.sampling as sampling
 from torusnlw.montecarlo import FUNCTIONALS, _Block, _check_columns
 from torusnlw.sampling import EnsembleSpec
 from torusnlw.spectral import PhaseState, SpectralError, SpectralField, sobolev_norm
@@ -78,3 +83,33 @@ def block_values(ens: EnsembleSpec, p: PhaseState, funcs) -> list:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def refuse_to_draw(*args, **kwargs):
+    raise AssertionError("collect_values was called")
+
+
+def refuse_a_drawer(*args, **kwargs):
+    raise AssertionError("a drawer was built")
+
+
+def _worked(*args, **kwargs):
+    raise AssertionError("a transform, draw, step or sum ran before the refusal")
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fails the test when collect_values runs or a Monte Carlo drawer is built."""
+    monkeypatch.setattr(montecarlo, "collect_values", refuse_to_draw)
+    monkeypatch.setattr(montecarlo, "_drawer", refuse_a_drawer)
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fails the test when a grid transform, a draw, a flow step, a
+    counterterm sum or a Kakutani statistic runs."""
+    monkeypatch.setattr(energy, "grid_stack", _worked)
+    monkeypatch.setattr(sampling, "_drawer", _worked)
+    monkeypatch.setattr(sampling, "_sq_modulus", _worked)
+    monkeypatch.setattr(dynamics, "_checked_step", _worked)
+    monkeypatch.setattr(measures, "_variance_pair", _worked)

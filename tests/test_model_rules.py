@@ -1,10 +1,10 @@
 """One owner per model rule: bad model, ensemble, flow and Kakutani
-arguments are refused before any work, in the text the CLI gives them.
+arguments are refused before any work, and the CLI holds no copy.
 
 sampling owns the variant, equation, s, beta, window, count and key-word
 rules; dynamics the scheme, dt, stride and step-count rules; measures the
 Kakutani s and marginal.  The library functions run them through
-sampling._refuse, and the CLI's specs hold the same rule objects.
+sampling._refuse, and the CLI reports their refusals at its keys.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 import torusnlw.dynamics as dynamics
 import torusnlw.energy as energy
 import torusnlw.measures as measures
+import torusnlw.montecarlo as montecarlo
 import torusnlw.sampling as sampling
 from torusnlw import cli
 from torusnlw.dynamics import IntegratorSpec, ModelSpec, evolve, trajectory
@@ -30,21 +31,6 @@ PROBE_ENSEMBLE = EnsembleSpec("mu_s", 2.0, 4, 4, 7)
 STATE = sample(PROBE_ENSEMBLE, 0)
 ZERO = PhaseState(zero_field(2), zero_field(2))
 FLOW = (ModelSpec("nlkg", 4), IntegratorSpec(dt=0.01))
-
-
-def _worked(*args, **kwargs):
-    raise AssertionError("a transform, draw, step or sum ran before the refusal")
-
-
-@pytest.fixture
-def no_work(monkeypatch):
-    """Fails the test when a grid transform, a draw, a flow step, a
-    counterterm sum or a Kakutani statistic runs."""
-    monkeypatch.setattr(energy, "grid_stack", _worked)
-    monkeypatch.setattr(sampling, "_drawer", _worked)
-    monkeypatch.setattr(sampling, "_sq_modulus", _worked)
-    monkeypatch.setattr(dynamics, "_checked_step", _worked)
-    monkeypatch.setattr(measures, "_variance_pair", _worked)
 
 
 # (call, exception, start of its refusal): each used to compute a wrong
@@ -114,47 +100,18 @@ def test_evolve_of_1e20_steps_is_a_config_error(tmp_path, capsys, no_work):
     assert not (tmp_path / "out").exists()
 
 
-# every rule object the model specs of the CLI may hold
-LIBRARY_RULES = {name: rule for module in (sampling, dynamics, measures)
-                 for name, rule in vars(module).items() if name.startswith("_")}
-EXPECTED = {"_VARIANT", "_REGULARITY", "_KEY", "_beta_above_one", "_covers", "_EQUATION",
-            "_SCHEME", "_DT", "_STRIDE", "_KAKUTANI_S", "_MARGINAL"}
+# the library's private objects that the CLI calls: a default, an energy
+# helper and the step count of an integrator group, none of them a rule
+CLI_CALLS = {"_default_reference": montecarlo._default_reference, "_one": energy._one,
+             "_steps": dynamics._steps}
 
 
-def _library_name(rule) -> str | None:
-    return next((name for name, obj in LIBRARY_RULES.items() if obj is rule), None)
-
-
-def _walk(group, path=""):
-    """(key path, _Key or group rule) of every key and rule in a spec."""
-    for rule in group.rules:
-        yield path, rule
-    for key, item in group.keys.items():
-        at = f"{path}.{key}" if path else key
-        if isinstance(item, cli._Group):
-            yield from _walk(item, at)
-        else:
-            yield at, item
-
-
-def test_cli_model_rules_are_the_library_objects():
-    # a rule written in the CLI alone on a model, ensemble, flow or Kakutani
-    # key fails here; the JSON kinds' own refusals (expected ..., must be
-    # finite) come before any check, and _ge(0) on an int key adds nothing
-    # to what the int kind and the library's count rule refuse
-    found = set()
-    for spec in (cli._SAMPLE, cli._EVOLVE, cli._DIAGNOSE, cli._KAKUTANI):
-        for at, item in _walk(spec):
-            if isinstance(item, cli._Key):
-                if item.check is None or (item.kind == "int" and item.check[1] == "must be >= 0"):
-                    continue
-                rule = item.check
-            elif item is cli._one_source:  # which source a state has, no model argument
-                continue
-            else:
-                assert isinstance(item, cli._Rule), f"{at}: a group rule of the CLI alone"
-                rule = item.check
-            name = _library_name(rule)
-            assert name is not None, f"{at}: a check of the CLI alone"
-            found.add(name)
-    assert found == EXPECTED
+def test_cli_holds_no_library_rule():
+    # the CLI checks a config's shape and reports the library's refusals at
+    # their keys, so it binds no rule pair, check or rule runner of the library
+    library = {id(obj): obj for module in (sampling, dynamics, energy, measures, montecarlo)
+               for name, obj in vars(module).items()
+               if name.startswith("_") and not name.startswith("__")
+               and (callable(obj) or isinstance(obj, (tuple, dict)))}
+    bound = {name: obj for name, obj in vars(cli).items() if id(obj) in library}
+    assert bound == CLI_CALLS

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import block_values, field_from_modes
+from conftest import block_values, field_from_modes, refuse_a_drawer, refuse_to_draw
 from test_cli import DROP, REJECTIONS, VALID
 import torusnlw.energy as energy
 import torusnlw.montecarlo as montecarlo
@@ -24,7 +24,6 @@ from torusnlw.energy import (
 )
 from torusnlw import cli
 from torusnlw.montecarlo import (
-    _RULES,
     DegenerateEnsembleError,
     FUNCTIONALS,
     _estimate_from_values,
@@ -496,6 +495,15 @@ class TestChaosGrowthCheck:
         with pytest.raises(UnsupportedParameterError, match="degree"):
             chaos_growth_check("block_sup_norm", make_ens(), [4.0], 100)
 
+    def test_draws_are_conditioned_on_the_resolved_radius(self):
+        ens = make_ens(K=3, seed=12)
+        result = chaos_growth_check("wick_mass", ens, [4.0], 200, radius="auto")
+        radius = resolve_radius("auto", ens)
+        assert result.radius == radius
+        assert_raw_is_drawn_from(result.raw, replace(ens, energy_cutoff_r=radius),
+                                 [("wick_mass", {})], 200)
+        assert chaos_growth_check("wick_mass", ens, [4.0], 200).radius == math.inf
+
     def test_quartic_degree_bound_exponent(self):
         ens = make_ens(K=3, seed=8)
         result = chaos_growth_check("quartic_correction", ens, [4.0], 400)
@@ -603,20 +611,13 @@ def assert_raw_is_drawn_from(raw, ens: EnsembleSpec, funcs, samples: int) -> Non
         assert np.array_equal(got_weights, weights)
 
 
-def refuse_to_draw(*args, **kwargs):
-    raise AssertionError("collect_values was called")
-
-
-def refuse_a_drawer(*args, **kwargs):
-    raise AssertionError("a drawer was built")
-
-
 # each study, on inputs it accepts from a base ensemble with no energy cutoff
 STUDIES = {
     "lp_growth": lambda ens: lp_growth_experiment(ens, [2, 3], [2.0, 4.0], "auto", 100),
     "convergence": lambda ens: convergence_rate_study(ens, [2, 3], 2.0, 100),
     "sup_norm": lambda ens: sup_norm_moment_study(ens, (0, 0), [1, 2], 4, 2.0, 100),
     "tail": lambda ens: tail_estimate_study(ens, 6, [2, 3], [0.0], 100),
+    "chaos": lambda ens: chaos_growth_check("wick_mass", ens, [4.0], 100, radius="auto"),
 }
 # each study whose rate fit would get one distinct point
 ONE_POINT = {
@@ -669,7 +670,8 @@ class TestStudiesDrawFromTheBaseEnsemble:
     @pytest.mark.parametrize("study", sorted(STUDIES))
     def test_finite_energy_cutoff_refused_before_drawing(self, monkeypatch, study):
         monkeypatch.setattr(montecarlo, "collect_values", refuse_to_draw)
-        with pytest.raises(ValueError, match="energy_cutoff_r 10.0"):
+        with pytest.raises(UnsupportedParameterError,
+                           match="energy_cutoff_r: studies draw unconditioned, got 10.0"):
             STUDIES[study](at_window("mu_s", 0.0, 0, energy_cutoff_r=10.0))
 
     @pytest.mark.parametrize("study", sorted(ONE_POINT))
@@ -710,6 +712,10 @@ PROBES = {
                                   "reference_cutoff: must be an integer >= 0, got 8.5"),
     "chaos-no-p": (lambda: chaos_growth_check("wick_mass", PROBE_ENS, [], 100),
                    "p_list: must be nonempty, got []"),
+    # with an "auto" radius, refused before its pilot draws
+    "chaos-auto-no-p": (lambda: chaos_growth_check("wick_mass", PROBE_ENS, [], 100,
+                                                   radius="auto"),
+                        "p_list: must be nonempty, got []"),
     "estimate-samples": (lambda: estimate_lp("wick_mass", PROBE_ENS, 2.0, 99),
                          "samples: must be >= 100, got 99"),
     # p = True ran as p = 1 with another bootstrap stream
@@ -719,46 +725,39 @@ PROBES = {
     "radius-bool": (lambda: resolve_radius(True, PROBE_ENS), "radius: must be > 0"),
 }
 
+
+def _experiment_keys(command: str) -> dict:
+    """{experiment key: the study argument it feeds}, from the CLI's table."""
+    return {path.split(".")[1]: argument
+            for argument, path in cli._ARGUMENT_KEYS[command].items()
+            if path.startswith("experiment.")}
+
+
 # The mc-* rows of the CLI's rejection table whose key is a study argument:
 # each command's study on the experiment as the CLI passes it, and the
 # study's name of each experiment key.
-STUDY_OF = {
-    "mc-lp": (lambda exp: lp_growth_experiment(
+STUDY_OF = {command: (study, _experiment_keys(command)) for command, study in {
+    "mc-lp": lambda exp: lp_growth_experiment(
         PROBE_ENS, exp["N_list"], exp["p_list"], exp["r"], exp["samples"],
         functional=exp.get("functional", "energy_rate_total")),
-        {"N_list": "cutoff_list", "p_list": "p_list", "samples": "samples", "r": "radius",
-         "functional": "functional"}),
-    "mc-converge": (lambda exp: convergence_rate_study(
+    "mc-converge": lambda exp: convergence_rate_study(
         PROBE_ENS, exp["M_list"], exp.get("p", 2.0), exp["samples"],
         reference_cutoff=exp.get("N_ref")),
-        {"M_list": "lower_cutoffs", "N_ref": "reference_cutoff", "p": "p",
-         "samples": "samples"}),
-    "mc-chaos": (lambda exp: chaos_growth_check(exp.get("functional", "wick_mass"), replace(
-        PROBE_ENS, energy_cutoff_r=resolve_radius(exp.get("r", "inf"), PROBE_ENS)),
-        exp["p_list"], exp["samples"]),
-        {"p_list": "p_list", "samples": "samples", "r": "radius", "functional": "functional"}),
-    "mc-kin": (lambda exp: sup_norm_moment_study(
+    "mc-chaos": lambda exp: chaos_growth_check(
+        exp.get("functional", "wick_mass"), PROBE_ENS, exp["p_list"], exp["samples"],
+        radius=exp.get("r", "inf")),
+    "mc-kin": lambda exp: sup_norm_moment_study(
         PROBE_ENS, tuple(exp.get("order", (0, 0))), exp["M_list"], exp["N"],
         exp.get("p", 4.0), exp["samples"], field=exp.get("field", "u")),
-        {"order": "order", "field": "field", "M_list": "block_list", "N": "cutoff", "p": "p",
-         "samples": "samples"}),
-    "mc-tail": (lambda exp: tail_estimate_study(
+    "mc-tail": lambda exp: tail_estimate_study(
         PROBE_ENS, exp["N"], exp["M_list"], exp["alpha_list"], exp["samples"]),
-        {"N": "reference_cutoff", "M_list": "lower_cutoffs", "alpha_list": "thresholds",
-         "samples": "samples"}),
-}
-# Texts of the CLI's JSON kinds, which refuse first what a study refuses in
-# its own words.  An infinite radius or threshold is legal in the library
-# (no conditioning, no exceedance), and a missing key has no library form.
-KIND_TEXTS = ("expected ", "must be finite", "missing required")
-# Keys whose rule is the registry's, worded by the CLI: the functional's name
-# (the CLI lists FUNCTIONALS), and mc-kin's field and order, which the CLI
-# tests with montecarlo._RULES and the study passes to its columns.
-REGISTRY_RULES = {"functional": "one of ", "field": "must be 'u' or 'v'",
-                  "order": "orders must be nonnegative"}
-# a study names its reference argument where the CLI names its key
-REFERENCE_NAMES = {"every M must be < N_ref": "every M must be < reference_cutoff",
-                   "every M must be < N": "every M must be < reference_cutoff"}
+}.items()}
+# Texts of the checks the CLI keeps: its JSON kinds, which refuse first what a
+# study refuses in its own words, and the functional lists of mc-lp and
+# mc-chaos, which say what the command can supply.  An infinite radius or
+# threshold is legal in the library (no conditioning, no exceedance), and a
+# missing key has no library form.
+CLI_TEXTS = ("expected ", "must be finite", "missing required", "one of ")
 
 
 def _key(message: str) -> tuple:
@@ -778,13 +777,6 @@ CLI_ROWS = {  # those whose value a study argument can take
     row: (command, path, value, message)
     for row, (command, path, value, message) in EXPERIMENT_ROWS.items()
     if value is not DROP and not _holds_inf(value) and _key(message)[0] in STUDY_OF[command][1]}
-
-
-@pytest.fixture
-def no_draws(monkeypatch):
-    """Fails the test when collect_values runs or a drawer is built."""
-    monkeypatch.setattr(montecarlo, "collect_values", refuse_to_draw)
-    monkeypatch.setattr(montecarlo, "_drawer", refuse_a_drawer)
 
 
 def study_call(command, path, value):
@@ -807,8 +799,8 @@ REFUSED = {**PROBES, **{row: (study_call(*CLI_ROWS[row][:3]), "") for row in CLI
 
 
 class TestStudyArgumentRules:
-    """Each study refuses a bad argument before any pilot or draw, with the
-    text the CLI gives the same rule."""
+    """Each study refuses a bad argument before any pilot or draw, in the
+    text the CLI reports at the key that feeds the argument."""
 
     @pytest.mark.parametrize("case", sorted(REFUSED))
     def test_refused_before_drawing(self, no_draws, case):
@@ -821,16 +813,11 @@ class TestStudyArgumentRules:
         # in the CLI alone fails here
         command, path, value, message = EXPERIMENT_ROWS[row]
         key, text = _key(message)
-        if key in REGISTRY_RULES and text.startswith(REGISTRY_RULES[key]):
-            if key != "functional":
-                assert cli._MC_KIN.keys["experiment"].keys[key].check[0] is _RULES[key][0]
-            return
-        if text.startswith(KIND_TEXTS):
+        if text.startswith(CLI_TEXTS):
             return
         names = STUDY_OF[command][1]
         assert key in names, f"{message}: no study argument"
-        assert refusal(study_call(command, path, value)).startswith(
-            f"{names[key]}: {REFERENCE_NAMES.get(text, text)}, got ")
+        assert refusal(study_call(command, path, value)).startswith(f"{names[key]}: {text}, got ")
 
 
 class TestFunctionalTable:

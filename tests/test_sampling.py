@@ -118,7 +118,7 @@ class TestDeterminism:
         message = f"index: must be < 2^64, got {2**64}"
         with pytest.raises(ValueError, match=re.escape(message)):
             sample(make_spec(), 2**64)
-        with pytest.raises(ValueError, match=r"index must lie in \[0, 2\^64\)"):
+        with pytest.raises(ValueError, match=re.escape(message)):  # the last index drawn
             _drawer(make_spec(), False)(2**64 - 2, 2**64 + 1)
         u, _ = _drawer(make_spec(), False)(2**64 - 2, 2**64)
         assert len(u) == 2
