@@ -32,7 +32,8 @@ import numpy as np
 
 from .sampling import (_EQUATION, _INTEGER, FAMILIES, UnsupportedParameterError,
                        _beta_above_one, _covers, _finite_and, _refuse)
-from .spectral import PhaseState, SpectralField, _cube_half, _from_half, _frozen, _power, _symbol
+from .spectral import (PhaseState, SpectralField, _cube_half, _from_half, _frozen, _half, _power,
+                       _symbol)
 
 SCHEMES = ("strang_splitting", "rk4")
 MAX_STEPS = 1_000_000  # the most steps of one run: minutes of Strang steps at window 32
@@ -69,16 +70,15 @@ class IntegratorSpec:
 
 
 def _dispersion(equation: str, beta: float, max_mode: int) -> np.ndarray:
-    """The symbol of base^a, the square root of -L."""
+    """The symbol of base^a, the square root of -L, on the half block."""
     f = FAMILIES[equation]
     return _symbol(_power(f.base, f.order(beta)), max_mode)
 
 
-def _half_symbol(symbol: np.ndarray) -> np.ndarray:
-    """The n2 >= 0 half of a real symbol, cast to complex128 once (a
-    product with a complex block casts it so anyway)."""
-    K = symbol.shape[1] // 2
-    return _frozen(symbol[:, K:].astype(np.complex128))
+def _complex(symbol: np.ndarray) -> np.ndarray:
+    """A real half symbol cast to complex128 once (a product with a complex
+    block casts it so anyway)."""
+    return _frozen(symbol.astype(np.complex128))
 
 
 @lru_cache(maxsize=256)
@@ -91,20 +91,16 @@ def _rotation(equation: str, beta: float, max_mode: int, t: float):
     cos = np.cos(tw)
     with np.errstate(invalid="ignore", divide="ignore"):
         sinc = np.where(w > 0, np.sin(tw) / np.where(w > 0, w, 1.0), t)
-    return _half_symbol(cos), _half_symbol(sinc), _half_symbol(-w * np.sin(tw))
+    return _complex(cos), _complex(sinc), _complex(-w * np.sin(tw))
 
 
 @lru_cache(maxsize=128)
 def _linear_symbol(equation: str, beta: float, max_mode: int) -> np.ndarray:
     # symbol of L on the half block: the negated squared dispersion
-    return _half_symbol(-_dispersion(equation, beta, max_mode) ** 2)
+    return _complex(-_dispersion(equation, beta, max_mode) ** 2)
 
 
 # -- the flow on half blocks (see the module docstring) ------------------------
-
-
-def _half(f: SpectralField) -> np.ndarray:
-    return f.coeffs[:, f.max_mode:]
 
 
 def _field(half: np.ndarray) -> SpectralField:

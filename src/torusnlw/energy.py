@@ -25,11 +25,13 @@ The renormalized functionals of one state at one cutoff share their
 factors: u_N, v_N and their smoothings are each built and sent to the
 grid once per state and cutoff (_Factors), however many of the
 correction, its chaos split, the rate terms and the truncated energy are
-asked for.  _Factors holds a block of states, as coefficient stacks with
-a leading block axis: Monte Carlo evaluates many draws at once, and the
-public functions here are blocks of one.  Each state's grid means and
-lattice sums reduce over that state's own flattened row, so a value does
-not depend on the block it was evaluated in.
+asked for.  _Factors holds a block of states, as stacks of n2 >= 0 half
+blocks (spectral's layout) with a leading block axis: Monte Carlo
+evaluates many draws at once, and the public functions here are blocks of
+one, built from the halves of their fields.  Each state's grid means and
+lattice sums (spectral._lattice_sum over a half) reduce over that state's
+own flattened row, so a value does not depend on the block it was
+evaluated in.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from .spectral import (
     PhaseState,
     SpectralField,
     _ball,
+    _half,
+    _lattice_sum,
     _multiply,
     _pairing,
     _power,
@@ -80,8 +84,8 @@ def _product_mean(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) ->
 def _energy(u: np.ndarray, v: np.ndarray, base: str, order: float,
             quartic: np.ndarray) -> np.ndarray:
     """1/2 int (base^order u)^2 + 1/2 int v^2, lattice sums of the whole
-    fields' coefficient stacks, plus 1/4 the given quartic integrals."""
-    quad = _weighted_mass(u, base, order) + _row_sum(np.abs(v) ** 2)
+    fields' half stacks, plus 1/4 the given quartic integrals."""
+    quad = _weighted_mass(u, base, order) + _lattice_sum(np.abs(v) ** 2)
     return 0.5 * quad + 0.25 * quartic
 
 
@@ -89,9 +93,9 @@ class _Factors:
     """A block of states' factors at one cutoff and the functionals built
     on them, one value per state.
 
-    u and v are (B, 2K + 1, 2K + 1) coefficient stacks of the states'
-    window; v may be None when no functional asked for reads it.  u_N,
-    v_N, base^s u_N, base^s v_N and base^2s v_N are each built once, on
+    u and v are (B, 2K + 1, K + 1) half stacks of the states' window; v
+    may be None when no functional asked for reads it.  u_N, v_N,
+    base^s u_N, base^s v_N and base^2s v_N are each built once, on
     first use, and sent to quadrature_grid once; the factors one
     functional asks for go in one grid_stack call, and every quartic
     functional that needs a factor shares its grid values, the Leibniz
@@ -109,7 +113,7 @@ class _Factors:
         self.base = self.family.base
         self.uN = _ball(u, cutoff)
         # v shares u's window, so every factor fits this grid
-        self.grid = quadrature_grid(self.uN.shape[-1] // 2)
+        self.grid = quadrature_grid(self.uN.shape[-1] - 1)
         self._values: dict = {}
 
     @cached_property
@@ -183,17 +187,17 @@ class _Factors:
     @cached_property
     def chaos(self) -> ChaosComponents:
         uN, s = self.uN, self.s
-        K = uN.shape[-1] // 2
+        K = uN.shape[-1] - 1
         a = np.abs(uN) ** 2
         w = _symbol(_power(self.base, s), K)  # |symbol of base^(s/2)|^2
-        t0 = _row_sum(a)                   # int u^2
-        t1 = _row_sum(w**2 * a)            # int (base^s u)^2
-        tw = _row_sum(w * a)
-        t2w = _row_sum(w**2 * a**2)
+        t0 = _lattice_sum(a)               # int u^2
+        t1 = _lattice_sum(w**2 * a)        # int (base^s u)^2
+        tw = _lattice_sum(w * a)
+        t2w = _lattice_sum(w**2 * a**2)
 
         double_pair = 1.5 * t1 * t0
-        z = a[:, K, K]  # t2w - w[K, K]^2 z^2 is t2w without n = 0
-        single_pair = 3.0 * (tw * tw - t2w) - 1.5 * (t2w - w[K, K] ** 2 * z * z)
+        z = a[:, K, 0]  # t2w - w[K, 0]^2 z^2 is t2w without n = 0
+        single_pair = 3.0 * (tw * tw - t2w) - 1.5 * (t2w - w[K, 0] ** 2 * z * z)
         no_pair = self.smoothed_quartic - double_pair - single_pair
         renorm = double_pair - 1.5 * self.sigma * t0
         return ChaosComponents(double_pair, single_pair, no_pair, renorm)
@@ -225,7 +229,7 @@ def _one(u: SpectralField, v: SpectralField | None, s: float | None, cutoff: int
     _refuse(("equation", _EQUATION, equation), ("cutoff", _INTEGER, cutoff),
             *(() if s is None else [("s", _REGULARITY, s)]),
             *(() if beta is None else [("beta", _beta_above_one, beta, equation)]))
-    return _Factors(u.coeffs[None], None if v is None else v.coeffs[None], s, cutoff,
+    return _Factors(_half(u)[None], None if v is None else _half(v)[None], s, cutoff,
                     equation, 0.0 if beta is None else beta)
 
 

@@ -4,8 +4,10 @@ Every experiment reduces to the same primitive: draw states by counter
 index, evaluate one or more named scalar functionals on each, and form
 weighted empirical L^p norms (the weights are the energy-cutoff
 indicators, so a cutoff radius of infinity reproduces plain averages).
-States are drawn and evaluated in blocks of consecutive indices, whose
-size follows from the sampling window alone.  Per-sample values are pure
+States are drawn and evaluated in blocks of consecutive indices, as
+stacks of n2 >= 0 half blocks (spectral owns that layout), and a block's
+size follows from the sampling window alone: the budget _BLOCK_BYTES over
+one state's working set (_state_bytes).  Per-sample values are pure
 functions of (master seed, index), bitwise the same in any block, the
 reduction runs over index-ordered arrays, and bootstrap resampling draws
 from its own tagged stream, so results are bitwise independent of the
@@ -33,7 +35,8 @@ from .energy import _Factors, _even_order
 from .measures import _density
 from .sampling import (_CUTOFF_RADIUS, _INTEGER, EnsembleSpec, UnsupportedParameterError,
                        _count, _drawer, _refuse)
-from .spectral import _ball, _multiply, _sup_norms, derivative, dyadic_block, quadrature_grid
+from .spectral import (_ball, _ball_mask, _multiply, _sup_norms, _symbol, derivative,
+                       dyadic_block, quadrature_grid)
 
 MAX_P = 16.0  # empirical L^p beyond this is extreme-value dominated
 MIN_SAMPLES = 100
@@ -110,7 +113,7 @@ def fit_rate(abscissae, ordinates) -> RateFit:
 
 
 class _Block:
-    """A block of drawn states, as coefficient stacks u and v (v is None
+    """A block of drawn states, as half stacks u and v (v is None
     when nothing evaluated on the block reads it), and their factors at
     each cutoff (energy._Factors), shared by every functional evaluated
     on the block and dropped with it."""
@@ -218,16 +221,27 @@ FUNCTIONALS: dict = {entry.name: entry for entry in (
     Functional("density_weight", None, ("radius",), _density_weight, _reads_v),
     _at_cutoff("truncated_energy", None, lambda f: f.truncated_energy, reads_v=_reads_v),
     Functional("scalar_gaussian", 1, (), lambda block, params: (
-        block.u[:, block.ens.sample_max_mode, block.ens.sample_max_mode].real), optional=()),
+        block.u[:, block.ens.sample_max_mode, 0].real), optional=()),
 )}
 
-# Bytes of grid values a block may hold: five factors' quadrature grids per
-# state.  It sets the block size from the sampling window alone.
-_BLOCK_BYTES = 1 << 20
+# Bytes a block's states may hold at once; it sets the block size from the
+# sampling window alone.  2.25 MiB holds two states at window 32 and gives
+# blocks of 29, 7, 2 and 1 states at windows 8, 16, 32 and 64, each with a
+# traced peak of at most 2.3 MiB (tests/test_montecarlo.py bounds it).
+_BLOCK_BYTES = 9 << 18
+
+
+def _state_bytes(window: int) -> int:
+    """One state's working set in a block at the window: the five factors'
+    quadrature grids, its share of the one spectrum grid_stack fills in
+    turn, and seven half blocks (u, v, u_N, v_N and the three smoothed
+    factors)."""
+    grid, half = quadrature_grid(window), 16 * (2 * window + 1) * (window + 1)
+    return 8 * 5 * grid * grid + 16 * grid * (grid // 2 + 1) + 7 * half
 
 
 def _block_size(window: int) -> int:
-    return max(1, _BLOCK_BYTES // (5 * quadrature_grid(window) ** 2 * 8))
+    return max(1, _BLOCK_BYTES // _state_bytes(window))
 
 
 def _eval_block(ens: EnsembleSpec, funcs: tuple, start: int, stop: int) -> np.ndarray:
@@ -387,6 +401,15 @@ def _below(reference: str):
 def _within(blocks, cutoff: int):
     """Check: no block lies beyond the cutoff, where it is empty."""
     return None if max(blocks) <= cutoff else _BLOCK_FIT[1]
+
+
+def _reached(blocks, cutoff: int, order):
+    """Check: on each block the derivative is nonzero at some mode of the
+    ball |n| <= cutoff, or the block's column would be 0 in every draw."""
+    seen = _ball_mask(cutoff, cutoff) * _symbol(derivative(*order), cutoff)
+    empty = [m for m in blocks if not (seen * _symbol(dyadic_block(m), cutoff)).any()]
+    return (f"the derivative of order {tuple(order)} is 0 on the blocks {empty} "
+            f"inside |n| <= {cutoff}") if empty else None
 
 
 def _default_reference(lower) -> int:
@@ -625,7 +648,8 @@ def sup_norm_moment_study(ens: EnsembleSpec, order, block_list, cutoff: int, p: 
             ("samples", _SAMPLES, samples),
             *_cutoff_list("block_list", blocks, _BLOCK_FIT, "block"),
             ("block_list", _within, blocks, cutoff), ("order", _RULES["order"], order),
-            ("field", _RULES["field"], field), ("order", _admissible_order, order, ens.s, field))
+            ("field", _RULES["field"], field), ("order", _admissible_order, order, ens.s, field),
+            ("block_list", _reached, blocks, cutoff, order))
     columns = [(f"block_sup_norm:M={m}", "block_sup_norm",
                 {"order": order, "block": m, "field": field}) for m in blocks]
     ens = _at_window(ens, cutoff)

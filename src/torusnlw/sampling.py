@@ -23,7 +23,8 @@ the identical ensemble, with no shared RNG state.  The stream holds u's
 normals first and v's after them, so a draw can stop after u when only u
 is read.  Monte Carlo draws a block of consecutive indices at a time
 through one _drawer per evaluation, which re-keys its one Philox per
-index.
+index and returns the n2 >= 0 half blocks (spectral's layout) of the
+states; only sample() builds the full blocks of its SpectralFields.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from typing import Callable
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .spectral import (PhaseState, SpectralField, _frozen, _mirror, _power, _sq_bracket,
-                       _sq_modulus, _symbol)
+from .spectral import (PhaseState, SpectralField, _frozen, _from_half, _mirror, _power,
+                       _sq_bracket, _sq_modulus, _symbol)
 
 
 @dataclass(frozen=True)
@@ -175,8 +176,8 @@ class EnsembleSpec:
 
 @lru_cache(maxsize=64)
 def _weights(variant: str, s: float, beta: float, max_mode: int):
-    """The weights (w_u, w_v): w^2 is the symbol of the family's
-    renormalized quadratic form, on u and on v."""
+    """The weights (w_u, w_v) on the n2 >= 0 half block: w^2 is the symbol
+    of the family's renormalized quadratic form, on u and on v."""
     f = FAMILIES[EQUATION_FOR_VARIANT[variant]]
     order = s + f.order(beta)
     if not f.wave:
@@ -187,27 +188,36 @@ def _weights(variant: str, s: float, beta: float, max_mode: int):
     return _frozen(np.sqrt(w_u)), _frozen(np.sqrt(w_v))
 
 
-def _assemble(raw: np.ndarray, weight: np.ndarray, max_mode: int) -> np.ndarray:
-    """Coefficient stack (B, 2K + 1, 2K + 1) of one component from its
-    (B, n_half, 2) normals.  The stored half-lattice is in lexicographic
-    (n1, n2) order: the rows n1 < 0 hold n2 = 1..K, the rows n1 >= 0 hold
-    n2 = 0..K, so each fills its rows of the n2 >= 0 half block by a
-    reshape, and _mirror fills the rest and keeps n = 0 real."""
+@lru_cache(maxsize=64)
+def _reciprocals(variant: str, s: float, beta: float, max_mode: int):
+    """1 / w of both weights, as complex128: a product with them is bitwise
+    numpy's complex / real w, whose division multiplies by the reciprocal."""
+    return tuple(_frozen((1.0 / w).astype(np.complex128))
+                 for w in _weights(variant, s, beta, max_mode))
+
+
+def _assemble(raw: np.ndarray, reciprocal: np.ndarray, max_mode: int) -> np.ndarray:
+    """Half stack (B, 2K + 1, K + 1) of one component from its (B, n_half, 2)
+    normals.  The stored half-lattice is in lexicographic (n1, n2) order:
+    the rows n1 < 0 hold n2 = 1..K, the rows n1 >= 0 hold n2 = 0..K, so each
+    fills its rows of the half by a reshape, _mirror fills the n1 < 0 half
+    of column n2 = 0 and keeps n = 0 real, and the reciprocal weight scales
+    it in place."""
     B, K = len(raw), max_mode
     g = raw.view(np.complex128)[..., 0] * np.sqrt(0.5)
     zero = K**2  # n = 0's place in the stored order: real, variance 1
     g[:, zero] = raw[:, zero, 0]
-    side = 2 * K + 1
-    box = np.empty((B, side, side), np.complex128)
-    half = box[:, :, K:]
+    half = np.empty((B, 2 * K + 1, K + 1), np.complex128)
     half[:, :K, 1:] = g[:, :zero].reshape(B, K, K)
     half[:, K:] = g[:, zero:].reshape(B, K + 1, K + 1)
-    return _mirror(box) / weight
+    _mirror(half)
+    half *= reciprocal
+    return half
 
 
 def _drawer(spec: EnsembleSpec, with_v: bool):
-    """draw(start, stop) -> samples start, ..., stop - 1 as coefficient
-    stacks (u, v) of shape (B, 2K + 1, 2K + 1); v is None unless with_v.
+    """draw(start, stop) -> samples start, ..., stop - 1 as half stacks
+    (u, v) of shape (B, 2K + 1, K + 1); v is None unless with_v.
 
     The one Philox of a drawer is re-keyed for each index (key
     (master_seed, index), counter 0, empty buffer), which is the state a
@@ -217,7 +227,7 @@ def _drawer(spec: EnsembleSpec, with_v: bool):
     """
     K = spec.sample_max_mode
     n_half = (2 * K + 1) ** 2 // 2 + 1
-    w_u, w_v = _weights(spec.variant, spec.s, spec.beta, K)
+    r_u, r_v = _reciprocals(spec.variant, spec.s, spec.beta, K)
     bitgen = Philox(key=np.array([spec.master_seed, 0], np.uint64))
     rng = Generator(bitgen)
     keyed = bitgen.state
@@ -230,8 +240,8 @@ def _drawer(spec: EnsembleSpec, with_v: bool):
             key[1] = index
             bitgen.state = keyed
             rng.standard_normal(out=raw[row])
-        u = _assemble(raw[:, 0], w_u, K)
-        return u, _assemble(raw[:, 1], w_v, K) if with_v else None
+        u = _assemble(raw[:, 0], r_u, K)
+        return u, _assemble(raw[:, 1], r_v, K) if with_v else None
 
     return draw
 
@@ -245,8 +255,8 @@ def sample(spec: EnsembleSpec, index: int) -> PhaseState:
     _refuse(("index", _INTEGER, index), ("index", _KEY, index))
     u, v = _drawer(spec, with_v=True)(index, index + 1)
     K = spec.sample_max_mode
-    return PhaseState(SpectralField(K, u[0], _trusted=True),
-                      SpectralField(K, v[0], _trusted=True))
+    return PhaseState(SpectralField(K, _from_half(u[0]), _trusted=True),
+                      SpectralField(K, _from_half(v[0]), _trusted=True))
 
 
 # -- renormalization constants ----------------------------------------------

@@ -6,18 +6,22 @@ kept Hermitian (c_{-n} = conj(c_n)), so the field it represents is real.
 The torus is normalized to unit volume: integrate(f) returns c_0 and
 inner_product(f, g) = sum_n f_n g_{-n} is the L^2 pairing (Parseval).
 
-Fields reach the grid through grid_stack, which takes every coefficient
-block of one window, a whole block of Monte Carlo states' factors
-included, to the grid in one pruned transform (an ifft down the K + 1
-columns of the n2 >= 0 half of each block, then an irfft along the rows),
-and come back through the reverse: an rfft along the rows, then an fft
-down only the columns of the window kept.  A product of four
+Every block the package computes is the n2 >= 0 half of one, shape
+(..., 2K + 1, K + 1): the draws, the symbols and masks, the ball, the
+multipliers, the flow's steps and the Monte Carlo factors.  The full block
+is built only where a SpectralField is returned; _mirror fills it from the
+half and is the one owner of the Hermitian layout, and _lattice_sum is the
+one owner of a full-block sum read off a half (weight 2 off column n2 = 0,
+1 on it).  The public functions take the halves of their fields.
+
+Halves reach the grid through grid_stack, one field's spectrum at a time
+(an ifft down its K + 1 columns, then an irfft along the rows into its slot
+of the output stack), a whole block of Monte Carlo states' factors at
+once, and come back through the reverse: an rfft along the rows, then an
+fft down only the columns of the window kept.  A product of four
 window-K fields has modes up to 4K, so its plain mean on quadrature_grid(K)
 >= 4K + 1 points per direction is its exact integral.  The direct product
 convolves coefficient arrays and is kept as an independent oracle.
-
-A block the package computes has only its n2 >= 0 half computed; _mirror
-fills the rest and is the one owner of the Hermitian layout.
 
 A field built from outside (SpectralField(max_mode, coeffs)) has its
 block checked for shape, finite entries and Hermitian symmetry; the
@@ -98,6 +102,11 @@ def _from_half(half: np.ndarray) -> np.ndarray:
     c = np.empty((2 * K + 1, 2 * K + 1), np.complex128)
     c[:, K:] = half
     return _mirror(c)
+
+
+def _half(f: SpectralField) -> np.ndarray:
+    """The n2 >= 0 half of a field's block, as a view."""
+    return f.coeffs[:, f.max_mode:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,6 +221,7 @@ def _power(base: str, sigma: float) -> Multiplier:
 
 @lru_cache(maxsize=512)
 def _symbol(m: Multiplier, max_mode: int) -> np.ndarray:
+    """The symbol of m on the n2 >= 0 half block of the window."""
     sq_mod = _sq_modulus(max_mode)
     if m.kind == "bessel_power":
         sym = _sq_bracket(max_mode) ** (m.exponent / 2.0)
@@ -233,7 +243,7 @@ def _symbol(m: Multiplier, max_mode: int) -> np.ndarray:
         sym = (1j * ax[:, None]) ** a1 * (1j * ax[None, :]) ** a2
     else:
         raise SpectralError(f"unknown multiplier kind {m.kind!r}")
-    return _frozen(sym)
+    return _frozen(np.ascontiguousarray(sym[:, max_mode:]))
 
 
 def apply_multiplier(f: SpectralField, m: Multiplier) -> SpectralField:
@@ -244,38 +254,40 @@ def apply_multiplier(f: SpectralField, m: Multiplier) -> SpectralField:
             "riesz_power with negative exponent needs a mean-zero field "
             "(the zero mode would divide by |0|)"
         )
-    return SpectralField(K, _multiply(f.coeffs, m), _trusted=True)
+    return SpectralField(K, _from_half(_multiply(_half(f), m)), _trusted=True)
 
 
-def _multiply(coeffs: np.ndarray, m: Multiplier) -> np.ndarray:
-    """apply_multiplier on a coefficient block or a stack of them."""
-    return coeffs * _symbol(m, coeffs.shape[-1] // 2)
+def _multiply(half: np.ndarray, m: Multiplier) -> np.ndarray:
+    """apply_multiplier on a half block or a stack of them."""
+    return half * _symbol(m, half.shape[-1] - 1)
 
 
 def project_ball(f: SpectralField, cutoff: int) -> SpectralField:
     """Pi_N f for N = cutoff: the sharp projection onto the Euclidean ball
     |n| <= cutoff, on the block shrunk to min(max_mode, cutoff), which
     keeps downstream product grids tight."""
-    return SpectralField(min(f.max_mode, cutoff), _ball(f.coeffs, cutoff), _trusted=True)
+    return SpectralField(min(f.max_mode, cutoff), _from_half(_ball(_half(f), cutoff)),
+                         _trusted=True)
 
 
 @lru_cache(maxsize=128)
 def _ball_mask(max_mode: int, cutoff: int) -> np.ndarray:
-    """The mask |n| <= cutoff on the window block, as complex128 (a product
-    with coefficients casts it so anyway)."""
-    return _frozen((_sq_modulus(max_mode) <= cutoff**2).astype(np.complex128))
+    """The mask |n| <= cutoff on the window's half block, as complex128 (a
+    product with coefficients casts it so anyway)."""
+    mask = _sq_modulus(max_mode)[:, max_mode:] <= cutoff**2
+    return _frozen(mask.astype(np.complex128))
 
 
-def _ball(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
-    """project_ball on a coefficient block or a stack of them."""
-    K = coeffs.shape[-1] // 2
+def _ball(half: np.ndarray, cutoff: int) -> np.ndarray:
+    """project_ball on a half block or a stack of them."""
+    K = half.shape[-1] - 1
     K_new = min(K, cutoff)
-    return _crop(coeffs, K, K_new) * _ball_mask(K_new, cutoff)
+    return _crop(half, K, K_new) * _ball_mask(K_new, cutoff)
 
 
-def _crop(coeffs: np.ndarray, K: int, K_new: int) -> np.ndarray:
-    lo, hi = K - K_new, K + K_new + 1
-    return coeffs[..., lo:hi, lo:hi]
+def _crop(half: np.ndarray, K: int, K_new: int) -> np.ndarray:
+    """The window-K_new part of window-K half blocks."""
+    return half[..., K - K_new:K + K_new + 1, :K_new + 1]
 
 
 # -- grid transport ---------------------------------------------------------
@@ -299,43 +311,39 @@ def quadrature_grid(max_mode: int) -> int:
     return _fast_len(4 * max_mode + 1)
 
 
-def grid_stack(blocks, grid: int) -> np.ndarray:
-    """Values on the grid x_j = 2 pi j / grid in each direction of
-    coefficient blocks of one window: `blocks` is a sequence of arrays of
-    one shape (..., 2K + 1, 2K + 1), a block or a stack of them each, and
-    the result has shape (len(blocks), ..., grid, grid).
+def grid_stack(halves, grid: int) -> np.ndarray:
+    """Values on the grid x_j = 2 pi j / grid in each direction of fields of
+    one window: `halves` is a sequence of their n2 >= 0 half blocks, arrays
+    of one shape (..., 2K + 1, K + 1), a block or a stack of them each, and
+    the result has shape (len(halves), ..., grid, grid).
 
-    The n2 >= 0 halves of the blocks are transformed together: one ifft
-    along n1 over their K + 1 columns only (the other columns are zero),
-    then one irfft along n2; bitwise the irfft2 of each zero-filled half.
-    Requires grid >= 2 * max_mode + 1 so modes occupy distinct bins.
+    One spectrum, with all grid // 2 + 1 columns irfft reads (so it pads
+    none), takes each half in turn: an ifft along n1 over its K + 1 columns
+    only (the other columns are zero), then an irfft along n2 into the
+    half's slot of the result; bitwise the irfft2 of each zero-filled half.
+    Requires grid >= 2K + 1 so modes occupy distinct bins.
     """
-    shapes = {b.shape for b in blocks}
+    shapes = {h.shape for h in halves}
     if len(shapes) != 1:
-        raise SpectralError(f"grid_stack needs blocks of one shape, got {sorted(shapes)}")
-    K = blocks[0].shape[-1] // 2
+        raise SpectralError(f"grid_stack needs halves of one shape, got {sorted(shapes)}")
+    lead, K = halves[0].shape[:-2], halves[0].shape[-1] - 1
     if grid < 2 * K + 1:
         raise SpectralError(f"grid {grid} cannot hold window {K}")
-    return _halves_to_grid([b[..., K:] for b in blocks], grid)
-
-
-def _halves_to_grid(halves, grid: int) -> np.ndarray:
-    """grid_stack from the n2 >= 0 half blocks of one window.  The spectrum
-    is built with all grid // 2 + 1 columns irfft reads, so it pads none."""
-    K = halves[0].shape[-1] - 1
-    spec = np.zeros((len(halves), *halves[0].shape[:-2], grid, grid // 2 + 1),
-                    np.complex128)
-    rows = _mode_axis(K) % grid
-    for i, half in enumerate(halves):
-        spec[i][..., rows, :K + 1] = half
+    out = np.empty((len(halves), *lead, grid, grid))
+    spec = np.zeros((*lead, grid, grid // 2 + 1), np.complex128)
     cols = spec[..., :K + 1]
-    ifft(cols, axis=-2, norm="forward", out=cols)
-    return irfft(spec, n=grid, axis=-1, norm="forward")
+    for half, values in zip(halves, out):
+        cols[..., :K + 1, :] = half[..., K:, :]  # n1 = 0..K, then n1 = -K..-1 at the end
+        cols[..., K + 1:grid - K, :] = 0  # the last half's column pass filled these rows
+        cols[..., grid - K:, :] = half[..., :K, :]
+        ifft(cols, axis=-2, norm="forward", out=cols)
+        irfft(spec, n=grid, axis=-1, norm="forward", out=values)
+    return out
 
 
 def grid_values(f: SpectralField, grid: int) -> np.ndarray:
     """Values of f on the grid x_j = 2 pi j / grid in each direction."""
-    return grid_stack((f.coeffs,), grid)[0]
+    return grid_stack((_half(f),), grid)[0]
 
 
 def _grid_half(values: np.ndarray, max_mode: int) -> np.ndarray:
@@ -393,12 +401,11 @@ def _cube_half(half: np.ndarray, cutoff: int, window: int) -> np.ndarray:
     Kw = min(K, cutoff)
     K_out = min(cutoff, 3 * Kw)
     grid = _fast_len(max(4 * cutoff + 2, 3 * Kw + K_out + 2))
-    w = half[K - Kw:K + Kw + 1, :Kw + 1] * _ball_mask(Kw, cutoff)[:, Kw:]
-    vals = _halves_to_grid((w,), grid)[0]
+    vals = grid_stack((_ball(half, cutoff),), grid)[0]
     cube = vals * vals
     cube *= vals
     c = _mirror(_grid_half(cube, K_out))
-    c *= _ball_mask(K_out, cutoff)[:, K_out:]
+    c *= _ball_mask(K_out, cutoff)
     pad = window - K_out
     return np.pad(c, ((pad, pad), (0, pad))) if pad else c
 
@@ -411,27 +418,27 @@ def integrate(f: SpectralField) -> float:
 def inner_product(f: SpectralField, g: SpectralField) -> float:
     """L^2 pairing: integral of f g = sum_n f_n g_{-n} (Parseval)."""
     K = min(f.max_mode, g.max_mode)
-    a = _crop(f.coeffs, f.max_mode, K)
-    b = _crop(g.coeffs, g.max_mode, K)
+    a = _crop(_half(f), f.max_mode, K)
+    b = _crop(_half(g), g.max_mode, K)
     return float(_pairing(a[None], b[None])[0])
 
 
 def sobolev_norm(p: PhaseState, sigma: float) -> float:
     """Norm of (u, v) in H^sigma x H^(sigma-1) via bracket-weighted sums."""
-    uu = _weighted_mass(p.u.coeffs[None], "bessel", sigma)
-    vv = _weighted_mass(p.v.coeffs[None], "bessel", sigma - 1.0)
+    uu = _weighted_mass(_half(p.u)[None], "bessel", sigma)
+    vv = _weighted_mass(_half(p.v)[None], "bessel", sigma - 1.0)
     return float(np.sqrt(uu + vv)[0])
 
 
 def grid_sup_norm(f: SpectralField) -> float:
     """Max of |f| over an equispaced grid of 4 (2K+1) points per direction."""
-    return float(_sup_norms(f.coeffs[None])[0])
+    return float(_sup_norms(_half(f)[None])[0])
 
 
-def _sup_norms(coeffs: np.ndarray) -> np.ndarray:
-    """grid_sup_norm of each block of a (B, 2K + 1, 2K + 1) stack."""
-    grid = 4 * coeffs.shape[-1]
-    return np.abs(grid_stack((coeffs,), grid)[0]).reshape(len(coeffs), -1).max(axis=1)
+def _sup_norms(halves: np.ndarray) -> np.ndarray:
+    """grid_sup_norm of each field of a (B, 2K + 1, K + 1) stack of halves."""
+    grid = 4 * halves.shape[-2]
+    return np.abs(grid_stack((halves,), grid)[0]).reshape(len(halves), -1).max(axis=1)
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
@@ -441,17 +448,28 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x.reshape(len(x), -1), axis=1)
 
 
+def _lattice_sum(x: np.ndarray) -> np.ndarray:
+    """The sum over the whole block of a quantity even in n, x(-n) = x(n),
+    from each row of a stack of its n2 >= 0 halves: weight 2 off column
+    n2 = 0, whose mirrors the half omits, and 1 on it, which holds n and -n
+    (and n = 0 once)."""
+    return 2.0 * _row_sum(x) - _row_sum(x[..., 0])
+
+
 def _pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """inner_product of each pair of rows of two stacks of one window.
-    g_{-n} = conj(g_n), so the pairing is Re sum a conj(b); plain NumPy
-    sums keep it off the threaded BLAS dot product."""
-    return _row_sum(a.real * b.real) + _row_sum(a.imag * b.imag)
+    """inner_product of each pair of rows of two stacks of halves of one
+    window.  g_{-n} = conj(g_n), so the pairing is Re sum a conj(b); plain
+    NumPy sums keep it off the threaded BLAS dot product."""
+    x = a.real * b.real
+    x += a.imag * b.imag
+    return _lattice_sum(x)
 
 
-def _weighted_mass(c: np.ndarray, base: str, sigma: float) -> np.ndarray:
-    """int (base^sigma f)^2 as a lattice sum, for each block of a stack:
+def _weighted_mass(half: np.ndarray, base: str, sigma: float) -> np.ndarray:
+    """int (base^sigma f)^2 as a lattice sum, for each half of a stack:
     the weight |symbol of base^sigma|^2 is the symbol of base^(2 sigma)."""
-    return _row_sum(_symbol(_power(base, 2 * sigma), c.shape[-1] // 2) * np.abs(c) ** 2)
+    weight = _symbol(_power(base, 2 * sigma), half.shape[-1] - 1)
+    return _lattice_sum(weight * np.abs(half) ** 2)
 
 
 # -- serialization ----------------------------------------------------------

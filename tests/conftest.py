@@ -13,7 +13,7 @@ import torusnlw.montecarlo as montecarlo
 import torusnlw.sampling as sampling
 from torusnlw.montecarlo import FUNCTIONALS, _Block, _check_columns
 from torusnlw.sampling import EnsembleSpec
-from torusnlw.spectral import PhaseState, SpectralError, SpectralField, sobolev_norm
+from torusnlw.spectral import PhaseState, SpectralError, SpectralField, _half, sobolev_norm
 
 settings.register_profile(
     "default",
@@ -54,6 +54,12 @@ def field_from_modes(max_mode: int, modes: dict) -> SpectralField:
     return SpectralField(K, c)
 
 
+def even_symbol(half: np.ndarray) -> np.ndarray:
+    """The full block of a symbol even in n, s(-n) = s(n), from its n2 >= 0
+    half (the layout of every symbol the package computes)."""
+    return np.concatenate((half[::-1, :0:-1], half), axis=1)
+
+
 def constant_field(value: float, max_mode: int = 0) -> SpectralField:
     return field_from_modes(max_mode, {(0, 0): value})
 
@@ -76,7 +82,7 @@ def block_values(ens: EnsembleSpec, p: PhaseState, funcs) -> list:
     """The registry's (name, params) columns on the one state p, checked
     and evaluated as collect_values does, on a block of one state of ens."""
     funcs = _check_columns(ens, funcs)
-    block = _Block(p.u.coeffs[None], p.v.coeffs[None], ens)
+    block = _Block(_half(p.u)[None], _half(p.v)[None], ens)
     return [float(FUNCTIONALS[name].evaluate(block, params)[0]) for name, params in funcs]
 
 

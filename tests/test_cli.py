@@ -806,6 +806,14 @@ REJECTIONS = [  # (command, key path edited in VALID, new value, config error)
      "experiment.M_list: needs >= 2 distinct blocks, each in [1, N] (the "
      "moment-growth fit needs two points; a block M > N is empty in |n| <= N)"),
     ("mc-kin", "experiment.M_list", [1, 2, 2], "experiment.M_list: block 2 is repeated"),
+    # block 2 meets |n| <= 2 only on the axes, where n1 n2 = 0: it drew every
+    # sample, then failed to fit; block 4 holds |n|^2 = 15, 16 of |n| <= 4
+    ("mc-kin", "experiment", {"order": [1, 1], "M_list": [1, 2], "N": 2, "samples": 100},
+     "experiment.M_list: the derivative of order (1, 1) is 0 on the blocks [2] inside "
+     "|n| <= 2"),
+    ("mc-kin", "experiment", {"order": [1, 1], "M_list": [1, 2, 4], "N": 4, "samples": 100},
+     "experiment.M_list: the derivative of order (1, 1) is 0 on the blocks [4] inside "
+     "|n| <= 4"),
     ("mc-kin", "experiment.p", 17, "experiment.p: must lie in [1, 16.0]"),
     ("mc-kin", "experiment.samples", 99, "experiment.samples: must be >= 100"),
     ("mc-kin", "ensemble", dict(_MC_ENSEMBLE, **BETA),

@@ -13,7 +13,8 @@ import pytest
 from scipy.fft import next_fast_len
 from scipy.integrate import solve_ivp
 
-from conftest import constant_field, field_from_modes, random_state, state_distance
+from conftest import (constant_field, even_symbol, field_from_modes, random_state,
+                      state_distance)
 from torusnlw.dynamics import (
     IntegrationError,
     IntegratorSpec,
@@ -322,7 +323,7 @@ def full_block_kick_term(u: np.ndarray, cutoff: int) -> np.ndarray:
 
 
 def full_block_rotation(model: ModelSpec, K: int, t: float) -> tuple:
-    w = _dispersion(model.equation, model.beta, K)
+    w = even_symbol(_dispersion(model.equation, model.beta, K))
     tw = t * w
     with np.errstate(invalid="ignore", divide="ignore"):
         sinc = np.where(w > 0, np.sin(tw) / np.where(w > 0, w, 1.0), t)
@@ -335,7 +336,7 @@ def full_block_rotate(u, v, t, model) -> tuple:
 
 
 def full_block_rhs(u, v, model) -> tuple:
-    symbol = -_dispersion(model.equation, model.beta, u.shape[0] // 2) ** 2
+    symbol = -even_symbol(_dispersion(model.equation, model.beta, u.shape[0] // 2)) ** 2
     return v, symbol * u - full_block_kick_term(u, model.truncation_N)
 
 

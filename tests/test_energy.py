@@ -26,6 +26,7 @@ from torusnlw.energy import (
     quartic_correction,
     renormalized_energy,
     truncated_energy,
+    _first,
     _one,
     _power,
 )
@@ -428,6 +429,27 @@ class TestChaosComponents:
         assert got.double_pair_renorm + got.single_pair + got.no_pair == pytest.approx(
             quartic_correction(u, 2.0, 3), rel=1e-12
         )
+
+    @pytest.mark.parametrize("K", [0, 1, 2, 7, 16])
+    @pytest.mark.parametrize("equation", ["nlkg", "nlw"])
+    def test_half_block_sums_are_the_full_block_sums(self, rng, K, equation):
+        # the four lattice sums of the split, read off the halves, against
+        # plain sums over the full block; w is the symbol of base^s, s = 2
+        u = random_field(rng, K)
+        got = _first(_one(u, None, 2.0, K, equation).chaos)
+        n = np.arange(-K, K + 1, dtype=float)
+        sq = n[:, None] ** 2 + n[None, :] ** 2
+        w = 1.0 + sq if equation == "nlkg" else sq
+        a = np.abs(u.coeffs) ** 2 * (sq <= K**2)  # of u_N
+        t0, t1, tw, t2w = a.sum(), (w**2 * a).sum(), (w * a).sum(), (w**2 * a**2).sum()
+        double_pair = 1.5 * t1 * t0
+        single_pair = 3.0 * (tw * tw - t2w) - 1.5 * (t2w - w[K, K] ** 2 * a[K, K] ** 2)
+        sigma = FAMILIES[equation].counterterm(K, 2.0)
+        scale = 1e-13 * double_pair
+        assert got.double_pair == pytest.approx(double_pair, rel=1e-13, abs=scale)
+        assert got.single_pair == pytest.approx(single_pair, rel=1e-13, abs=scale)
+        assert got.double_pair_renorm == pytest.approx(double_pair - 1.5 * sigma * t0,
+                                                       rel=1e-13, abs=scale)
 
     @pytest.mark.parametrize("cutoff", [1, 2])
     def test_each_bucket_matches_brute_force(self, rng, cutoff):

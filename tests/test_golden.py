@@ -174,22 +174,29 @@ def test_outputs_match_the_pins(tmp_path, monkeypatch):
         problems + [f"pins recorded with {recorded}; this run has {versions()}"])
 
 
-def moved(fresh: Path) -> list:
-    """A line for every cell that differs between the pins and the set
-    under `fresh` (file, location, pinned -> new), and for every file
-    that only one of them holds."""
+def moved(fresh: Path) -> tuple:
+    """(lines, largest): a line for every cell that differs between the
+    pins and the set under `fresh` (file, location, pinned -> new), and for
+    every file that only one of them holds; and a line naming the largest
+    relative move over the numeric cells among them."""
     pinned, produced = _files(GOLDEN), _files(fresh)
     lines = [f"{name}: pinned, not written" for name in sorted(pinned - produced)]
     lines += [f"{name}: written, not pinned" for name in sorted(produced - pinned)]
+    moves = []
     for name in sorted(pinned & produced):
         data, got = (GOLDEN / name).read_bytes(), (fresh / name).read_bytes()
         old, new = _cells(name, data), _cells(name, got)
         if [at for at, _ in old] != [at for at, _ in new]:
             lines.append(describe(name, data, got))
-        else:
-            lines += [f"{name} {at}: {a} -> {b}"
-                      for (at, a), (_, b) in zip(old, new) if a != b]
-    return lines
+            continue
+        for (at, a), (_, b) in zip(old, new):
+            if a != b:
+                lines.append(f"{name} {at}: {a} -> {b}")
+                if _relative(a, b) is not None:
+                    moves.append((_relative(a, b), lines[-1]))
+    largest = "largest relative move: " + (
+        "{:.3g} ({})".format(*max(moves)) if moves else "none (no numeric cell moved)")
+    return lines, largest
 
 
 def regenerate() -> None:
@@ -201,8 +208,8 @@ def regenerate() -> None:
         run_set(fresh)
         (fresh / VERSIONS).write_text(json.dumps(versions(), indent=2, sort_keys=True) + "\n",
                                       encoding="utf-8")
-        lines = moved(fresh)
-        print(f"{len(lines)} moved:", *lines, sep="\n")
+        lines, largest = moved(fresh)
+        print(f"{len(lines)} moved:", *lines, largest, sep="\n")
         shutil.rmtree(GOLDEN, ignore_errors=True)
         shutil.copytree(fresh, GOLDEN)
 

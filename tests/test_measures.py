@@ -132,7 +132,7 @@ class TestComparisonStatistic:
     def test_variances_are_the_samplers(self, s, marginal, component):
         # the two Gaussians compared are mu_s and mu_tilde_s, on u and on v
         K = 6
-        lam, lam_t = _variance_pair(_sq_modulus(K), s, marginal)
+        lam, lam_t = _variance_pair(_sq_modulus(K)[:, K:], s, marginal)  # the weights' half
         for got, variant in ((lam, "mu_s"), (lam_t, "mu_tilde_s")):
             weight = _weights(variant, s, 0.0, K)[component]
             np.testing.assert_allclose(got, 1.0 / weight**2, rtol=1e-14)

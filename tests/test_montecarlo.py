@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -344,8 +345,8 @@ class TestLazyVelocity:
         values, weights = collect_values(ens, funcs, 5)
         for i in range(5):
             p = sample(ens, i)
-            np.testing.assert_array_equal(u[i], p.u.coeffs)
-            np.testing.assert_array_equal(v[i], p.v.coeffs)
+            np.testing.assert_array_equal(u[i], p.u.coeffs[:, 4:])  # the drawer's halves
+            np.testing.assert_array_equal(v[i], p.v.coeffs[:, 4:])
             assert values[i].tolist() == block_values(ens, p, funcs)
             assert weights[i] == float(truncated_energy(p, 4) <= 50.0)
 
@@ -370,8 +371,8 @@ class TestBlockSize:
 
     @staticmethod
     def at_block_size(monkeypatch, ens, size, **kwargs):
-        grid = montecarlo.quadrature_grid(ens.sample_max_mode)
-        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", size * 5 * grid**2 * 8)
+        state = montecarlo._state_bytes(ens.sample_max_mode)
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", size * state)
         assert montecarlo._block_size(ens.sample_max_mode) == size
         return collect_values(ens, every_functional(12.0), 70, **kwargs)
 
@@ -391,7 +392,26 @@ class TestBlockSize:
                 np.testing.assert_array_equal(weights, ref_weights)
 
     def test_block_sizes_follow_the_window(self):
-        assert [montecarlo._block_size(K) for K in (1, 8, 16, 32, 64)] == [1048, 20, 5, 1, 1]
+        assert [montecarlo._block_size(K) for K in (1, 8, 16, 32, 64)] == [1233, 29, 7, 2, 1]
+
+    @pytest.mark.parametrize("window, bound_mib", [(8, 2.66), (16, 2.66), (32, 2.66),
+                                                   (64, 7.37)])
+    def test_block_memory(self, window, bound_mib):
+        # the traced peak of one block of energy_rate_total stays within the
+        # full-block layout's: 2.66 MiB, its largest at windows 8 to 32 (20, 5
+        # and 1 states a block), and 7.37 MiB at window 64 (1 state)
+        ens = make_ens(K=window, seed=101, energy_cutoff_r=50.0)
+        funcs = (("energy_rate_total", {}),)
+        size = montecarlo._block_size(window)
+        montecarlo._eval_block(ens, funcs, 0, size)  # the symbols and masks are cached
+        tracemalloc.start()
+        try:
+            montecarlo._eval_block(ens, funcs, size, 2 * size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
+        assert window != 32 or size >= 2
 
 
 class TestWorkerDeterminism:
@@ -696,6 +716,11 @@ PROBES = {
                       "lower_cutoffs: cutoff 2 is repeated"),
     "converge-repeated": (lambda: convergence_rate_study(PROBE_ENS, [2, 2, 4], 2.0, 100),
                           "lower_cutoffs: cutoff 2 is repeated"),
+    # the derivative is 0 on block 2 inside |n| <= 2: every draw of it is 0
+    "kin-derivative-zero": (lambda: sup_norm_moment_study(PROBE_ENS, (1, 1), [1, 2], 2, 2.0,
+                                                          100),
+                            "block_list: the derivative of order (1, 1) is 0 on the blocks [2] "
+                            "inside |n| <= 2, got [1, 2]"),
     "kin-fractional": (lambda: sup_norm_moment_study(PROBE_ENS, (0, 0), [1.5, 2.7], 4, 2.0,
                                                      100),
                        "block_list: must hold integers >= 0 only"),

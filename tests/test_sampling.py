@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import even_symbol
 from torusnlw.dynamics import _dispersion
 from torusnlw.energy import _Factors
 from torusnlw.sampling import (
@@ -19,12 +20,13 @@ from torusnlw.sampling import (
     EnsembleSpec,
     _assemble,
     _drawer,
+    _reciprocals,
     _weights,
     counterterm,
     sample,
     wave_counterterm,
 )
-from torusnlw.spectral import _half_lattice, integrate
+from torusnlw.spectral import _from_half, _half_lattice, integrate
 
 
 def make_spec(variant="mu_s", s=2.0, K=4, N=None, seed=0, **kw):
@@ -142,15 +144,15 @@ def new_philox(seed: int, index: int) -> np.random.Generator:
 def scattered(raw: np.ndarray, weight: np.ndarray, K: int) -> np.ndarray:
     """One state's (n_half, 2) normals scattered onto the conjugate mirror
     of the stored half-lattice, then onto the half itself, so that n = 0,
-    its own mirror, holds the real g_0: the reference for _assemble's
-    layout."""
+    its own mirror, holds the real g_0, and the n2 >= 0 half of that block
+    divided by the half weight: the reference for _assemble's layout."""
     flat, mirror = _half_lattice(K)
     g = (raw[:, 0] + 1j * raw[:, 1]) * np.sqrt(0.5)
     g[K**2] = raw[K**2, 0]
     box = np.zeros((2 * K + 1) ** 2, np.complex128)
     box[mirror] = np.conj(g)
     box[flat] = g
-    return box.reshape(2 * K + 1, 2 * K + 1) / weight
+    return box.reshape(2 * K + 1, 2 * K + 1)[:, K:] / weight
 
 
 class TestDrawByComponent:
@@ -174,37 +176,37 @@ class TestDrawByComponent:
         draw = _drawer(spec, with_v)
         for start in (0, 9, 2**63 + 1):
             u, v = draw(start, start + 3)
-            assert u.shape == (3, 11, 11)
+            assert u.shape == (3, 11, 6)
             assert (v is None) != with_v
             for row, index in enumerate(range(start, start + 3)):
                 raw = new_philox(3, index).standard_normal((2, 61, 2))
                 # bytes, so that the signs of zero imaginary parts count too
                 assert u[row].tobytes() == scattered(raw[0], w_u, 5).tobytes()
                 full = sample(spec, index)
-                np.testing.assert_array_equal(u[row], full.u.coeffs)
+                np.testing.assert_array_equal(u[row], full.u.coeffs[:, 5:])
                 if with_v:
                     assert v[row].tobytes() == scattered(raw[1], w_v, 5).tobytes()
-                    np.testing.assert_array_equal(v[row], full.v.coeffs)
+                    np.testing.assert_array_equal(v[row], full.v.coeffs[:, 5:])
 
     @pytest.mark.parametrize("K", [8, 64])
     def test_sample_is_its_row_of_a_block(self, K):
         # one drawer serves blocks of any size in any order, and each of
-        # their rows is bit for bit the single draw of its index
+        # their rows, mirrored, is bit for bit the single draw of its index
         spec = make_spec(K=K, seed=2026)
         draw = _drawer(spec, with_v=True)
         for start, stop in ((0, 3), (7, 8), (1, 2), (40, 42)):
             u, v = draw(start, stop)
             for row, index in enumerate(range(start, stop)):
                 full = sample(spec, index)
-                assert u[row].tobytes() == full.u.coeffs.tobytes()
-                assert v[row].tobytes() == full.v.coeffs.tobytes()
+                assert _from_half(u[row]).tobytes() == full.u.coeffs.tobytes()
+                assert _from_half(v[row]).tobytes() == full.v.coeffs.tobytes()
 
     @pytest.mark.parametrize("K", [0, 1, 2, 8])
     def test_assemble_is_the_half_lattice_scatter(self, K):
         n_half = (2 * K + 1) ** 2 // 2 + 1
         raw = new_philox(5, K).standard_normal((4, n_half, 2))
         weight = _weights("mu_s", 2.0, 0.0, K)[1]
-        block = _assemble(raw, weight, K)
+        block = _assemble(raw, _reciprocals("mu_s", 2.0, 0.0, K)[1], K)
         for row in range(4):
             assert block[row].tobytes() == scattered(raw[row], weight, K).tobytes()
 
@@ -214,7 +216,7 @@ class TestDrawByComponent:
         spec = make_spec(variant=variant, K=3, seed=601,
                          beta=2.0 if variant == "mu_s_beta" else 0.0)
         u, v = _drawer(spec, with_v=True)(0, 40)
-        for zero in (u[:, 3, 3], v[:, 3, 3]):
+        for zero in (u[:, 3, 0], v[:, 3, 0]):
             assert (zero.real < 0).any() and (zero.real > 0).any()
             assert not np.signbit(zero.imag).any()
 
@@ -253,9 +255,10 @@ class TestEnsembleIsTheEnergysGaussian:
     def test_weights_are_the_quadratic_forms(self, variant, beta, s):
         K, cutoff, equation = 4, 2, EQUATION_FOR_VARIANT[variant]
         probe, count = unit_modes(K)
+        probe = probe[:, :, K:]  # the states' halves
         zero = np.zeros_like(probe)
-        w_u, w_v = _weights(variant, s, beta, K)
-        cases = ((probe, zero, w_u, _dispersion(equation, beta, K) ** 2),
+        w_u, w_v = (even_symbol(w) for w in _weights(variant, s, beta, K))
+        cases = ((probe, zero, w_u, even_symbol(_dispersion(equation, beta, K)) ** 2),
                  (zero, probe, w_v, 1.0))
         for u, v, weight, conserved in cases:
             f = _Factors(u, v, s, cutoff, equation, beta)

@@ -171,9 +171,9 @@ class TestGridTransport:
         # for blocks and for stacks of them (a block of states per factor)
         fields = [random_field(rng, K) for _ in range(6)]
         for grid in (quadrature_grid(K), 4 * (2 * K + 1)):
-            stack = grid_stack([f.coeffs for f in fields], grid)
+            stack = grid_stack([f.coeffs[:, K:] for f in fields], grid)
             assert stack.shape == (6, grid, grid)
-            pairs = np.stack([f.coeffs for f in fields]).reshape(3, 2, 2 * K + 1, 2 * K + 1)
+            pairs = np.stack([f.coeffs[:, K:] for f in fields]).reshape(3, 2, 2 * K + 1, K + 1)
             blocks = grid_stack(list(pairs), grid)
             assert blocks.shape == (3, 2, grid, grid)
             for f, vals, in_block in zip(fields, stack, blocks.reshape(6, grid, grid)):
@@ -186,9 +186,11 @@ class TestGridTransport:
 
     def test_grid_stack_rejects_small_grids_and_mixed_windows(self, rng):
         with pytest.raises(SpectralError, match="grid 6 cannot hold window 3"):
-            grid_stack([random_field(rng, 3).coeffs, random_field(rng, 3).coeffs], 6)
+            grid_stack([random_field(rng, 3).coeffs[:, 3:], random_field(rng, 3).coeffs[:, 3:]],
+                       6)
         with pytest.raises(SpectralError, match="one shape"):
-            grid_stack([random_field(rng, 3).coeffs, random_field(rng, 2).coeffs], 15)
+            grid_stack([random_field(rng, 3).coeffs[:, 3:], random_field(rng, 2).coeffs[:, 2:]],
+                       15)
 
     def test_products_are_exactly_hermitian(self, rng):
         c = pointwise_product(random_field(rng, 3), random_field(rng, 2)).coeffs
@@ -280,6 +282,39 @@ class TestGridTransport:
                 m.setattr(spectral, "_grid_half", lambda values, K_out: rfft2(
                     values, norm="forward")[_mode_axis(K_out) % len(values), :K_out + 1])
                 assert fast.tobytes() == _cube_half(half, cutoff, window).tobytes()
+
+
+def full_weight(K: int, base: str, sigma: float) -> np.ndarray:
+    """|symbol of base^sigma|^2 on the full window block, from |n|^2 alone:
+    (1 + |n|^2)^sigma, or |n|^(2 sigma) with 0^0 = 1."""
+    n = np.arange(-K, K + 1, dtype=float)
+    sq = n[:, None] ** 2 + n[None, :] ** 2
+    return (1.0 + sq) ** sigma if base == "bessel" else sq**sigma
+
+
+class TestHalfBlockSums:
+    """A lattice sum read off the n2 >= 0 halves equals the plain sum over
+    the mirrored full block: column n2 = 0 holds n and -n, every other
+    column stands for its mirror too, and n = 0 counts once."""
+
+    @pytest.mark.parametrize("K", [0, 1, 2, 7, 16])
+    def test_pairing_and_weighted_masses(self, rng, K):
+        a = np.stack([random_field(rng, K).coeffs for _ in range(3)])
+        b = np.stack([random_field(rng, K).coeffs for _ in range(3)])
+        got = spectral._pairing(a[..., K:], b[..., K:])
+        plain = (a * np.conj(b)).real.sum(axis=(1, 2))
+        np.testing.assert_allclose(got, plain, rtol=1e-13, atol=0)
+        for base in ("bessel", "riesz"):
+            for sigma in (0.0, 1.0, 2.5):
+                got = spectral._weighted_mass(a[..., K:], base, sigma)
+                plain = (full_weight(K, base, sigma) * np.abs(a) ** 2).sum(axis=(1, 2))
+                np.testing.assert_allclose(got, plain, rtol=1e-13, atol=0)
+
+    def test_window_zero_counts_the_zero_mode_once(self):
+        c = constant_field(3.0).coeffs[None, :, 0:]
+        assert spectral._pairing(c, c).tolist() == [9.0]
+        assert spectral._weighted_mass(c, "bessel", 1.0).tolist() == [9.0]
+        assert spectral._weighted_mass(c, "riesz", 1.0).tolist() == [0.0]
 
 
 class TestQuadrature:
@@ -405,19 +440,19 @@ class TestMultipliers:
         np.testing.assert_allclose(g.coeffs, f.coeffs[4:9, 4:9] * (_ball_mask(2)), atol=0)
 
     def test_ball_is_the_boolean_mask_product_bit_for_bit(self, rng):
-        # the cached complex mask multiplies as the boolean one does, signed
-        # zeros and non-finite entries included
+        # the cached complex mask multiplies a half block as the boolean
+        # one does, signed zeros and non-finite entries included
         for K in range(7):
             side = 2 * K + 1
-            c = rng.standard_normal((3, side, side, 2)).view(np.complex128)[..., 0]
+            c = rng.standard_normal((3, side, K + 1, 2)).view(np.complex128)[..., 0]
             c[0] = -0.0
-            c[1, :, K] = complex(-0.0, 0.0)
+            c[1, :, 0] = complex(-0.0, 0.0)
             c[2, 0, 0] = complex(math.inf, math.nan)
             for cutoff in range(2 * K + 1):
-                lo = K - min(K, cutoff)
-                crop = c[:, lo:side - lo, lo:side - lo]
-                n = _mode_axis(min(K, cutoff))
-                boolean = n[:, None] ** 2 + n[None, :] ** 2 <= cutoff**2
+                K_new = min(K, cutoff)
+                crop = c[:, K - K_new:K + K_new + 1, :K_new + 1]
+                n = _mode_axis(K_new)
+                boolean = n[:, None] ** 2 + n[None, K_new:] ** 2 <= cutoff**2
                 assert spectral._ball(c, cutoff).tobytes() == (crop * boolean).tobytes()
 
     def test_invalid_multiplier_parameters(self):
