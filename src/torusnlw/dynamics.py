@@ -18,7 +18,9 @@ field.  Both accept negative integration times.
 Both schemes step the n2 >= 0 half blocks of u and v, shape (2K + 1, K + 1).
 Every operation of a step maps Hermitian blocks to Hermitian blocks, so the
 halves are the state; a PhaseState is built from them (by conjugate mirror)
-only where trajectory yields one or evolve returns.
+only where trajectory yields one or evolve returns.  Each trajectory owns
+the work buffers of its cubes (spectral._cube_buffers); its steps pass them
+down to _cube_half, so trajectories stepped in turn share none.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 
 from .sampling import (_EQUATION, _INTEGER, FAMILIES, UnsupportedParameterError,
                        _beta_above_one, _covers, _finite_and, _refuse)
-from .spectral import (PhaseState, SpectralField, _cube_half, _from_half, _frozen, _half, _power,
-                       _symbol)
+from .spectral import (PhaseState, SpectralField, _cube_buffers, _cube_half, _from_half, _frozen,
+                       _half, _power, _symbol)
 
 SCHEMES = ("strang_splitting", "rk4")
 MAX_STEPS = 1_000_000  # the most steps of one run: minutes of Strang steps at window 32
@@ -116,28 +118,31 @@ def _rotate(u: np.ndarray, v: np.ndarray, t: float, model: ModelSpec) -> tuple:
     return cos * u + sinc * v, msin * u + cos * v
 
 
-def _cube(u: np.ndarray, model: ModelSpec) -> np.ndarray:
+def _cube(u: np.ndarray, model: ModelSpec, buffers: tuple) -> np.ndarray:
     """Pi_N((Pi_N u)^3) on u's half block: the kick and the vector field's
     cubic term."""
-    return _cube_half(u, model.truncation_N, u.shape[1] - 1)
+    return _cube_half(u, model.truncation_N, u.shape[1] - 1, buffers)
 
 
-def _rhs(u: np.ndarray, v: np.ndarray, model: ModelSpec) -> tuple:
+def _rhs(u: np.ndarray, v: np.ndarray, model: ModelSpec, buffers: tuple) -> tuple:
     """(v, L u - Pi_N((Pi_N u)^3))."""
-    return v, _linear_symbol(model.equation, model.beta, u.shape[1] - 1) * u - _cube(u, model)
+    L = _linear_symbol(model.equation, model.beta, u.shape[1] - 1)
+    return v, L * u - _cube(u, model, buffers)
 
 
-def _strang_step(u: np.ndarray, v: np.ndarray, dt: float, model: ModelSpec) -> tuple:
+def _strang_step(u: np.ndarray, v: np.ndarray, dt: float, model: ModelSpec,
+                 buffers: tuple) -> tuple:
     u, v = _rotate(u, v, 0.5 * dt, model)
-    v = v - dt * _cube(u, model)
+    v = v - dt * _cube(u, model, buffers)
     return _rotate(u, v, 0.5 * dt, model)
 
 
-def _rk4_step(u: np.ndarray, v: np.ndarray, dt: float, model: ModelSpec) -> tuple:
+def _rk4_step(u: np.ndarray, v: np.ndarray, dt: float, model: ModelSpec,
+              buffers: tuple) -> tuple:
     def rhs_at(a: float, k: tuple) -> tuple:
-        return _rhs(u + a * k[0], v + a * k[1], model)
+        return _rhs(u + a * k[0], v + a * k[1], model, buffers)
 
-    k1 = _rhs(u, v, model)
+    k1 = _rhs(u, v, model, buffers)
     k2 = rhs_at(0.5 * dt, k1)
     k3 = rhs_at(0.5 * dt, k2)
     k4 = rhs_at(dt, k3)
@@ -190,29 +195,29 @@ def _trajectory(p: PhaseState, t_final: float, model: ModelSpec,
     """Yield (t, state) at t = 0 and after each step, where state() builds
     the PhaseState at t from the half blocks the step left."""
     _refuse(("truncation_N", _covers, model.truncation_N, p.max_mode))
-    step = _SCHEME_STEPS[integ.scheme]
     sign, n_full, remainder = _steps(t_final, integ.dt)
+    step = partial(_SCHEME_STEPS[integ.scheme], model=model,
+                   buffers=_cube_buffers(model.truncation_N, p.max_mode))
     u, v, t = _half(p.u), _half(p.v), 0.0
     yield t, lambda: p
     for k in range(n_full):
-        u, v = _checked_step(step, u, v, sign * integ.dt, model,
+        u, v = _checked_step(step, u, v, sign * integ.dt,
                              f"after step {k + 1} (t = {t + sign * integ.dt:g})")
         t = sign * (k + 1) * integ.dt
         if k + 1 == n_full and remainder == 0.0:
             t = t_final  # not (k + 1) * dt, which can be a rounding error off it
         yield t, partial(_state, u, v)
     if remainder > 0.0:
-        u, v = _checked_step(step, u, v, sign * remainder, model,
+        u, v = _checked_step(step, u, v, sign * remainder,
                              f"in the remainder step (t = {t_final:g})")
         yield t_final, partial(_state, u, v)
 
 
-def _checked_step(step, u: np.ndarray, v: np.ndarray, dt: float, model: ModelSpec,
-                  where: str) -> tuple:
+def _checked_step(step, u: np.ndarray, v: np.ndarray, dt: float, where: str) -> tuple:
     # blow-up shows as inf/nan and is reported as IntegrationError, so the
     # intermediate overflow warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        u, v = step(u, v, dt, model)
+        u, v = step(u, v, dt)
     if not np.isfinite(v).all():
         raise IntegrationError(f"non-finite values {where}")
     return u, v

@@ -105,7 +105,8 @@ def fit_rate(abscissae, ordinates) -> RateFit:
         ordinates=tuple(float(y) for y in ys),
         slope=float(slope),
         intercept=float(intercept),
-        residual=float(np.sqrt(np.mean(resid**2))),
+        # two points fit the line exactly: 0, not the rounding noise of resid
+        residual=float(np.sqrt(np.mean(resid**2))) if xs.size > 2 else 0.0,
     )
 
 

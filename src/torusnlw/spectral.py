@@ -33,7 +33,8 @@ processes.
 Fourier multipliers (Bessel and Riesz powers, dyadic blocks, derivatives)
 act on coefficients; project_ball is the projection Pi_N onto the ball
 |n| <= N, and _cube_half the truncated cube Pi_N((Pi_N u)^3) that the
-flow steps with.
+flow steps with.  Its transforms write into work buffers (_cube_buffers)
+that the caller owns: each trajectory of the flow owns one set.
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ def quadrature_grid(max_mode: int) -> int:
     return _fast_len(4 * max_mode + 1)
 
 
-def grid_stack(halves, grid: int) -> np.ndarray:
+def grid_stack(halves, grid: int, *, out=None, spec=None) -> np.ndarray:
     """Values on the grid x_j = 2 pi j / grid in each direction of fields of
     one window: `halves` is a sequence of their n2 >= 0 half blocks, arrays
     of one shape (..., 2K + 1, K + 1), a block or a stack of them each, and
@@ -321,7 +322,8 @@ def grid_stack(halves, grid: int) -> np.ndarray:
     none), takes each half in turn: an ifft along n1 over its K + 1 columns
     only (the other columns are zero), then an irfft along n2 into the
     half's slot of the result; bitwise the irfft2 of each zero-filled half.
-    Requires grid >= 2K + 1 so modes occupy distinct bins.
+    Writes into `out` and `spec` where the caller passes them.  Requires
+    grid >= 2K + 1 so modes occupy distinct bins.
     """
     shapes = {h.shape for h in halves}
     if len(shapes) != 1:
@@ -329,8 +331,9 @@ def grid_stack(halves, grid: int) -> np.ndarray:
     lead, K = halves[0].shape[:-2], halves[0].shape[-1] - 1
     if grid < 2 * K + 1:
         raise SpectralError(f"grid {grid} cannot hold window {K}")
-    out = np.empty((len(halves), *lead, grid, grid))
-    spec = np.zeros((*lead, grid, grid // 2 + 1), np.complex128)
+    out = np.empty((len(halves), *lead, grid, grid)) if out is None else out
+    spec = np.empty((*lead, grid, grid // 2 + 1), np.complex128) if spec is None else spec
+    spec[..., K + 1:] = 0
     cols = spec[..., :K + 1]
     for half, values in zip(halves, out):
         cols[..., :K + 1, :] = half[..., K:, :]  # n1 = 0..K, then n1 = -K..-1 at the end
@@ -346,13 +349,17 @@ def grid_values(f: SpectralField, grid: int) -> np.ndarray:
     return grid_stack((_half(f),), grid)[0]
 
 
-def _grid_half(values: np.ndarray, max_mode: int) -> np.ndarray:
+def _grid_half(values: np.ndarray, max_mode: int, out=None) -> np.ndarray:
     """n2 >= 0 half of the window-max_mode block of real square-grid values:
     the forward-normalized rfft2, with only the kept columns sent down the
-    column fft (its 1 / grid^2 scales the row pass, as rfft2's does)."""
+    column fft (its 1 / grid^2 scales the row pass, as rfft2's does).  The
+    row pass writes into `out` where given; the half returned is fresh."""
     grid = values.shape[0]
-    spec = fft(rfft(values)[:, :max_mode + 1] * (1.0 / grid**2), axis=0)
-    return spec[_mode_axis(max_mode) % grid]
+    spec = rfft(values, out=out)
+    cols = spec[:, :max_mode + 1]
+    cols *= 1.0 / grid**2
+    fft(cols, axis=0, out=cols)
+    return spec[_mode_axis(max_mode) % grid, :max_mode + 1]
 
 
 def _from_grid(values: np.ndarray, max_mode: int) -> np.ndarray:
@@ -386,25 +393,33 @@ def pointwise_product(f: SpectralField, g: SpectralField,
     return SpectralField(K_out, c, _trusted=True)
 
 
-def _cube_half(half: np.ndarray, cutoff: int, window: int) -> np.ndarray:
+def _cube_buffers(cutoff: int, K: int) -> tuple:
+    """_cube_half's work buffers at one cutoff, for halves of window K: the
+    grid values (a stack of one), the cubed grid and one spectrum.  The grid
+    has at least 4 * cutoff + 2 points per direction (rounded up to an
+    FFT-friendly size): folding from the cube's support then cannot reach
+    any retained mode."""
+    Kw = min(K, cutoff)
+    grid = _fast_len(max(4 * cutoff + 2, 3 * Kw + min(cutoff, 3 * Kw) + 2))
+    return (np.empty((1, grid, grid)), np.empty((grid, grid)),
+            np.empty((grid, grid // 2 + 1), np.complex128))
+
+
+def _cube_half(half: np.ndarray, cutoff: int, window: int, buffers: tuple) -> np.ndarray:
     """n2 >= 0 half of the truncated cube Pi_N((Pi_N u)^3), N = cutoff, from
     the n2 >= 0 half of u.  The cube is formed alias-free on its own window
-    K_out = min(cutoff, 3 min(K, cutoff)) and zero-padded to `window`.
-
-    The working grid has at least 4 * cutoff + 2 points per direction
-    (rounded up to an FFT-friendly size): folding from the cube's support
-    then cannot reach any retained mode.  Column n2 = 0 is made Hermitian
-    by _mirror, as _from_half makes it, so the half evolves like the full
-    block.
+    K_out = min(cutoff, 3 min(K, cutoff)) and zero-padded to `window`, on
+    the grid of `buffers`, from _cube_buffers(cutoff, K); the result is none
+    of the buffers.  Column n2 = 0 is made Hermitian by _mirror, as
+    _from_half makes it, so the half evolves like the full block.
     """
     K = half.shape[1] - 1
-    Kw = min(K, cutoff)
-    K_out = min(cutoff, 3 * Kw)
-    grid = _fast_len(max(4 * cutoff + 2, 3 * Kw + K_out + 2))
-    vals = grid_stack((_ball(half, cutoff),), grid)[0]
-    cube = vals * vals
-    cube *= vals
-    c = _mirror(_grid_half(cube, K_out))
+    K_out = min(cutoff, 3 * min(K, cutoff))
+    vals, cube, spec = buffers
+    grid_stack((_ball(half, cutoff),), len(cube), out=vals, spec=spec)
+    np.multiply(vals[0], vals[0], out=cube)
+    cube *= vals[0]
+    c = _mirror(_grid_half(cube, K_out, out=spec))
     c *= _ball_mask(K_out, cutoff)
     pad = window - K_out
     return np.pad(c, ((pad, pad), (0, pad))) if pad else c

@@ -13,7 +13,8 @@ import torusnlw.montecarlo as montecarlo
 import torusnlw.sampling as sampling
 from torusnlw.montecarlo import FUNCTIONALS, _Block, _check_columns
 from torusnlw.sampling import EnsembleSpec
-from torusnlw.spectral import PhaseState, SpectralError, SpectralField, _half, sobolev_norm
+from torusnlw.spectral import (PhaseState, SpectralError, SpectralField, _cube_buffers, _cube_half,
+                               _half, sobolev_norm)
 
 settings.register_profile(
     "default",
@@ -36,6 +37,11 @@ def random_hermitian_block(rng: np.random.Generator, max_mode: int) -> np.ndarra
 
 def random_field(rng: np.random.Generator, max_mode: int, scale: float = 1.0) -> SpectralField:
     return SpectralField(max_mode, scale * random_hermitian_block(rng, max_mode))
+
+
+def cube_half(half: np.ndarray, cutoff: int, window: int) -> np.ndarray:
+    """_cube_half in fresh work buffers."""
+    return _cube_half(half, cutoff, window, _cube_buffers(cutoff, half.shape[1] - 1))
 
 
 def field_from_modes(max_mode: int, modes: dict) -> SpectralField:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -43,6 +44,8 @@ from torusnlw.cli import main
 from torusnlw.montecarlo import _pilot_radii
 
 SEED = 2026
+# the studies' values are bitwise the same at any worker count
+WORKERS = min(2, len(os.sched_getaffinity(0)))
 
 
 def report(capsys, name: str, ok: bool, detail: str) -> None:
@@ -231,7 +234,8 @@ def test_rate_norm_growth_in_p_and_cutoff_stability(capsys):
     t0 = time.perf_counter()
     base = EnsembleSpec(variant="mu_s", s=2.0, sample_max_mode=0, truncation_N=0,
                         master_seed=SEED)
-    res = lp_growth_experiment(base, (8, 16, 32), (2.0, 4.0, 8.0), "auto", 10_000)
+    res = lp_growth_experiment(base, (8, 16, 32), (2.0, 4.0, 8.0), "auto", 10_000,
+                               workers=WORKERS)
     slopes = {c: fit.slope + fit.residual for c, fit in res.p_fits}
     spread4 = dict(res.spread_by_p)[4.0]
     elapsed = time.perf_counter() - t0
@@ -249,7 +253,8 @@ def test_truncation_gap_decays_with_block(capsys):
     t0 = time.perf_counter()
     base = EnsembleSpec(variant="mu_s", s=2.0, sample_max_mode=0, truncation_N=0,
                         master_seed=SEED)
-    res = convergence_rate_study(base, (4, 8, 16, 32), 2.0, 10_000, reference_cutoff=64)
+    res = convergence_rate_study(base, (4, 8, 16, 32), 2.0, 10_000, reference_cutoff=64,
+                                 workers=WORKERS)
     gaps = [row.estimate.value for row in res.rows]
     monotone = all(a > b for a, b in zip(gaps, gaps[1:]))
     slope = res.fit.slope + res.fit.residual
@@ -267,10 +272,10 @@ def test_wick_mass_hypercontractivity_and_calibration(capsys):
     t0 = time.perf_counter()
     ens = EnsembleSpec(variant="mu_s", s=2.0, sample_max_mode=16,
                        truncation_N=16, master_seed=SEED)
-    res = chaos_growth_check("wick_mass", ens, (4.0, 8.0), 10_000)
+    res = chaos_growth_check("wick_mass", ens, (4.0, 8.0), 10_000, workers=WORKERS)
     scalar = EnsembleSpec(variant="mu_s", s=2.0, sample_max_mode=1,
                           truncation_N=1, master_seed=SEED)
-    cal = estimate_lp("scalar_gaussian", scalar, 4.0, 1_000_000)
+    cal = estimate_lp("scalar_gaussian", scalar, 4.0, 1_000_000, workers=WORKERS)
     target = 3.0 ** 0.25
     cal_rel = abs(cal.value - target) / target
     elapsed = time.perf_counter() - t0
@@ -306,10 +311,10 @@ def test_density_weight_norms_stable_in_cutoff(capsys):
                        master_seed=SEED)
     # each cutoff's "auto" radius, as the truncation_N = N ensemble resolves
     # it, from one draw of the window-64 pilot states
-    radii = _pilot_radii(ens, cutoffs, 1)
+    radii = _pilot_radii(ens, cutoffs, WORKERS)
     weights, accept = collect_values(
         ens, [("density_weight", {"cutoff": N, "radius": r}) for N, r in zip(cutoffs, radii)],
-        10_000)
+        10_000, workers=WORKERS)
     for col, N in enumerate(cutoffs):
         mass = np.abs(weights[:, col]) ** p * accept
         values[N] = float((mass.sum() / accept.sum()) ** (1.0 / p))

@@ -7,13 +7,17 @@ The constant-mode reduction of the cubic Klein-Gordon flow is an ODE
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 from scipy.integrate import solve_ivp
 
-from conftest import (constant_field, even_symbol, field_from_modes, random_state,
+from conftest import (constant_field, cube_half, even_symbol, field_from_modes, random_state,
                       state_distance)
 from torusnlw.dynamics import (
     IntegrationError,
@@ -32,7 +36,7 @@ from torusnlw.sampling import EnsembleSpec, sample
 from torusnlw.spectral import (
     PhaseState,
     SpectralField,
-    _cube_half,
+    _cube_buffers,
     _from_grid,
     _from_half,
     _hermitian_defect,
@@ -58,9 +62,13 @@ def linear_flow(p: PhaseState, t: float, model: ModelSpec) -> PhaseState:
     return _state(*_rotate(_half(p.u), _half(p.v), t, model))
 
 
+def _buffers(p: PhaseState, model: ModelSpec) -> tuple:
+    return _cube_buffers(model.truncation_N, p.max_mode)
+
+
 def vector_field(p: PhaseState, model: ModelSpec) -> PhaseState:
     """(v, L u - Pi_N((Pi_N u)^3)), as RK4 evaluates it on half blocks."""
-    return _state(*_rhs(_half(p.u), _half(p.v), model))
+    return _state(*_rhs(_half(p.u), _half(p.v), model, _buffers(p, model)))
 
 
 class TestSpecValidation:
@@ -402,14 +410,14 @@ class TestHalfBlockFlowMatchesFullBlock:
         moved = linear_flow(p, t_final, model)
         u, v = full_block_rotate(p.u.coeffs, p.v.coeffs, t_final, model)
         assert np.array_equal(moved.u.coeffs, u) and np.array_equal(moved.v.coeffs, v)
-        du, dv = _rhs(_half(p.u), _half(p.v), model)
+        du, dv = _rhs(_half(p.u), _half(p.v), model, _buffers(p, model))
         assert np.array_equal(du, _half(p.v))
         assert np.array_equal(_from_half(dv),
                               full_block_rhs(p.u.coeffs, p.v.coeffs, model)[1])
         for cutoff in (0, 1, N, K, 2 * K + 3):
             # the cube on its own window, which exceeds K when cutoff > K
             window = min(cutoff, 3 * min(K, cutoff))
-            assert np.array_equal(_from_half(_cube_half(_half(p.u), cutoff, window)),
+            assert np.array_equal(_from_half(cube_half(_half(p.u), cutoff, window)),
                                   full_block_cube(p.u.coeffs, cutoff))
 
     def test_first_state_is_the_start_state(self):
@@ -427,3 +435,48 @@ class TestHalfBlockFlowMatchesFullBlock:
         end = evolve(q, 0.01, NLKG4, IntegratorSpec(dt=0.01))
         assert _hermitian_defect(end.u.coeffs) == 0.0
         assert _hermitian_defect(end.v.coeffs) == 0.0
+
+
+# one fresh interpreter runs the flow through the library: 1000 Strang steps
+# and 8 RK4 steps at window 32, each trajectory after its first step
+_FLOW_FAULTS = """
+import resource
+from torusnlw.dynamics import IntegratorSpec, ModelSpec, trajectory
+from torusnlw.sampling import EnsembleSpec, sample
+p = sample(EnsembleSpec("mu_s", 2.0, 32, 32, 7), 0)
+faults = steps = 0
+for scheme, n in (("strang_splitting", 1000), ("rk4", 8)):
+    run = trajectory(p, (n + 1) * 1e-3, ModelSpec("nlkg", 32), IntegratorSpec(scheme, 1e-3))
+    next(run), next(run)  # the start and one warm-up step
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    steps += sum(1 for _ in run)
+    faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults, steps)
+"""
+
+
+class TestCubeBuffers:
+    def test_steps_take_no_page_faults(self):
+        # a fresh interpreter, so no allocator state comes from other tests
+        import torusnlw
+        src = str(Path(torusnlw.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", _FLOW_FAULTS], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        faults, steps = map(int, out.stdout.split())
+        assert steps >= 1008
+        assert faults < 0.5 * steps
+
+    def test_trajectories_stepped_in_turn_share_no_buffers(self):
+        runs = [(gaussian_state(index=2, K=6), 0.1, ModelSpec("nlw", 4),
+                 IntegratorSpec("strang_splitting", 0.01)),
+                (gaussian_state(index=3, K=5, beta=2.0), -0.1,
+                 ModelSpec("nlkg_beta", 5, 2.0), IntegratorSpec("rk4", 0.01)),
+                (gaussian_state(index=4, K=4), 0.05, NLKG4, IntegratorSpec("rk4", 0.005))]
+        alone = [list(trajectory(*run)) for run in runs]
+        in_turn = list(zip(*(trajectory(*run) for run in runs)))
+        assert [len(in_turn)] * len(runs) == list(map(len, alone)) == [11] * len(runs)
+        for k, states in enumerate(in_turn):
+            for (t, state), (t_alone, state_alone) in zip(states, (a[k] for a in alone)):
+                assert t == t_alone
+                assert state.u.coeffs.tobytes() == state_alone.u.coeffs.tobytes()
+                assert state.v.coeffs.tobytes() == state_alone.v.coeffs.tobytes()

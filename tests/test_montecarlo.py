@@ -437,6 +437,10 @@ class TestFitRate:
         assert fit.slope == pytest.approx(-2.0, abs=1e-12)
         assert fit.intercept == pytest.approx(math.log(3.0), abs=1e-12)
         assert fit.residual == pytest.approx(0.0, abs=1e-12)
+        # two points, as many as the parameters: the residual is exactly 0
+        two = fit_rate(x[1:3], 3.0 * x[1:3] ** -2.0 * np.array([1.0, 1.1]))
+        assert two.residual == 0.0
+        assert two.slope == pytest.approx(-2.0 + math.log(1.1) / math.log(2.0), abs=1e-12)
 
     def test_under_two_points_rejected(self):
         with pytest.raises(ValueError, match="two"):

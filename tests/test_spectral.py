@@ -19,12 +19,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.fft import irfft2, next_fast_len, rfft2
 
-from conftest import constant_field, field_from_modes, random_field, random_state
+from conftest import constant_field, cube_half, field_from_modes, random_field, random_state
 from torusnlw import spectral
 from torusnlw.spectral import (
     PhaseState,
     SpectralError,
     SpectralField,
+    _cube_buffers,
     _cube_half,
     _fast_len,
     _from_grid,
@@ -196,7 +197,7 @@ class TestGridTransport:
         c = pointwise_product(random_field(rng, 3), random_field(rng, 2)).coeffs
         np.testing.assert_array_equal(c, np.conj(c[::-1, ::-1]))
         # the cube's half block: its n2 = 0 column mirrors itself
-        col = _cube_half(random_field(rng, 4).coeffs[:, 4:], 3, 4)[:, 0]
+        col = cube_half(random_field(rng, 4).coeffs[:, 4:], 3, 4)[:, 0]
         np.testing.assert_array_equal(col, np.conj(col[::-1]))
 
     def test_quadrature_grid_sizes(self):
@@ -277,11 +278,11 @@ class TestGridTransport:
         for K in (max(cutoff // 2, 1), cutoff, cutoff + 3):
             half = random_field(rng, K).coeffs[:, K:]
             window = max(K, cutoff)
-            fast = _cube_half(half, cutoff, window)
+            fast = cube_half(half, cutoff, window)
             with monkeypatch.context() as m:
-                m.setattr(spectral, "_grid_half", lambda values, K_out: rfft2(
+                m.setattr(spectral, "_grid_half", lambda values, K_out, out: rfft2(
                     values, norm="forward")[_mode_axis(K_out) % len(values), :K_out + 1])
-                assert fast.tobytes() == _cube_half(half, cutoff, window).tobytes()
+                assert fast.tobytes() == cube_half(half, cutoff, window).tobytes()
 
 
 def full_weight(K: int, base: str, sigma: float) -> np.ndarray:
@@ -481,12 +482,22 @@ class TestTruncatedCube:
                                   method="direct"),
                 cutoff,
             )
-            got = _from_half(_cube_half(f.coeffs[:, 6:], cutoff, 6))
+            got = _from_half(cube_half(f.coeffs[:, 6:], cutoff, 6))
             np.testing.assert_allclose(got, np.pad(ref.coeffs, 6 - ref.max_mode), atol=1e-11)
 
     def test_constant_cube(self):
-        got = _cube_half(constant_field(2.0).coeffs, 3, 0)
+        got = cube_half(constant_field(2.0).coeffs, 3, 0)
         assert got[0, 0] == pytest.approx(8.0)
+
+    @pytest.mark.parametrize("cutoff, K, window", [(4, 4, 4), (3, 5, 5), (2, 2, 6)])
+    def test_cube_half_results_alias_no_buffer(self, rng, cutoff, K, window):
+        # a second cube in the same buffers leaves the first result as it was
+        buffers = _cube_buffers(cutoff, K)
+        first = _cube_half(random_field(rng, K).coeffs[:, K:], cutoff, window, buffers)
+        kept = first.copy()
+        second = _cube_half(random_field(rng, K).coeffs[:, K:], cutoff, window, buffers)
+        assert first.tobytes() == kept.tobytes()
+        assert not any(np.shares_memory(c, b) for c in (first, second) for b in buffers)
 
 
 class TestWindowsAndSerialization:
